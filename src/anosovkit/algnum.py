@@ -42,6 +42,10 @@ class EnclosureTooWide(Exception):
     """Raised when interval refinement exhausts its precision budget."""
 
 
+class UndecidedSign(Exception):
+    """A required sign could not be certified within the precision budget."""
+
+
 # ---------------------------------------------------------------------------
 # Interval primitives over Fractions
 # ---------------------------------------------------------------------------

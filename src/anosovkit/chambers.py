@@ -29,6 +29,7 @@ from .algnum import (
     EnclosureTooWide,
     LogValue,
     RInt,
+    UndecidedSign,
     combine_logvalues,
     simplest_rational_between,
 )
@@ -38,10 +39,6 @@ from .ratlp import strict_sign_witness
 
 class UndecidedProportionality(Exception):
     """Neither separation nor an exact proportionality proof was reached."""
-
-
-class UndecidedSign(Exception):
-    """A required sign could not be certified within the precision budget."""
 
 
 class RankTooLow(Exception):

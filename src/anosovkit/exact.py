@@ -59,22 +59,73 @@ def mat_pow(a, k: int):
     return result
 
 
+def rref(rows, ncols: int):
+    """Reduced row echelon form over Q of sparse rows, in place.
+
+    Rows are dicts {column: nonzero Fraction}.  Pivots are taken in columns
+    < ncols only (later ones carry an augmented right-hand side), each from
+    the first row at or below the current one that is nonzero there.
+    Returns the pivot columns; rows from len(pivots) on end up with no
+    entry left of ncols.  Work is done only on nonzero entries.
+    """
+    pivots = []
+    n = len(rows)
+    r = 0
+    for col in range(ncols):
+        if r == n:
+            break
+        piv = next((i for i in range(r, n) if col in rows[i]), None)
+        if piv is None:
+            continue
+        prow = rows[piv]
+        rows[piv] = rows[r]
+        inv_p = 1 / prow[col]
+        if inv_p != 1:
+            prow = {c: x * inv_p for c, x in prow.items()}
+        rows[r] = prow
+        for row in [row for row in rows if col in row and row is not prow]:
+            f = row[col]
+            for c, y in prow.items():
+                x = row.get(c, 0) - f * y
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+        pivots.append(col)
+        r += 1
+    return pivots
+
+
+def sparse_rows(a, rhs=()):
+    """Dense matrix rows (plus optional right-hand-side rows) as rref input."""
+    cols = len(a[0]) if a else 0
+    out = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in a]
+    for row, extra in zip(out, rhs):
+        row.update((cols + j, Fraction(x)) for j, x in enumerate(extra) if x)
+    return out
+
+
+def solve_sparse(rows, ncols: int):
+    """Solve augmented sparse rows for their ncols unknowns, in place.
+
+    Returns the first ncols reduced rows: row j holds unknown j in each
+    right-hand-side column ncols + k.  Raises ValueError when inconsistent
+    (checked first), ZeroDivisionError when singular.
+    """
+    pivots = rref(rows, ncols)
+    if any(rows[i] for i in range(len(pivots), len(rows))):
+        raise ValueError("inconsistent linear system")
+    if len(pivots) < ncols:
+        raise ZeroDivisionError("singular (underdetermined) system")
+    return rows[:ncols]
+
+
 def mat_inv(a):
     n = len(a)
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    rows = sparse_rows(a, identity(n))
+    if len(rref(rows, n)) < n:
+        raise ZeroDivisionError("singular matrix")
+    return [[row.get(n + j, Fraction(0)) for j in range(n)] for row in rows]
 
 
 def solve_linear(a, rhs):
@@ -84,36 +135,72 @@ def solve_linear(a, rhs):
     ZeroDivisionError when singular, ValueError when inconsistent
     (overdetermined input is allowed: rows may exceed columns).
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
+    cols = len(a[0]) if a else 0
     vec = not isinstance(rhs[0], (list, tuple))
-    b = [[Fraction(rhs[i])] if vec else [Fraction(x) for x in rhs[i]] for i in range(rows)]
-    m = [[Fraction(a[i][j]) for j in range(cols)] + b[i] for i in range(rows)]
-    width = cols + len(b[0])
-    pivots = []
-    r = 0
-    for col in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv_p = Fraction(1) / m[r][col]
-        m[r] = [x * inv_p for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if any(x != 0 for x in m[i][cols:]):
-            raise ValueError("inconsistent linear system")
-    if len(pivots) < cols:
-        raise ZeroDivisionError("singular (underdetermined) system")
-    sol = [m[pivots.index(j)][cols:] for j in range(cols)]
+    b = [[x] for x in rhs] if vec else rhs
+    sol = solve_sparse(sparse_rows(a, b), cols)
+    sol = [[row.get(cols + k, Fraction(0)) for k in range(len(b[0]))] for row in sol]
     return [row[0] for row in sol] if vec else sol
+
+
+def poly_of_matrix(coeffs, m):
+    """Evaluate a rational-coefficient polynomial (descending) at a matrix
+    by Horner's rule."""
+    d = len(m)
+    acc = [[Fraction(0)] * d for _ in range(d)]
+    for c in coeffs:
+        acc = mat_mul(acc, m)
+        for i in range(d):
+            acc[i][i] += Fraction(c)
+    return acc
+
+
+def charpoly(a):
+    """det(tI - A) of a square rational matrix, descending Fraction coeffs.
+
+    Faddeev-LeVerrier: M_1 = A, c_k = -tr(M_k)/k, M_{k+1} = A(M_k + c_k I).
+    """
+    n = len(a)
+    coeffs = [Fraction(1)]
+    m = a
+    for k in range(1, n + 1):
+        ck = -sum(m[i][i] for i in range(n)) / Fraction(k)
+        coeffs.append(ck)
+        if k < n:
+            m = mat_mul(a, [[x + ck if i == j else x for j, x in enumerate(row)]
+                            for i, row in enumerate(m)])
+    return coeffs
+
+
+def _poly_divmod(p, q):
+    """Quotient and remainder of descending-coefficient polynomials over Q."""
+    p = list(p)
+    quot = []
+    while len(p) >= len(q):
+        c = p[0] / q[0]
+        quot.append(c)
+        for j in range(1, len(q)):
+            p[j] -= c * q[j]
+        p.pop(0)
+    while p and p[0] == 0:
+        p.pop(0)
+    return quot, p
+
+
+def is_semisimple_matrix(a) -> bool:
+    """True iff the square rational matrix a is diagonalizable over C; exact.
+
+    The minimal polynomial is squarefree iff the squarefree part
+    p / gcd(p, p') of the characteristic polynomial p annihilates a: the
+    gcd by Euclid over Q, the evaluation by Horner's rule.
+    """
+    n = len(a)
+    a = [[Fraction(x) for x in row] for row in a]
+    p = charpoly(a)
+    g, r = p, [c * (n - i) for i, c in enumerate(p[:-1])]
+    while r:
+        g, r = r, _poly_divmod(g, r)[1]
+    return not any(x for row in poly_of_matrix(_poly_divmod(p, g)[0], a) for x in row)
 
 
 def lcm_denominators(vec) -> int:
@@ -124,33 +211,18 @@ def lcm_denominators(vec) -> int:
 
 def nullspace(a):
     """Basis (list of column vectors) of the rational nullspace of a."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [[Fraction(x) for x in row] for row in a]
-    pivots = []
-    r = 0
-    for col in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv_p = Fraction(1) / m[r][col]
-        m[r] = [x * inv_p for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
+    cols = len(a[0]) if a else 0
+    rows = sparse_rows(a)
+    pivots = rref(rows, cols)
+    pivot_set = set(pivots)
     basis = []
-    for fcol in free:
+    for fcol in range(cols):
+        if fcol in pivot_set:
+            continue
         v = [Fraction(0)] * cols
         v[fcol] = Fraction(1)
-        for i, pcol in enumerate(pivots):
-            v[pcol] = -m[i][fcol]
+        for row, pcol in zip(rows, pivots):
+            v[pcol] = -row.get(fcol, Fraction(0))
         basis.append(v)
     return basis
 

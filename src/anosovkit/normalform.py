@@ -16,10 +16,10 @@ change of coordinates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import mat_inv, solve_linear
+from .exact import is_semisimple_matrix, mat_inv, solve_sparse
 from .resonance import (
     NotNarrowBand,
     SpectrumBands,
@@ -330,7 +330,9 @@ class NormalFormResult:
                 "residual": res}
 
 
-def _check_linear_block_diagonal(f: BlockedPolynomialMap):
+def _check_linear_part(f: BlockedPolynomialMap):
+    """f's linear part, after checking it is block-diagonal and semisimple
+    within each block (both exact)."""
     lin = f.linear_part()
     n = f.nvars
     for c in range(n):
@@ -338,6 +340,12 @@ def _check_linear_block_diagonal(f: BlockedPolynomialMap):
             if lin[c][v] != 0 and f.var_block(c) != f.var_block(v):
                 raise ValueError("linear part must be block-diagonal for "
                                  "normalization")
+    offset = 0
+    for d in f.bands.block_dims:
+        if not is_semisimple_matrix([row[offset:offset + d]
+                                     for row in lin[offset:offset + d]]):
+            raise ValueError("linear part must be semisimple within each block")
+        offset += d
     return lin
 
 
@@ -364,25 +372,6 @@ def _check_block_moduli(f: BlockedPolynomialMap, lin, band_tol: float):
                 raise ValueError(
                     f"block {i + 1} eigenvalue log-modulus {lg:.6f} outside "
                     f"band [{lam}, {mu}] (tol {band_tol})")
-        offset += d
-
-
-def _check_blocks_semisimple(f: BlockedPolynomialMap, lin):
-    import sympy
-
-    offset = 0
-    for d in f.bands.block_dims:
-        block = sympy.Matrix([[sympy.Rational(Fraction(lin[offset + r][offset + c]))
-                               for c in range(d)] for r in range(d)])
-        t = sympy.Symbol("t")
-        cp = sympy.Poly(block.charpoly(t).as_expr(), t)
-        radical = cp.quo(sympy.gcd(cp, cp.diff(t)))
-        val = block ** 0 * 0
-        acc = sympy.zeros(d, d)
-        for coeff in radical.all_coeffs():
-            acc = acc * block + sympy.Rational(coeff) * sympy.eye(d)
-        if not acc.is_zero_matrix:
-            raise ValueError("linear part must be semisimple within each block")
         offset += d
 
 
@@ -416,51 +405,99 @@ def _monomials_of_shape(f: BlockedPolynomialMap, s: tuple):
     return sorted(results)
 
 
-def _substitute_linear(expo: tuple, lin, degree: int, n: int) -> dict:
-    """Expansion of (L x)^expo as {exponent: coeff}; exact."""
-    term = {tuple([0] * n): Fraction(1)}
-    for v, e in enumerate(expo):
-        if not e:
-            continue
-        form = {}
-        for w in range(n):
-            if lin[v][w] != 0:
-                key = tuple(int(u == w) for u in range(n))
-                form[key] = lin[v][w]
-        term = _pmul(term, _ppow(form, e, degree, n), degree, n)
-    return term
+def _substitute_linear(monos, lin, degree: int, n: int) -> dict:
+    """{e: (L x)^e as {exponent: coeff}} for each e in monos; exact."""
+    unit = [tuple(int(u == w) for u in range(n)) for w in range(n)]
+    powers: dict = {}  # (v, k) -> (L_v x)^k, shared between monomials
+    out = {}
+    for expo in monos:
+        term = {tuple([0] * n): Fraction(1)}
+        for v, e in enumerate(expo):
+            if e:
+                if (v, e) not in powers:
+                    form = {unit[w]: x for w, x in enumerate(lin[v]) if x != 0}
+                    powers[(v, e)] = _ppow(form, e, degree, n)
+                term = _pmul(term, powers[(v, e)], degree, n)
+        out[expo] = term
+    return out
 
 
-def _homological_solve(f_bands, lin, block_i, shape_s, rhs_map, degree, n,
-                       var_block):
-    """Solve g∘L - L∘g = rhs on the (block_i, shape_s) subspace; exact.
+def _homological_solve(f: BlockedPolynomialMap, lins, block_i, shape_s, errs, what):
+    """Solve g_{t+1}∘L_t - L_t∘g_t = -errs[t] around a cycle of p = len(lins)
+    fibers (t mod p; p = 1 is g∘L - L∘g = -err) on the (block_i, shape_s)
+    subspace; exact.
 
-    Basis: (coordinate c in block_i) x (monomials of shape s).  Raises
-    ResonantDenominator when the operator is singular.
+    Unknowns are (fiber t) x (coordinate c in block_i) x (monomials of shape
+    s), assembled straight into sparse rows.  Returns per-fiber dicts of the
+    nonzero solution coefficients; raises ResonantDenominator (message
+    prefixed by ``what``) when the operator is singular.
     """
-    coords = [c for c in range(n) if var_block(c) == block_i - 1]
-    monos = rhs_map["monos"]
+    n, degree, p = f.nvars, f.truncation_degree, len(lins)
+    coords = [c for c in range(n) if f.var_block(c) == block_i - 1]
+    monos = _monomials_of_shape(f, shape_s)
     pairs = [(c, e) for c in coords for e in monos]
-    index = {p: i for i, p in enumerate(pairs)}
+    index = {pr: i for i, pr in enumerate(pairs)}
     size = len(pairs)
-    mat = [[Fraction(0)] * size for _ in range(size)]
-    subst_cache = {e: _substitute_linear(e, lin, degree, n) for e in monos}
-    for col, (c, e) in enumerate(pairs):
-        for e2, coeff in subst_cache[e].items():
-            key = (c, e2)
-            if key in index:
-                mat[index[key]][col] += coeff
-        for c2 in coords:
-            if lin[c2][c] != 0:
-                mat[index[(c2, e)]][col] -= lin[c2][c]
-    rhs = [rhs_map["values"].get(p, Fraction(0)) for p in pairs]
+    rows = [{} for _ in range(size * p)]
+    for t, lin in enumerate(lins):
+        base, next_base = t * size, (t + 1) % p * size
+        subst = _substitute_linear(monos, lin, degree, n)
+        for col, (c, e) in enumerate(pairs):
+            # + g_{t+1} ∘ L_t
+            for e2, coeff in subst[e].items():
+                row = rows[base + index[(c, e2)]]
+                row[next_base + col] = row.get(next_base + col, 0) + coeff
+            # - L_t ∘ g_t
+            for c2 in coords:
+                if lin[c2][c] != 0:
+                    row = rows[base + index[(c2, e)]]
+                    row[base + col] = row.get(base + col, 0) - lin[c2][c]
+        for pr, val in errs[t].items():
+            rows[base + index[pr]][size * p] = -val
+    rows = [{j: Fraction(x) for j, x in row.items() if x} for row in rows]
     try:
-        sol = solve_linear(mat, rhs)
+        sol = solve_sparse(rows, size * p)
     except (ZeroDivisionError, ValueError) as exc:
         raise ResonantDenominator(
-            f"homological operator singular on block {block_i}, shape {shape_s}: "
-            f"{exc}") from None
-    return {pairs[i]: sol[i] for i in range(size) if sol[i] != 0}
+            f"{what} singular on block {block_i}, shape {shape_s}: {exc}") from None
+    return [{pr: sol[t * size + i][size * p] for i, pr in enumerate(pairs)
+             if size * p in sol[t * size + i]} for t in range(p)]
+
+
+def _normalize_cycle(maps, lins, what):
+    """Changes h_t and normal forms N_t with h_{t+1}∘F_t = N_t∘h_t around a
+    cycle of p = len(maps) fiber maps (t mod p; p = 1 is one contraction).
+
+    Degree by degree, the sub-resonance part of each error moves into N_t
+    and the rest is removed by one homological solve per (block, shape).
+    """
+    p, f = len(maps), maps[0]
+    bands, degree = f.bands, f.truncation_degree
+    allowed = allowed_support(bands)
+    hs = [BlockedPolynomialMap.identity(bands, degree) for _ in range(p)]
+    ns = [BlockedPolynomialMap.from_linear(bands, degree, lin) for lin in lins]
+    for d in range(2, degree + 1):
+        groups = [{} for _ in range(p)]
+        for t in range(p):
+            err = map_sub(compose(hs[(t + 1) % p], maps[t]), compose(ns[t], hs[t]))
+            for (c, expo), val in err.coeffs:
+                if sum(expo) == d:
+                    key = (f.var_block(c) + 1, f.block_multidegree(expo))
+                    groups[t].setdefault(key, {})[(c, expo)] = val
+        n_new = [dict(n.coeffs) for n in ns]
+        h_new = [dict(h.coeffs) for h in hs]
+        for key in sorted(set().union(*groups)):
+            errs = [g.get(key, {}) for g in groups]
+            if key in allowed:
+                parts, target = errs, n_new
+            else:
+                parts, target = _homological_solve(f, lins, *key, errs, what), h_new
+            for t in range(p):
+                for k, v in parts[t].items():
+                    target[t][k] = target[t].get(k, 0) + v
+        ns = [BlockedPolynomialMap.make(bands, degree, x) for x in n_new]
+        hs = [BlockedPolynomialMap.make(bands, degree, x) for x in h_new]
+    return hs, ns
 
 
 def normalize_contraction(f: BlockedPolynomialMap, degree: int | None = None,
@@ -478,39 +515,9 @@ def normalize_contraction(f: BlockedPolynomialMap, degree: int | None = None,
         f = BlockedPolynomialMap.make(f.bands, work_degree,
                                       {k: v for k, v in f.coeffs
                                        if sum(k[1]) <= work_degree})
-    lin = _check_linear_block_diagonal(f)
-    _check_blocks_semisimple(f, lin)
+    lin = _check_linear_part(f)
     _check_block_moduli(f, lin, band_tol)
-    n = f.nvars
-    bands = f.bands
-    allowed = allowed_support(bands)
-    h = BlockedPolynomialMap.identity(bands, work_degree)
-    normal = BlockedPolynomialMap.from_linear(bands, work_degree, lin)
-    for d in range(2, work_degree + 1):
-        err = map_sub(compose(h, f), compose(normal, h))
-        groups: dict = {}
-        for (c, expo), val in err.coeffs:
-            if sum(expo) != d:
-                continue
-            key = (f.var_block(c) + 1, f.block_multidegree(expo))
-            groups.setdefault(key, {})[(c, expo)] = val
-        if not groups:
-            continue
-        n_new = dict(normal.coeffs)
-        h_new = dict(h.coeffs)
-        for (bi, s), values in sorted(groups.items()):
-            if (bi, s) in allowed:
-                for key, val in values.items():
-                    n_new[key] = n_new.get(key, 0) + val
-            else:
-                rhs_map = {"monos": _monomials_of_shape(f, s),
-                           "values": {k: -v for k, v in values.items()}}
-                g_part = _homological_solve(bands, lin, bi, s, rhs_map,
-                                            work_degree, n, f.var_block)
-                for key, val in g_part.items():
-                    h_new[key] = h_new.get(key, 0) + val
-        normal = BlockedPolynomialMap.make(bands, work_degree, n_new)
-        h = BlockedPolynomialMap.make(bands, work_degree, h_new)
+    (h,), (normal,) = _normalize_cycle([f], [lin], "homological operator")
     residual = map_sub(compose(h, f), compose(normal, h)).max_abs_coeff()
     ok, viol = is_subresonance_type(normal)
     if not ok:
@@ -558,78 +565,13 @@ def normalize_periodic_orbit(maps, degree: int | None = None,
                                       {k: v for k, v in m.coeffs
                                        if sum(k[1]) <= work_degree})
             for m in maps]
-    lins = [_check_linear_block_diagonal(m) for m in maps]
-    for m, lin in zip(maps, lins):
-        _check_blocks_semisimple(m, lin)
+    lins = [_check_linear_part(m) for m in maps]
     cycle = maps[0]
     for m in maps[1:]:
         cycle = compose(m, cycle)
     _check_block_moduli(cycle, cycle.linear_part(),
                         band_tol=band_tol * p + (p - 1) * 2.0)
-    n = bands.total_dim
-    allowed = allowed_support(bands)
-    var_block = maps[0].var_block
-    hs = [BlockedPolynomialMap.identity(bands, work_degree) for _ in range(p)]
-    ns = [BlockedPolynomialMap.from_linear(bands, work_degree, lin)
-          for lin in lins]
-    for d in range(2, work_degree + 1):
-        errs = [map_sub(compose(hs[(t + 1) % p], maps[t]), compose(ns[t], hs[t]))
-                for t in range(p)]
-        shapes = set()
-        per_fiber_groups = []
-        for err in errs:
-            groups: dict = {}
-            for (c, expo), val in err.coeffs:
-                if sum(expo) != d:
-                    continue
-                key = (var_block(c) + 1, maps[0].block_multidegree(expo))
-                groups.setdefault(key, {})[(c, expo)] = val
-                shapes.add(key)
-            per_fiber_groups.append(groups)
-        n_new = [dict(ns[t].coeffs) for t in range(p)]
-        h_new = [dict(hs[t].coeffs) for t in range(p)]
-        for (bi, s) in sorted(shapes):
-            if (bi, s) in allowed:
-                for t in range(p):
-                    for key, val in per_fiber_groups[t].get((bi, s), {}).items():
-                        n_new[t][key] = n_new[t].get(key, 0) + val
-                continue
-            coords = [c for c in range(n) if var_block(c) == bi - 1]
-            monos = _monomials_of_shape(maps[0], s)
-            pairs = [(c, e) for c in coords for e in monos]
-            index = {pr: i for i, pr in enumerate(pairs)}
-            size = len(pairs)
-            big = [[Fraction(0)] * (size * p) for _ in range(size * p)]
-            rhs = [Fraction(0)] * (size * p)
-            for t in range(p):
-                lin_t = lins[t]
-                subst = {e: _substitute_linear(e, lin_t, work_degree, n)
-                         for e in monos}
-                tn = (t + 1) % p
-                for col, (c, e) in enumerate(pairs):
-                    # + g_{t+1} ∘ L_t
-                    for e2, coeff in subst[e].items():
-                        if (c, e2) in index:
-                            big[t * size + index[(c, e2)]][tn * size + col] += coeff
-                    # - L_t ∘ g_t
-                    for c2 in coords:
-                        if lin_t[c2][c] != 0:
-                            big[t * size + index[(c2, e)]][t * size + col] -= lin_t[c2][c]
-                for pr, val in per_fiber_groups[t].get((bi, s), {}).items():
-                    rhs[t * size + index[pr]] = -val
-            try:
-                sol = solve_linear(big, rhs)
-            except (ZeroDivisionError, ValueError) as exc:
-                raise ResonantDenominator(
-                    f"cycle homological operator singular on block {bi}, "
-                    f"shape {s}: {exc}") from None
-            for t in range(p):
-                for i, pr in enumerate(pairs):
-                    val = sol[t * size + i]
-                    if val != 0:
-                        h_new[t][pr] = h_new[t].get(pr, 0) + val
-        ns = [BlockedPolynomialMap.make(bands, work_degree, nn) for nn in n_new]
-        hs = [BlockedPolynomialMap.make(bands, work_degree, hh) for hh in h_new]
+    hs, ns = _normalize_cycle(maps, lins, "cycle homological operator")
     results = []
     for t in range(p):
         res = map_sub(compose(hs[(t + 1) % p], maps[t]),

@@ -31,6 +31,7 @@ from .algnum import (
     EnclosureTooWide,
     LogValue,
     RealAlgebraic,
+    UndecidedSign,
     composed_product,
     eval_poly_box,
     identify_factor,
@@ -39,9 +40,11 @@ from .algnum import (
     values_poly,
 )
 from .exact import (
+    is_semisimple_matrix,
     mat_mul,
     mat_pow,
     nullspace,
+    poly_of_matrix,
     primitive_vector,
     saturate_lattice,
     solve_linear,
@@ -75,10 +78,6 @@ class JointSpectrumUnsupported(Exception):
 
 class UndecidedEquality(Exception):
     """An exact equality escalation ran out of budget (should not occur)."""
-
-
-class UndecidedSign(Exception):
-    """An exact sign escalation ran out of budget (should not occur)."""
 
 
 @dataclass(frozen=True)
@@ -210,17 +209,6 @@ def _frac_mat(m):
     return [[Fraction(x) for x in row] for row in m]
 
 
-def _poly_of_matrix(coeffs, m):
-    """Evaluate a rational-coefficient polynomial (descending) at a matrix."""
-    d = len(m)
-    acc = [[Fraction(0)] * d for _ in range(d)]
-    for c in coeffs:
-        acc = mat_mul(acc, m)
-        for i in range(d):
-            acc[i][i] += Fraction(c)
-    return acc
-
-
 def _charpoly_factors(m):
     """Irreducible factors (as descending int-coeff tuples) with exponents."""
     sm = sympy.Matrix([[sympy.Rational(Fraction(x).numerator, Fraction(x).denominator)
@@ -259,7 +247,7 @@ def _try_split(block: _Block, cand):
         return None
     comps = []
     for fkey, e in factors:
-        nf = _poly_of_matrix([Fraction(c) for c in fkey], cand)
+        nf = poly_of_matrix([Fraction(c) for c in fkey], cand)
         nfe = nf
         for _ in range(e - 1):
             nfe = mat_mul(nfe, nf)
@@ -317,7 +305,7 @@ def _link_block(block: _Block, rng):
     for deg, cand, fkey in best:
         try:
             fT = [Fraction(c) for c in fkey]
-            kern = nullspace(_poly_of_matrix(fT, cand))
+            kern = nullspace(poly_of_matrix(fT, cand))
             cols = _columns(kern)
             t_k = _restrict(cols, cand)
             qs = []
@@ -420,7 +408,7 @@ class _Analysis:
             if r_a is None:
                 self._element_cache[key] = LogValue.zero()
                 return self._element_cache[key]
-            kern = nullspace(_poly_of_matrix([Fraction(c) for c in block.fT_key], block.T))
+            kern = nullspace(poly_of_matrix([Fraction(c) for c in block.fT_key], block.T))
             cols = _columns(kern)
             t_k = _restrict(cols, block.T)
             r_k = _restrict(cols, r_a)
@@ -565,16 +553,7 @@ def is_semisimple(action: ActionSpec):
     Exact: the squarefree part of the characteristic polynomial annihilates
     the matrix iff the minimal polynomial is squarefree.
     """
-    per = []
-    for i in range(action.k):
-        m = _frac_mat(action.generator(i))
-        sm = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
-                           for row in m])
-        cp = Poly(sm.charpoly(_t).as_expr(), _t)
-        radical = cp.quo(sympy.gcd(cp, cp.diff(_t)))
-        val = _poly_of_matrix([Fraction(int(c.p), int(c.q)) for c in
-                               [sympy.Rational(c) for c in radical.all_coeffs()]], m)
-        per.append(all(x == 0 for row in val for x in row))
+    per = [is_semisimple_matrix(action.generator(i)) for i in range(action.k)]
     return {"per_generator": per, "overall": all(per)}
 
 
@@ -840,8 +819,8 @@ def _torsion_candidates(an: _Analysis, action: ActionSpec,
                                  extraprec=120)
         cols = []
         for vec in basis:
-            kern = nullspace(_poly_of_matrix([Fraction(c) for c in block.fT_key],
-                                             block.T))
+            kern = nullspace(poly_of_matrix([Fraction(c) for c in block.fT_key],
+                                            block.T))
             colsm = _columns(kern)
             t_k = _restrict(colsm, block.T)
             r_a = None

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from anosovkit import spectra
+
+# Deterministic, bounded property tests: the same examples on every run.
+settings.register_profile("anosovkit", derandomize=True, deadline=None,
+                          max_examples=60, database=None)
+settings.load_profile("anosovkit")
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,7 @@
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -185,8 +188,55 @@ def test_resonant_denominator_defect():
     b = SpectrumBands.make([["-1.379", "-1.378"], ["-0.694", "-0.6931"]], [1, 1])
     assert all(r.trivial for r in enumerate_subresonance(b))
     f = BPM.make(b, 3, {(0, (1, 0)): F(1, 4), (0, (0, 2)): F(1), (1, (0, 1)): F(1, 2)})
-    with pytest.raises(nf.ResonantDenominator):
+    with pytest.raises(nf.ResonantDenominator) as info:
         nf.normalize_contraction(f, band_tol=0.05)
+    assert str(info.value) == ("homological operator singular on block 1, "
+                               "shape (0, 2): inconsistent linear system")
+    with pytest.raises(nf.ResonantDenominator) as info:
+        nf.normalize_periodic_orbit([f, f], band_tol=0.05)
+    assert str(info.value) == ("cycle homological operator singular on block 1, "
+                               "shape (0, 2): inconsistent linear system")
+
+
+def jordan_example():
+    # 2x2 Jordan block at rate 1/4 inside the fast band, then the slow block
+    b = SpectrumBands.make(
+        [["-1386294/1000000", "-1386294/1000000"],
+         ["-693147/1000000", "-693147/1000000"]], [2, 1])
+    return BPM.make(b, 3, {(0, (1, 0, 0)): F(1, 4), (0, (0, 1, 0)): F(1),
+                           (1, (0, 1, 0)): F(1, 4), (2, (0, 0, 1)): F(1, 2),
+                           (0, (0, 0, 3)): F(1)})
+
+
+def test_jordan_block_in_one_band_rejected(tmp_path):
+    message = r"^linear part must be semisimple within each block$"
+    with pytest.raises(ValueError, match=message):
+        nf.normalize_contraction(jordan_example())
+    with pytest.raises(ValueError, match=message):
+        nf.normalize_periodic_orbit([jordan_example(), jordan_example()])
+    path = tmp_path / "jordan.json"
+    path.write_text(json.dumps(jordan_example().to_json()))
+    proc = subprocess.run([sys.executable, "-m", "anosovkit.cli", "normalform",
+                           "--input", str(path)], capture_output=True, text=True)
+    assert proc.returncode == 2
+    report = json.loads(proc.stdout)
+    assert report["verdict"] == "fail"
+    assert report["result"] == {
+        "error": "linear part must be semisimple within each block"}
+
+
+def test_normalform_cli_imports_no_sympy(tmp_path):
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps(cubic_example().to_json()))
+    code = ("import sys\n"
+            "from anosovkit.cli import main\n"
+            f"rc = main(['normalform', '--input', {str(path)!r}, "
+            f"'--output', {str(tmp_path / 'out.json')!r}])\n"
+            "assert 'sympy' not in sys.modules, 'normalform imported sympy'\n"
+            "sys.exit(rc)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "out.json").read_text())["verdict"] == "pass"
 
 
 def test_scaling_covariance():

@@ -134,6 +134,12 @@ def test_semisimple_examples(cat_action, identity_action):
     assert not spectra.is_semisimple(shear)["overall"]
 
 
+def test_undecided_sign_is_one_class():
+    from anosovkit import algnum, chambers
+
+    assert spectra.UndecidedSign is chambers.UndecidedSign is algnum.UndecidedSign
+
+
 def test_semisimple_against_sympy_oracle():
     rng = random.Random(11)
     count = 0
