@@ -14,9 +14,11 @@ carries an exact handle:
   proportionality are decided exactly; float enclosures are rigorous
   (directed rounding throughout).
 
-Polynomial constructions (values under a polynomial map, pairwise products,
-powers) are done with resultants and one factorization; this is orders of
-magnitude faster than ``sympy.minimal_polynomial`` on conjugate products.
+Polynomials are ``intpoly`` coefficient tuples.  Polynomial constructions
+(values under a polynomial map, pairwise products, powers) are done with
+sympy resultants and one ``intpoly.factor``; this is orders of magnitude
+faster than ``sympy.minimal_polynomial`` on conjugate products.  Root
+enclosures come from sympy ``CRootOf``.  Those are the only sympy uses.
 """
 
 from __future__ import annotations
@@ -31,6 +33,14 @@ from mpmath import libmp
 import sympy
 from sympy import Poly, Symbol
 
+from . import intpoly
+from .exact import (  # noqa: F401  (re-exported for existing importers)
+    EnclosureTooWide,
+    RInt,
+    UndecidedSign,
+    simplest_rational_between,
+)
+
 _x = Symbol("_anosovkit_x")
 _y = Symbol("_anosovkit_y")
 _z = Symbol("_anosovkit_z")
@@ -38,63 +48,9 @@ _z = Symbol("_anosovkit_z")
 _EPS_SCHEDULE = [Fraction(1, 10**m) for m in (12, 24, 48, 96, 192, 384)]
 
 
-class EnclosureTooWide(Exception):
-    """Raised when interval refinement exhausts its precision budget."""
-
-
-class UndecidedSign(Exception):
-    """A required sign could not be certified within the precision budget."""
-
-
 # ---------------------------------------------------------------------------
 # Interval primitives over Fractions
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RInt:
-    """Closed real interval with exact rational endpoints."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __add__(self, o):
-        return RInt(self.lo + o.lo, self.hi + o.hi)
-
-    def __sub__(self, o):
-        return RInt(self.lo - o.hi, self.hi - o.lo)
-
-    def __mul__(self, o):
-        c = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return RInt(min(c), max(c))
-
-    def square(self):
-        if self.lo >= 0:
-            return RInt(self.lo * self.lo, self.hi * self.hi)
-        if self.hi <= 0:
-            return RInt(self.hi * self.hi, self.lo * self.lo)
-        return RInt(Fraction(0), max(self.lo * self.lo, self.hi * self.hi))
-
-    def contains(self, q: Fraction) -> bool:
-        return self.lo <= q <= self.hi
-
-    def intersects(self, o) -> bool:
-        return self.lo <= o.hi and o.lo <= self.hi
-
-    def pow_int(self, k: int):
-        acc = RInt.point(1)
-        for _ in range(k):
-            acc = acc * self
-        return acc
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @staticmethod
-    def point(q) -> "RInt":
-        q = Fraction(q)
-        return RInt(q, q)
 
 
 @dataclass(frozen=True)
@@ -112,6 +68,10 @@ class CBox:
 
     def modsq(self) -> RInt:
         return self.re.square() + self.im.square()
+
+    @property
+    def width(self) -> Fraction:
+        return max(self.re.width, self.im.width)
 
     @staticmethod
     def point(re, im=Fraction(0)) -> "CBox":
@@ -151,73 +111,60 @@ def root_box(croot, eps: Fraction) -> CBox:
 # ---------------------------------------------------------------------------
 
 
-def _to_int_poly(expr, var) -> Poly:
-    """Normalize to a primitive integer polynomial with positive leading term."""
-    p = Poly(expr, var, domain="QQ")
-    lcm = 1
-    for c in p.all_coeffs():
-        lcm = sympy.ilcm(lcm, sympy.Rational(c).q)
-    p = Poly(p.mul_ground(lcm), var, domain="ZZ")
-    cont = p.content()
-    if cont not in (0, 1):
-        p = p.quo_ground(cont)
-    if p.LC() < 0:
-        p = p.mul_ground(-1)
-    return p
+def _expr(coeffs, var):
+    return Poly(list(coeffs), var).as_expr()
 
 
-def values_poly(f: Poly, q_coeffs) -> Poly:
+def _resultant(f, g, var, gen) -> tuple:
+    """resultant(f, g) in var, a polynomial in gen, as a primitive key."""
+    res = Poly(sympy.resultant(f, g, var), gen, domain="QQ")
+    return intpoly.primitive(Fraction(int(c.p), int(c.q)) for c in res.all_coeffs())
+
+
+def values_poly(f: tuple, q_coeffs) -> tuple:
     """Integer polynomial whose roots include q(tau) for every root tau of f.
 
     ``q_coeffs``: rational coefficients of q, descending order.
     """
     qx = sum(sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) * _x ** i
              for i, c in enumerate(reversed(list(q_coeffs))))
-    res = sympy.resultant(f.as_expr().subs(f.gen, _x), _y - qx, _x)
-    return _to_int_poly(res, _y)
+    return _resultant(_expr(f, _x), _y - qx, _x, _y)
 
 
-def _squarefree_strip_zero(p: Poly) -> Poly:
-    var = p.gen
-    coeffs = p.all_coeffs()
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    p = Poly(coeffs, var)
-    g = Poly(sympy.gcd(p.as_expr(), sympy.diff(p.as_expr(), var)), var)
-    if g.degree() >= 1:
-        p = p.quo(g)
-    return _to_int_poly(p.as_expr(), var)
+def _squarefree_nonzero(p: tuple) -> tuple:
+    """Squarefree part of p with the root 0 removed."""
+    while p[-1] == 0:
+        p = p[:-1]
+    return intpoly.squarefree_part(p)
 
 
-def composed_product(a: Poly) -> Poly:
-    """Integer polynomial whose roots are all pairwise products of roots of a.
-
-    Zero roots are stripped and the squarefree part is used first.
-    """
-    a = _squarefree_strip_zero(a)
-    d = a.degree()
-    coeffs = a.all_coeffs()
-    hom = sum(c * _z ** (d - i) * _y ** i for i, c in enumerate(reversed(coeffs)))
-    res = sympy.resultant(a.as_expr().subs(a.gen, _y), hom, _y)
-    return _to_int_poly(res, _z)
-
-
-def power_poly(m: Poly, k: int) -> Poly:
+def power_poly(m: tuple, k: int) -> tuple:
     """Integer polynomial whose roots are alpha^k for roots alpha of m."""
     assert k >= 1
-    res = sympy.resultant(m.as_expr().subs(m.gen, _x), _z - _x ** k, _x)
-    return _to_int_poly(res, _z)
+    return _resultant(_expr(m, _x), _z - _x ** k, _x, _z)
 
 
-def composed_product_pair(a: Poly, b: Poly) -> Poly:
-    """Integer polynomial whose roots are products alpha*beta of roots of a, b."""
-    a = _squarefree_strip_zero(a)
-    b = _squarefree_strip_zero(b)
-    d = b.degree()
-    coeffs = b.all_coeffs()
-    hom = sum(c * _z ** (d - i) * _y ** i for i, c in enumerate(reversed(coeffs)))
-    res = sympy.resultant(a.as_expr().subs(a.gen, _y), hom, _y)
-    return _to_int_poly(res, _z)
+def composed_product_pair(a: tuple, b: tuple) -> tuple:
+    """Integer polynomial whose roots are products alpha*beta of roots of a, b.
+
+    Zero roots are stripped and the squarefree parts are used first.
+    """
+    a = _squarefree_nonzero(a)
+    b = _squarefree_nonzero(b)
+    d = len(b) - 1
+    hom = sum(c * _z ** (d - i) * _y ** i for i, c in enumerate(reversed(b)))
+    return _resultant(_expr(a, _y), hom, _y, _z)
+
+
+def complex_roots(key: tuple) -> list:
+    """Roots of an irreducible integer polynomial as sympy CRootOf, in
+    sympy's index order (real roots first); a rational root is a Rational."""
+    if len(key) == 2:
+        return [sympy.Rational(-key[1], key[0])]
+    from sympy.polys.rootoftools import rootof
+
+    expr = _expr(key, _z)
+    return [rootof(expr, _z, i, radicals=False) for i in range(len(key) - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +180,23 @@ def _real_roots(poly_key: tuple) -> tuple:
     return tuple(ComplexRootOf.real_roots(Poly(list(poly_key), _z), radicals=False))
 
 
-@lru_cache(maxsize=8192)
-def _irreducible_factors(poly_key: tuple) -> tuple:
-    _, factors = sympy.factor_list(Poly(list(poly_key), _z).as_expr())
-    keys = []
-    for fac, _mult in factors:
-        fp = _to_int_poly(fac, _z)
-        if fp.degree() >= 1:
-            keys.append(tuple(int(c) for c in fp.all_coeffs()))
-    return tuple(sorted(keys))
+def _irreducible_factors(poly_key: tuple) -> list:
+    return sorted(key for key, _ in intpoly.factor(poly_key))
+
+
+def _image_refiner(image, what: str):
+    """refiner(eps) for ``from_vanishing``: the first enclosure image(eps2)
+    of width <= 2*eps as the operand enclosures tighten; image returns None
+    while its value is not yet enclosed."""
+
+    def refiner(eps):
+        for eps2 in _EPS_SCHEDULE:
+            box = image(eps2)
+            if box is not None and box.width <= 2 * eps:
+                return box
+        raise EnclosureTooWide(f"{what} refinement failed")
+
+    return refiner
 
 
 class RealAlgebraic:
@@ -266,15 +221,14 @@ class RealAlgebraic:
         return RealAlgebraic((q.denominator, -q.numerator), 0)
 
     @staticmethod
-    def from_vanishing(poly: Poly, refiner) -> "RealAlgebraic":
-        """Identify a real value as a root of ``poly``.
+    def from_vanishing(poly_key: tuple, refiner) -> "RealAlgebraic":
+        """Identify a real value as a root of the polynomial ``poly_key``.
 
         ``refiner(eps) -> RInt`` must return rigorous enclosures of the
         value.  The irreducible factor and root index are pinned down by
         joint refinement; terminates because the value is a root of exactly
         one irreducible factor.
         """
-        poly_key = tuple(int(c) for c in poly.all_coeffs())
         candidates = []
         for fkey in _irreducible_factors(poly_key):
             for i in range(len(_real_roots(fkey))):
@@ -341,47 +295,26 @@ class RealAlgebraic:
             return self
         if self.is_rational:
             return RealAlgebraic.from_fraction(self.as_fraction() ** k)
-        pk = power_poly(Poly(list(self.key), _z), k)
-
-        def refiner(eps, _self=self, _k=k):
-            for eps2 in _EPS_SCHEDULE:
-                acc = _self.interval(eps2).pow_int(_k)
-                if acc.width <= 2 * eps:
-                    return acc
-            raise EnclosureTooWide("power refinement failed")
-
-        return RealAlgebraic.from_vanishing(pk, refiner)
+        refiner = _image_refiner(lambda e: self.interval(e).pow_int(k), "power")
+        return RealAlgebraic.from_vanishing(power_poly(self.key, k), refiner)
 
     def mul(self, other: "RealAlgebraic") -> "RealAlgebraic":
         if self.is_rational and other.is_rational:
             return RealAlgebraic.from_fraction(self.as_fraction() * other.as_fraction())
-        prod = composed_product_pair(Poly(list(self.key), _z), Poly(list(other.key), _z))
-
-        def refiner(eps, _a=self, _b=other):
-            for eps2 in _EPS_SCHEDULE:
-                box = _a.interval(eps2) * _b.interval(eps2)
-                if box.width <= 2 * eps:
-                    return box
-            raise EnclosureTooWide("product refinement failed")
-
-        return RealAlgebraic.from_vanishing(prod, refiner)
+        refiner = _image_refiner(lambda e: self.interval(e) * other.interval(e), "product")
+        return RealAlgebraic.from_vanishing(composed_product_pair(self.key, other.key),
+                                            refiner)
 
     def inverse(self) -> "RealAlgebraic":
         if self.is_rational:
             return RealAlgebraic.from_fraction(1 / self.as_fraction())
-        rev = list(reversed(self.key))
-        p = _to_int_poly(sum(c * _z ** i for i, c in enumerate(reversed(rev))), _z)
 
-        def refiner(eps, _self=self):
-            for eps2 in _EPS_SCHEDULE:
-                box = _self.interval(eps2)
-                if box.lo > 0 or box.hi < 0:
-                    lo, hi = sorted((1 / box.lo, 1 / box.hi))
-                    if hi - lo <= 2 * eps:
-                        return RInt(lo, hi)
-            raise EnclosureTooWide("inverse refinement failed")
+        def inverse_box(e):
+            box = self.interval(e)
+            return RInt(1 / box.hi, 1 / box.lo) if box.lo > 0 or box.hi < 0 else None
 
-        return RealAlgebraic.from_vanishing(p, refiner)
+        return RealAlgebraic.from_vanishing(intpoly.primitive(reversed(self.key)),
+                                            _image_refiner(inverse_box, "inverse"))
 
     def __repr__(self):
         box = self.interval(Fraction(1, 10**12))
@@ -413,20 +346,13 @@ def _log_half_interval(box: RInt, prec: int):
     return math.nextafter(flo, -math.inf), math.nextafter(fhi, math.inf), inner
 
 
-def identify_factor(poly: Poly, cbox_refiner) -> tuple:
-    """Coefficient key of the irreducible factor of ``poly`` vanishing at a value.
+def identify_factor(poly_key: tuple, cbox_refiner) -> tuple:
+    """Key of the irreducible factor of ``poly_key`` vanishing at a value.
 
     ``cbox_refiner(eps) -> CBox`` must return rigorous complex enclosures of
-    the (possibly complex) value; the value must be a root of ``poly``.
+    the (possibly complex) value; the value must be a root of ``poly_key``.
     """
-    from sympy.polys.rootoftools import rootof
-
-    poly_key = tuple(int(c) for c in poly.all_coeffs())
-    factor_roots = {}
-    for fkey in _irreducible_factors(poly_key):
-        fp = Poly(list(fkey), _z)
-        factor_roots[fkey] = [rootof(fp.as_expr(), _z, i, radicals=False)
-                              for i in range(fp.degree())]
+    factor_roots = {fkey: complex_roots(fkey) for fkey in _irreducible_factors(poly_key)}
     candidates = list(factor_roots)
     for eps in _EPS_SCHEDULE:
         box = cbox_refiner(eps)
@@ -523,8 +449,6 @@ class LogValue:
         """High-precision value for relation-candidate searches (not a proof)."""
         box = self.modsq.interval(Fraction(1, 10 ** (dps + 10)))
         with mpmath.workdps(dps + 10):
-            num = mpmath.mpf(box.lo.numerator) + mpmath.mpf(box.hi.numerator)
-            den = mpmath.mpf(box.lo.denominator) + mpmath.mpf(box.hi.denominator)
             val = mpmath.log(mpmath.mpf(box.lo.numerator) / box.lo.denominator) / 2
             return -val if self.neg else val
 
@@ -573,21 +497,3 @@ def combine_logvalues(lvs, a) -> "LogValue":
         part = m.pow(ag) if ag > 0 else m.inverse().pow(-ag)
         acc = part if acc is None else acc.mul(part)
     return LogValue.zero() if acc is None else LogValue(acc)
-
-
-def simplest_rational_between(lo, hi) -> Fraction:
-    """The rational with smallest denominator in [lo, hi] (Stern-Brocot)."""
-    a, b = Fraction(lo), Fraction(hi)
-    if a > b:
-        a, b = b, a
-
-    def rec(a: Fraction, b: Fraction) -> Fraction:
-        ceil_a = -((-a.numerator) // a.denominator)
-        if ceil_a <= b:
-            if a <= 0 <= b:
-                return Fraction(0)
-            return Fraction(ceil_a) if a > 0 else Fraction(b.numerator // b.denominator)
-        floor_a = a.numerator // a.denominator
-        return floor_a + 1 / rec(1 / (b - floor_a), 1 / (a - floor_a))
-
-    return rec(a, b)

@@ -25,15 +25,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algnum import (
+from .exact import (
     EnclosureTooWide,
-    LogValue,
     RInt,
     UndecidedSign,
-    combine_logvalues,
+    lcm_denominators,
+    primitive_vector,
     simplest_rational_between,
 )
-from .exact import lcm_denominators, primitive_vector
 from .ratlp import strict_sign_witness
 
 
@@ -122,7 +121,7 @@ def proportionality_coefficient(u, v, budget: int = 4):
         for i, j in itertools.combinations(range(k), 2):
             ui, uj = _interval(u[i], tol), _interval(u[j], tol)
             vi, vj = _interval(v[i], tol), _interval(v[j], tol)
-            minor = _rint(ui) * _rint(vj) - _rint(uj) * _rint(vi)
+            minor = RInt(*ui) * RInt(*vj) - RInt(*uj) * RInt(*vi)
             if minor.lo > 0 or minor.hi < 0:
                 return None
             if minor.width > Fraction(1, 10**6):
@@ -138,10 +137,6 @@ def proportionality_coefficient(u, v, budget: int = 4):
             break
     raise UndecidedProportionality(
         "could not separate nor prove proportionality of functionals")
-
-
-def _rint(pair) -> RInt:
-    return RInt(pair[0], pair[1])
 
 
 def _ratio_interval(num, den, tol):
@@ -326,6 +321,8 @@ def exact_sign_at(coeffs, point) -> int:
             return 1
         if total.hi < 0:
             return -1
+    from .algnum import combine_logvalues
+
     return combine_logvalues(list(coeffs), ipt).sign()
 
 
@@ -462,7 +459,7 @@ def _enumerate_proxy(reps, k):
 
 def _interval_det(rows, tol):
     k = len(rows)
-    ivs = [[_rint(_interval(x, tol)) for x in row] for row in rows]
+    ivs = [[RInt(*_interval(x, tol)) for x in row] for row in rows]
 
     def det(mat):
         if len(mat) == 1:

@@ -188,19 +188,7 @@ class ConjugacyField:
 
     def tail_fraction(self) -> float:
         """Sup-norm style weight of frequencies beyond half the Nyquist cube."""
-        n, size = self.dim, self.resolution
-        co = self.fourier()
-        freqs = np.fft.fftfreq(size, d=1.0 / size).astype(int)
-        mags = np.abs(co).sum(axis=-1)
-        total = float(mags.sum())
-        if total == 0.0:
-            return 0.0
-        mask = np.zeros((size,) * n, dtype=bool)
-        for axis in range(n):
-            shape = [1] * n
-            shape[axis] = size
-            mask |= (np.abs(freqs).reshape(shape) > size // 4)
-        return float(mags[mask].sum()) / total
+        return _tail_fraction(self.u, self.dim, self.resolution)
 
     def export_binary(self, path: str):
         """Row-major IEEE-754 doubles with a fixed 16-byte header.
@@ -285,7 +273,7 @@ def solve_conjugacy(pert: ToralPerturbation, solving_generator: int = 0,
         if residual < tol:
             break
         if len(history) >= 6 and history[-1] >= history[-6] * 0.999:
-            tail = _quick_tail(u, n, resolution)
+            tail = _tail_fraction(u, n, resolution)
             if tail > 1e-6 and residual > tol:
                 raise ResolutionInsufficient(
                     f"residual plateau at {residual:.3g} with spectral tail "
@@ -323,16 +311,18 @@ def solve_conjugacy(pert: ToralPerturbation, solving_generator: int = 0,
     return field_obj
 
 
-def _quick_tail(u: np.ndarray, n: int, size: int) -> float:
-    if not np.any(u):
-        return 0.0
+def _tail_fraction(u: np.ndarray, n: int, size: int) -> float:
+    """Share of the displacement's Fourier weight beyond half the Nyquist cube."""
     grid = u.reshape(*([size] * n), n)
-    co = np.abs(np.fft.fftn(grid, axes=tuple(range(n)))).sum(axis=-1)
+    co = np.fft.fftn(grid, axes=tuple(range(n))) / (size ** n)
     freqs = np.fft.fftfreq(size, d=1.0 / size).astype(int)
+    mags = np.abs(co).sum(axis=-1)
+    total = float(mags.sum())
+    if total == 0.0:
+        return 0.0
     mask = np.zeros((size,) * n, dtype=bool)
     for axis in range(n):
         shape = [1] * n
         shape[axis] = size
         mask |= (np.abs(freqs).reshape(shape) > size // 4)
-    total = float(co.sum())
-    return float(co[mask].sum()) / total if total else 0.0
+    return float(mags[mask].sum()) / total

@@ -1,8 +1,20 @@
-"""Small exact-arithmetic helpers: Fraction matrices and decimal parsing."""
+"""Exact rational arithmetic: decimal parsing, Fraction matrices, sparse
+elimination and integer lattices, plus the rational intervals and sign
+exceptions that the sympy-free chamber path shares with ``algnum``.
+"""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+
+
+class EnclosureTooWide(Exception):
+    """Raised when interval refinement exhausts its precision budget."""
+
+
+class UndecidedSign(Exception):
+    """A required sign could not be certified within the precision budget."""
 
 
 def parse_rational(value) -> Fraction:
@@ -143,66 +155,6 @@ def solve_linear(a, rhs):
     return [row[0] for row in sol] if vec else sol
 
 
-def poly_of_matrix(coeffs, m):
-    """Evaluate a rational-coefficient polynomial (descending) at a matrix
-    by Horner's rule."""
-    d = len(m)
-    acc = [[Fraction(0)] * d for _ in range(d)]
-    for c in coeffs:
-        acc = mat_mul(acc, m)
-        for i in range(d):
-            acc[i][i] += Fraction(c)
-    return acc
-
-
-def charpoly(a):
-    """det(tI - A) of a square rational matrix, descending Fraction coeffs.
-
-    Faddeev-LeVerrier: M_1 = A, c_k = -tr(M_k)/k, M_{k+1} = A(M_k + c_k I).
-    """
-    n = len(a)
-    coeffs = [Fraction(1)]
-    m = a
-    for k in range(1, n + 1):
-        ck = -sum(m[i][i] for i in range(n)) / Fraction(k)
-        coeffs.append(ck)
-        if k < n:
-            m = mat_mul(a, [[x + ck if i == j else x for j, x in enumerate(row)]
-                            for i, row in enumerate(m)])
-    return coeffs
-
-
-def _poly_divmod(p, q):
-    """Quotient and remainder of descending-coefficient polynomials over Q."""
-    p = list(p)
-    quot = []
-    while len(p) >= len(q):
-        c = p[0] / q[0]
-        quot.append(c)
-        for j in range(1, len(q)):
-            p[j] -= c * q[j]
-        p.pop(0)
-    while p and p[0] == 0:
-        p.pop(0)
-    return quot, p
-
-
-def is_semisimple_matrix(a) -> bool:
-    """True iff the square rational matrix a is diagonalizable over C; exact.
-
-    The minimal polynomial is squarefree iff the squarefree part
-    p / gcd(p, p') of the characteristic polynomial p annihilates a: the
-    gcd by Euclid over Q, the evaluation by Horner's rule.
-    """
-    n = len(a)
-    a = [[Fraction(x) for x in row] for row in a]
-    p = charpoly(a)
-    g, r = p, [c * (n - i) for i, c in enumerate(p[:-1])]
-    while r:
-        g, r = r, _poly_divmod(g, r)[1]
-    return not any(x for row in poly_of_matrix(_poly_divmod(p, g)[0], a) for x in row)
-
-
 def lcm_denominators(vec) -> int:
     from math import lcm
 
@@ -317,3 +269,64 @@ def saturate_lattice(basis, k: int):
     if not comp:
         return [[int(i == j) for j in range(k)] for i in range(k)]
     return kernel_lattice(comp)
+
+
+@dataclass(frozen=True)
+class RInt:
+    """Closed real interval with exact rational endpoints."""
+
+    lo: Fraction
+    hi: Fraction
+
+    def __add__(self, o):
+        return RInt(self.lo + o.lo, self.hi + o.hi)
+
+    def __sub__(self, o):
+        return RInt(self.lo - o.hi, self.hi - o.lo)
+
+    def __mul__(self, o):
+        c = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
+        return RInt(min(c), max(c))
+
+    def square(self):
+        if self.lo >= 0:
+            return RInt(self.lo * self.lo, self.hi * self.hi)
+        if self.hi <= 0:
+            return RInt(self.hi * self.hi, self.lo * self.lo)
+        return RInt(Fraction(0), max(self.lo * self.lo, self.hi * self.hi))
+
+    def intersects(self, o) -> bool:
+        return self.lo <= o.hi and o.lo <= self.hi
+
+    def pow_int(self, k: int):
+        acc = RInt.point(1)
+        for _ in range(k):
+            acc = acc * self
+        return acc
+
+    @property
+    def width(self) -> Fraction:
+        return self.hi - self.lo
+
+    @staticmethod
+    def point(q) -> "RInt":
+        q = Fraction(q)
+        return RInt(q, q)
+
+
+def simplest_rational_between(lo, hi) -> Fraction:
+    """The rational with smallest denominator in [lo, hi] (Stern-Brocot)."""
+    a, b = Fraction(lo), Fraction(hi)
+    if a > b:
+        a, b = b, a
+
+    def rec(a: Fraction, b: Fraction) -> Fraction:
+        ceil_a = -((-a.numerator) // a.denominator)
+        if ceil_a <= b:
+            if a <= 0 <= b:
+                return Fraction(0)
+            return Fraction(ceil_a) if a > 0 else Fraction(b.numerator // b.denominator)
+        floor_a = a.numerator // a.denominator
+        return floor_a + 1 / rec(1 / (b - floor_a), 1 / (a - floor_a))
+
+    return rec(a, b)

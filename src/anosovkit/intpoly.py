@@ -1,69 +1,158 @@
-"""Fast integer-polynomial utilities for unit-circle spectral tests.
+"""Exact univariate polynomials: the one polynomial layer of anosovkit.
 
 Polynomials are dense coefficient tuples in *descending* degree order,
-e.g. ``(1, -3, 1)`` is x^2 - 3x + 1.  Everything here is exact integer
-arithmetic; the hot path (cyclotomic divisibility scans over millions of
-small matrices) deliberately avoids sympy objects.
+e.g. ``(1, -3, 1)`` is x^2 - 3x + 1, and ``()`` is the zero polynomial.
+Integer coefficients stay ``int`` and rational ones are ``Fraction``, so
+integer input never leaves integer arithmetic.  This module owns every
+polynomial fact the toral verdicts rest on:
+
+- ``charpoly`` (closed forms up to 3x3, Faddeev-LeVerrier above) and
+  ``poly_of_matrix`` (Horner);
+- ``poly_divmod``, the one division, behind ``divides``, the cyclotomic
+  polynomials and ``squarefree_part``;
+- ``is_semisimple_matrix``: the squarefree part of the characteristic
+  polynomial annihilates the matrix iff the minimal polynomial is
+  squarefree;
+- the cyclotomic divisibility scan, an exact root-of-unity detector;
+- ``primitive`` normalization and ``factor`` over Q.
+
+Only ``factor`` uses sympy, imported on first call, so the normal-form and
+rational paths that import this module stay sympy-free.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+
+from .exact import mat_mul
 
 
-def charpoly_int(rows) -> tuple:
-    """Characteristic polynomial of a square integer matrix, det(xI - A).
+def _quo(a, b):
+    """a / b over Q: an int when the quotient is an integer, else a Fraction."""
+    if type(a) is int and type(b) is int and a % b == 0:
+        return a // b   # the common case, kept off the slower Fraction path
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
 
-    Hardcoded for n <= 3, Faddeev-LeVerrier (exact integer divisions) above.
+
+def charpoly(a) -> tuple:
+    """det(xI - A) of a square integer or rational matrix.
+
+    Closed forms for n <= 3, the sizes that exhaustive cyclotomic scans
+    call millions of times; Faddeev-LeVerrier above: M_1 = A,
+    c_k = -tr(M_k)/k, M_{k+1} = A(M_k + c_k I).  Each c_k is an int
+    whenever it is an integer.
     """
-    n = len(rows)
+    n = len(a)
     if n == 1:
-        return (1, -rows[0][0])
-    if n == 2:
-        (a, b), (c, d) = rows
-        return (1, -(a + d), a * d - b * c)
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        tr = a + e + i
-        m2 = (e * i - f * h) + (a * i - c * g) + (a * e - b * d)
-        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-        return (1, -tr, m2, -det)
-    # Faddeev-LeVerrier: M_1 = A, c_k = -tr(M_k)/k, M_{k+1} = A(M_k + c_k I)
-    coeffs = [1]
-    m = [row[:] for row in rows]
-    a = rows
-    for k in range(1, n + 1):
-        tr = sum(m[i][i] for i in range(n))
-        assert tr % k == 0
-        ck = -(tr // k)
-        coeffs.append(ck)
-        if k == n:
-            break
-        for i in range(n):
-            m[i][i] += ck
-        m = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-    return tuple(coeffs)
+        coeffs = (1, -a[0][0])
+    elif n == 2:
+        (p, q), (r, s) = a
+        coeffs = (1, -(p + s), p * s - q * r)
+    elif n == 3:
+        (p, q, r), (s, t, u), (v, w, x) = a
+        minors = (t * x - u * w) + (p * x - r * v) + (p * t - q * s)
+        det = p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v)
+        coeffs = (1, -(p + t + x), minors, -det)
+    else:
+        coeffs = [1]
+        m = a
+        for k in range(1, n + 1):
+            ck = -_quo(sum(m[i][i] for i in range(n)), k)
+            coeffs.append(ck)
+            if k < n:
+                m = mat_mul(a, [[y + ck if i == j else y for j, y in enumerate(row)]
+                                for i, row in enumerate(m)])
+    return tuple(c if type(c) is int else _quo(c, 1) for c in coeffs)
 
 
-def poly_rem(p: tuple, q: tuple) -> tuple:
-    """Remainder of p modulo monic q (integer exact since q is monic)."""
-    assert q[0] == 1
+def poly_of_matrix(coeffs, m):
+    """Evaluate a polynomial (descending) at a square matrix by Horner's rule."""
+    d = len(m)
+    acc = [[0] * d for _ in range(d)]
+    for c in coeffs:
+        acc = mat_mul(acc, m)
+        for i in range(d):
+            acc[i][i] += c
+    return acc
+
+
+def poly_divmod(p, q) -> tuple:
+    """(quotient, remainder) of p by a polynomial q with nonzero leading term."""
     r = list(p)
     dq = len(q) - 1
-    while len(r) - 1 >= dq:
-        lead = r[0]
-        if lead != 0:
-            for j in range(1, len(q)):
-                r[j] -= lead * q[j]
-        r.pop(0)
-    while r and r[0] == 0:
-        r.pop(0)
-    return tuple(r)
+    nq = max(len(r) - dq, 0)
+    for i in range(nq):
+        # r[i] becomes the quotient coefficient; a monic q (the cyclotomic
+        # scans) skips the division
+        c = r[i] = r[i] if q[0] == 1 else _quo(r[i], q[0])
+        if c:
+            for j in range(1, dq + 1):
+                r[i + j] -= c * q[j]
+    rem = r[nq:]
+    while rem and rem[0] == 0:
+        del rem[0]
+    return tuple(r[:nq]), tuple(rem)
 
 
-def divides(q: tuple, p: tuple) -> bool:
-    return not poly_rem(p, q)
+def divides(q, p) -> bool:
+    return not poly_divmod(p, q)[1]
+
+
+def primitive(p) -> tuple:
+    """p scaled to integer coefficients with content 1 and a positive leading
+    coefficient; leading zeros are dropped, and zero stays ``()``."""
+    p = list(p)
+    while p and p[0] == 0:
+        p.pop(0)
+    if not p:
+        return ()
+    den = lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (den // c.denominator) for c in p]
+    g = gcd(*ints)
+    return tuple(c // g for c in ints) if ints[0] > 0 else tuple(-c // g for c in ints)
+
+
+def squarefree_part(p) -> tuple:
+    """p / gcd(p, p'), the product of p's distinct irreducible factors, as a
+    primitive integer polynomial.  The gcd is taken by Euclid over Q with
+    each remainder made primitive, which keeps the coefficients small."""
+    n = len(p) - 1
+    g = primitive(p)
+    r = primitive(c * (n - i) for i, c in enumerate(p[:-1]))
+    while r:
+        g, r = r, primitive(poly_divmod(g, r)[1])
+    return primitive(poly_divmod(p, g)[0])
+
+
+def is_semisimple_matrix(a) -> bool:
+    """True iff the square rational matrix a is diagonalizable over C; exact.
+
+    The minimal polynomial is squarefree iff the squarefree part of the
+    characteristic polynomial annihilates a.
+    """
+    a = [[Fraction(x) for x in row] for row in a]
+    return not any(x for row in poly_of_matrix(squarefree_part(charpoly(a)), a)
+                   for x in row)
+
+
+@lru_cache(maxsize=8192)
+def factor(coeffs: tuple) -> tuple:
+    """Irreducible factors over Q of a nonzero polynomial given as a tuple.
+
+    Returns ((key, multiplicity), ...) with each key a primitive integer
+    polynomial, in sympy's order: by degree, then multiplicity, then
+    coefficients.  Constants are dropped.
+    """
+    from sympy import Poly, Symbol
+
+    p = primitive(coeffs)
+    if len(p) < 2:
+        return ()
+    _, facs = Poly(list(p), Symbol("x")).factor_list()
+    return tuple((primitive(int(c) for c in f.all_coeffs()), int(e)) for f, e in facs)
 
 
 @lru_cache(maxsize=None)
@@ -84,28 +173,11 @@ def euler_phi(n: int) -> int:
 def cyclotomic_poly(n: int) -> tuple:
     """Coefficients of the n-th cyclotomic polynomial (descending)."""
     # x^n - 1 divided by the product of lower-index cyclotomics dividing n
-    num = [1] + [0] * (n - 1) + [-1]
+    num = (1,) + (0,) * (n - 1) + (-1,)
     for d in range(1, n):
         if n % d == 0:
-            num = _poly_div_exact(num, list(cyclotomic_poly(d)))
-    return tuple(num)
-
-
-def _poly_div_exact(p, q):
-    out = []
-    r = list(p)
-    dq = len(q) - 1
-    while len(r) - 1 >= dq:
-        lead = r[0]
-        assert lead % q[0] == 0
-        f = lead // q[0]
-        out.append(f)
-        for j in range(len(q)):
-            r[j] -= f * q[j]
-        assert r[0] == 0
-        r.pop(0)
-    assert all(x == 0 for x in r)
-    return out
+            num = poly_divmod(num, cyclotomic_poly(d))[0]
+    return num
 
 
 @lru_cache(maxsize=None)
@@ -114,7 +186,7 @@ def cyclotomic_indices_for_degree(d: int) -> tuple:
     return tuple(n for n in range(1, 2 * d * d + 2) if euler_phi(n) <= d)
 
 
-def cyclotomic_divisors(p: tuple) -> list:
+def cyclotomic_divisors(p) -> list:
     """Indices n with Phi_n | p.  Exact root-of-unity detector for integer p."""
     d = len(p) - 1
     if d <= 0:
@@ -127,17 +199,10 @@ def cyclotomic_divisors(p: tuple) -> list:
     return found
 
 
-def has_root_of_unity(p: tuple) -> bool:
+def has_root_of_unity(p) -> bool:
     """True iff the integer polynomial p has a root of unity among its roots.
 
     Since each cyclotomic is irreducible over Q, p has a root of unity iff
     some Phi_n with phi(n) <= deg p divides p.
     """
     return bool(cyclotomic_divisors(p))
-
-
-def content(p: tuple) -> int:
-    g = 0
-    for c in p:
-        g = gcd(g, abs(c))
-    return g or 1

@@ -19,10 +19,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import is_semisimple_matrix, mat_inv, solve_sparse
+from .exact import mat_inv, solve_sparse
+from .intpoly import charpoly, is_semisimple_matrix, squarefree_part
 from .resonance import (
     NotNarrowBand,
     SpectrumBands,
+    _compositions,
     degree_bound,
     enumerate_subresonance,
     is_narrow_band,
@@ -354,24 +356,27 @@ def _check_block_moduli(f: BlockedPolynomialMap, lin, band_tol: float):
 
     Band endpoints are user-supplied decimals, so membership is tested with
     a tolerance; exact solvability of each homological equation is checked
-    separately during the solve.
+    separately during the solve.  A zero eigenvalue is decided exactly (zero
+    constant term of the characteristic polynomial); the moduli are roots of
+    its squarefree part, whose roots are simple.
     """
-    import numpy as np
+    import mpmath
 
     offset = 0
     for i, d in enumerate(f.bands.block_dims):
-        block = [[float(lin[offset + r][offset + c]) for c in range(d)]
-                 for r in range(d)]
-        eig = np.linalg.eigvals(np.array(block))
+        block = [[Fraction(x) for x in row[offset:offset + d]]
+                 for row in lin[offset:offset + d]]
+        p = charpoly(block)
+        if p[-1] == 0:
+            raise SingularLinearPart("zero eigenvalue in a block")
         lam, mu = (float(f.bands.intervals[i][0]), float(f.bands.intervals[i][1]))
-        for ev in eig:
-            if abs(ev) == 0.0:
-                raise SingularLinearPart("zero eigenvalue in a block")
-            lg = float(np.log(abs(ev)))
+        for ev in mpmath.polyroots(squarefree_part(p), maxsteps=200, extraprec=60):
+            lg = float(mpmath.log(abs(ev)))
             if not (lam - band_tol <= lg <= mu + band_tol):
+                # rounded first so that a tiny negative value prints as 0.000000
                 raise ValueError(
-                    f"block {i + 1} eigenvalue log-modulus {lg:.6f} outside "
-                    f"band [{lam}, {mu}] (tol {band_tol})")
+                    f"block {i + 1} eigenvalue log-modulus {round(lg, 6) + 0.0:.6f} "
+                    f"outside band [{lam}, {mu}] (tol {band_tol})")
         offset += d
 
 
@@ -384,20 +389,10 @@ def _monomials_of_shape(f: BlockedPolynomialMap, s: tuple):
         per_block_vars.append(list(range(acc, acc + d)))
         acc += d
 
-    def block_expos(vars_, deg):
-        if not vars_:
-            return [()] if deg == 0 else []
-        out = []
-        for first in range(deg + 1):
-            for rest in block_expos(vars_[1:], deg - first):
-                out.append((first,) + rest)
-        return out
-
-    choices = [block_expos(v, sj) for v, sj in zip(per_block_vars, s)]
+    choices = [list(_compositions(sj, len(v))) for v, sj in zip(per_block_vars, s)]
     results = []
     for combo in itertools.product(*choices):
         expo = [0] * n
-        idx = 0
         for bvars, be in zip(per_block_vars, combo):
             for v, e in zip(bvars, be):
                 expo[v] = e

@@ -192,19 +192,20 @@ def sr_group_descriptor(bands: SpectrumBands) -> SRGroupDescriptor:
 
 
 def brute_force_relations(bands: SpectrumBands, extra_degree: int = 2):
-    """Oracle: scan ALL multi-indices with |s| <= degree_bound + extra_degree.
+    """Oracle: scan ALL multi-indices with 1 <= |s| <= degree_bound + extra_degree.
 
     Used by tests to confirm the degree bound loses nothing; the margin must
-    produce no additional relations.
+    produce no additional relations.  A plain scan of the whole box
+    {0..bound}^l with the inequality written out, so it shares no helper
+    with ``enumerate_subresonance``.
     """
     bound = degree_bound(bands) + extra_degree
-    l = bands.blocks
+    mus = [mu for _, mu in bands.intervals]
     out = []
-    for i in range(1, l + 1):
-        for total in range(1, bound + 1):
-            for s in _compositions(total, l):
-                if satisfies_relation(bands, i, s):
-                    out.append(SubResonanceRelation(target_block=i, exponents=s,
-                                                    trivial=total == 1))
+    for i, (lam_i, _) in enumerate(bands.intervals, start=1):
+        for s in itertools.product(range(bound + 1), repeat=len(mus)):
+            if 1 <= sum(s) <= bound and lam_i <= sum(sj * mu for sj, mu in zip(s, mus)):
+                out.append(SubResonanceRelation(target_block=i, exponents=s,
+                                                trivial=sum(s) == 1))
     out.sort(key=lambda r: (r.target_block, r.exponents))
     return out

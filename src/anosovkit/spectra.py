@@ -21,18 +21,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-import sympy
-from sympy import Poly, Symbol
-from sympy.polys.rootoftools import rootof
 
 from . import intpoly
 from .algnum import (
+    _EPS_SCHEDULE,
     CBox,
     EnclosureTooWide,
     LogValue,
     RealAlgebraic,
     UndecidedSign,
-    composed_product,
+    complex_roots,
+    composed_product_pair,
     eval_poly_box,
     identify_factor,
     power_poly,
@@ -40,19 +39,15 @@ from .algnum import (
     values_poly,
 )
 from .exact import (
-    is_semisimple_matrix,
+    identity,
     mat_mul,
     mat_pow,
     nullspace,
-    poly_of_matrix,
     primitive_vector,
     saturate_lattice,
     solve_linear,
 )
-
-_t = Symbol("_spectra_t")
-
-_EPS = [Fraction(1, 10**m) for m in (12, 24, 48, 96, 192, 384)]
+from .intpoly import is_semisimple_matrix, poly_of_matrix
 
 
 class ActionValidationError(ValueError):
@@ -135,7 +130,7 @@ def validate_action(raw, labels=None) -> ActionSpec:
     if violations:
         raise ActionValidationError(violations)
     for i, m in enumerate(mats):
-        p = intpoly.charpoly_int(m)
+        p = intpoly.charpoly(m)
         det = (-1) ** n * p[-1]
         if det not in (1, -1):
             violations.append(("NotUnimodular", i))
@@ -189,13 +184,15 @@ class LyapunovFunctional:
 class _Block:
     """Invariant subspace with commuting restrictions and linking data."""
 
-    __slots__ = ("basis", "restr", "T", "fT_key", "croots", "qs", "class_dim")
+    __slots__ = ("basis", "restr", "fT_key", "kcols", "t_k", "croots", "qs",
+                 "class_dim")
 
     def __init__(self, basis, restr):
         self.basis = basis          # ambient-dim x d columns, Fractions
         self.restr = restr          # per generator, d x d Fraction matrices
-        self.T = None
         self.fT_key = None
+        self.kcols = None           # basis columns of K = ker f_T(T)
+        self.t_k = None             # T restricted to K
         self.croots = None
         self.qs = None              # per generator, descending Fraction coeffs
         self.class_dim = None
@@ -211,28 +208,12 @@ def _frac_mat(m):
 
 def _charpoly_factors(m):
     """Irreducible factors (as descending int-coeff tuples) with exponents."""
-    sm = sympy.Matrix([[sympy.Rational(Fraction(x).numerator, Fraction(x).denominator)
-                        for x in row] for row in m])
-    cp = sm.charpoly(_t)
-    _, factors = sympy.factor_list(cp.as_expr())
-    out = []
-    for fac, e in factors:
-        p = Poly(fac, _t)
-        if p.degree() >= 1:
-            coeffs = [int(c) for c in p.all_coeffs()]
-            if coeffs[0] < 0:
-                coeffs = [-c for c in coeffs]
-            out.append((tuple(coeffs), int(e)))
-    return sorted(out)
+    return sorted(intpoly.factor(intpoly.charpoly(m)))
 
 
 def _restrict(cols, m):
     """Restriction m' of m to the column span: m @ cols == cols @ m'."""
-    rhs = mat_mul(m, cols)
-    d = len(cols[0])
-    cols_rows = cols
-    sol = solve_linear(cols_rows, rhs)
-    return sol
+    return solve_linear(cols, mat_mul(m, cols))
 
 
 def _columns(basis_vectors):
@@ -247,7 +228,7 @@ def _try_split(block: _Block, cand):
         return None
     comps = []
     for fkey, e in factors:
-        nf = poly_of_matrix([Fraction(c) for c in fkey], cand)
+        nf = poly_of_matrix(fkey, cand)
         nfe = nf
         for _ in range(e - 1):
             nfe = mat_mul(nfe, nf)
@@ -304,25 +285,13 @@ def _link_block(block: _Block, rng):
     last_err = None
     for deg, cand, fkey in best:
         try:
-            fT = [Fraction(c) for c in fkey]
-            kern = nullspace(poly_of_matrix(fT, cand))
-            cols = _columns(kern)
+            cols = _columns(nullspace(poly_of_matrix(fkey, cand)))
             t_k = _restrict(cols, cand)
-            qs = []
-            for r in block.restr:
-                r_k = _restrict(cols, r)
-                qs.append(_solve_poly_in(t_k, r_k, deg))
-            block.T = cand
-            block.fT_key = fkey
-            block.qs = qs
+            block.qs = [_solve_poly_in(t_k, _restrict(cols, r), deg) for r in block.restr]
+            block.fT_key, block.kcols, block.t_k = fkey, cols, t_k
             assert block.dim % deg == 0
             block.class_dim = block.dim // deg
-            fpoly = Poly(list(fkey), _t)
-            if deg == 1:
-                block.croots = [sympy.Rational(-fkey[1], fkey[0])]
-            else:
-                block.croots = [rootof(fpoly.as_expr(), _t, j, radicals=False)
-                                for j in range(deg)]
+            block.croots = complex_roots(fkey)
             return
         except (ValueError, ZeroDivisionError) as exc:
             last_err = exc
@@ -334,7 +303,7 @@ def _link_block(block: _Block, rng):
 def _solve_poly_in(t_k, r_k, deg):
     """Coefficients (descending) of q with q(t_k) == r_k, deg q < deg."""
     m = len(t_k)
-    powers = [[[Fraction(int(i == j)) for j in range(m)] for i in range(m)]]
+    powers = [identity(m)]
     for _ in range(deg - 1):
         powers.append(mat_mul(powers[-1], t_k))
     rows = []
@@ -347,6 +316,24 @@ def _solve_poly_in(t_k, r_k, deg):
     return list(reversed(sol))  # ascending -> descending
 
 
+def _power_product(mats, a):
+    """prod_g mats[g]^a_g over Q, or None when a = 0."""
+    acc = None
+    for m, ag in zip(mats, a):
+        if ag:
+            p = mat_pow(m, int(ag))
+            acc = p if acc is None else mat_mul(acc, p)
+    return acc
+
+
+def _element_poly(block: _Block, a):
+    """q_a with q_a(t_k) = sigma(a) restricted to the block's K, descending."""
+    r_a = _power_product(block.restr, a)
+    if r_a is None:
+        return [Fraction(1)]
+    return _solve_poly_in(block.t_k, _restrict(block.kcols, r_a), len(block.fT_key) - 1)
+
+
 class _Analysis:
     """Joint-spectrum working data for one ActionSpec (cached)."""
 
@@ -355,8 +342,7 @@ class _Analysis:
         rng = random.Random(20260301)
         n = action.dim
         gens = [_frac_mat(action.generator(i)) for i in range(action.k)]
-        ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        blocks = [_Block(ident, gens)]
+        blocks = [_Block(identity(n), gens)]
         changed = True
         while changed:
             changed = False
@@ -398,22 +384,11 @@ class _Analysis:
         key = (b, j, tuple(int(x) for x in a))
         if key not in self._element_cache:
             block = self.blocks[b]
-            deg = len(block.fT_key) - 1
-            r_a = None
-            for g, ag in enumerate(a):
-                if ag == 0:
-                    continue
-                p = mat_pow(block.restr[g], int(ag))
-                r_a = p if r_a is None else mat_mul(r_a, p)
-            if r_a is None:
-                self._element_cache[key] = LogValue.zero()
-                return self._element_cache[key]
-            kern = nullspace(poly_of_matrix([Fraction(c) for c in block.fT_key], block.T))
-            cols = _columns(kern)
-            t_k = _restrict(cols, block.T)
-            r_k = _restrict(cols, r_a)
-            q_a = _solve_poly_in(t_k, r_k, deg)
-            self._element_cache[key] = _make_logvalue(block.fT_key, block.croots[j], q_a)
+            lv = LogValue.zero()
+            if any(key[2]):
+                lv = _make_logvalue(block.fT_key, block.croots[j],
+                                    _element_poly(block, key[2]))
+            self._element_cache[key] = lv
         return self._element_cache[key]
 
     # -- public products ----------------------------------------------------
@@ -486,41 +461,36 @@ class _Analysis:
         return funcs
 
 
-def _make_logvalue(fT_key, croot, q_coeffs) -> LogValue:
-    fpoly = Poly(list(fT_key), _t)
-    is_real = croot.is_Rational or bool(croot.is_real)
-    a_poly = values_poly(fpoly, q_coeffs)
-    vanishing = power_poly(a_poly, 2) if is_real else composed_product(a_poly)
+def _eigenvalue_refiner(croot, q_coeffs, enclose=lambda box: box):
+    """refiner(eps): an enclosure of width <= eps of enclose(q(croot)).
+
+    q(croot) is the eigenvalue of q(T) at the root croot of f_T; enclose
+    maps its complex box to the wanted quantity (itself, or CBox.modsq).
+    """
+    q = [Fraction(c) for c in q_coeffs]
 
     def refiner(eps):
-        for delta in _EPS:
-            box = root_box(croot, delta) if not croot.is_Rational else CBox.point(
-                Fraction(int(croot.p), int(croot.q)))
-            val = eval_poly_box([Fraction(c) for c in q_coeffs], box)
-            m = val.modsq()
-            if m.width <= eps:
-                return m
-        raise EnclosureTooWide("modulus refinement failed")
+        for delta in _EPS_SCHEDULE:
+            box = enclose(eval_poly_box(q, root_box(croot, delta)))
+            if box.width <= eps:
+                return box
+        raise EnclosureTooWide("eigenvalue refinement failed")
 
+    return refiner
+
+
+def _make_logvalue(fT_key, croot, q_coeffs) -> LogValue:
+    a_poly = values_poly(fT_key, q_coeffs)
+    vanishing = (power_poly(a_poly, 2) if croot.is_real
+                 else composed_product_pair(a_poly, a_poly))
+    refiner = _eigenvalue_refiner(croot, q_coeffs, CBox.modsq)
     return LogValue(RealAlgebraic.from_vanishing(vanishing, refiner))
 
 
 def _first_gen_minpoly(block: _Block, j: int) -> tuple:
-    fpoly = Poly(list(block.fT_key), _t)
     q1 = block.qs[0]
-    a_poly = values_poly(fpoly, q1)
-    croot = block.croots[j]
-
-    def refiner(eps):
-        for delta in _EPS:
-            box = root_box(croot, delta) if not croot.is_Rational else CBox.point(
-                Fraction(int(croot.p), int(croot.q)))
-            val = eval_poly_box([Fraction(c) for c in q1], box)
-            if val.re.width <= eps and val.im.width <= eps:
-                return val
-        raise EnclosureTooWide("eigenvalue refinement failed")
-
-    return identify_factor(a_poly, refiner)
+    return identify_factor(values_poly(block.fT_key, q1),
+                           _eigenvalue_refiner(block.croots[j], q1))
 
 
 _ANALYSES: dict = {}
@@ -585,7 +555,7 @@ def is_weak_mixing(matrix) -> bool:
     irreducible over Q, so divisibility is equivalent to sharing a root).
     """
     rows = [[int(x) for x in row] for row in matrix]
-    p = intpoly.charpoly_int(rows)
+    p = intpoly.charpoly(rows)
     det = (-1) ** (len(p) - 1) * p[-1]
     if det not in (1, -1):
         raise ValueError("matrix is not unimodular")
@@ -595,19 +565,10 @@ def is_weak_mixing(matrix) -> bool:
 def weak_mixing_report(matrix) -> dict:
     """Factored view of the Parry test, for reports."""
     rows = [[int(x) for x in row] for row in matrix]
-    p = intpoly.charpoly_int(rows)
-    x = Symbol("x")
-    expr = sum(c * x ** (len(p) - 1 - i) for i, c in enumerate(p))
-    _, factors = sympy.factor_list(expr)
-    fl = []
-    for fac, e in factors:
-        fp = Poly(fac, x)
-        coeffs = tuple(int(c) for c in fp.all_coeffs())
-        fl.append({
-            "coefficients": list(coeffs),
-            "multiplicity": int(e),
-            "cyclotomic_indices": intpoly.cyclotomic_divisors(coeffs),
-        })
+    p = intpoly.charpoly(rows)
+    fl = [{"coefficients": list(key), "multiplicity": e,
+           "cyclotomic_indices": intpoly.cyclotomic_divisors(key)}
+          for key, e in intpoly.factor(p)]
     return {
         "charpoly": list(p),
         "factors": fl,
@@ -617,15 +578,7 @@ def weak_mixing_report(matrix) -> dict:
 
 def sigma_of(action: ActionSpec, a):
     """Integer matrix of the action element sigma(a) = prod A_g^{a_g}."""
-    n = action.dim
-    acc = None
-    for g, ag in enumerate(a):
-        if ag == 0:
-            continue
-        p = mat_pow(_frac_mat(action.generator(g)), int(ag))
-        acc = p if acc is None else mat_mul(acc, p)
-    if acc is None:
-        acc = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    acc = _power_product(action.generators, a) or identity(action.dim)
     return [[int(x) for x in row] for row in acc]
 
 
@@ -749,28 +702,18 @@ def check_rigidity_hypotheses(action: ActionSpec, anosov_radius: int = 8,
                  "relation_search": meta, "violations": []}
         if basis:
             tested = set()
-            rank = len(basis)
-            for combo in itertools.product(range(-combo_box, combo_box + 1),
-                                           repeat=rank):
-                if not any(combo):
-                    continue
-                n = [sum(c * basis[r][g] for r, c in enumerate(combo))
-                     for g in range(action.k)]
-                n = tuple(primitive_vector(n))
+            combos = (primitive_vector([sum(c * basis[r][g] for r, c in enumerate(combo))
+                                        for g in range(action.k)])
+                      for combo in itertools.product(range(-combo_box, combo_box + 1),
+                                                     repeat=len(basis))
+                      if any(combo))
+            torsion = _torsion_candidates(analyze(action), action, func, basis)
+            for n in itertools.chain(combos, torsion):
+                n = tuple(n)
                 if n in tested or tuple(-x for x in n) in tested:
                     continue
                 tested.add(n)
-                p = intpoly.charpoly_int(sigma_of(action, n))
-                cyc = intpoly.cyclotomic_divisors(p)
-                if cyc:
-                    entry["violations"].append({"element": list(n),
-                                                "cyclotomic_indices": cyc})
-            for extra in _torsion_candidates(analyze(action), action, func, basis):
-                n = tuple(extra)
-                if n in tested or tuple(-x for x in n) in tested:
-                    continue
-                tested.add(n)
-                p = intpoly.charpoly_int(sigma_of(action, n))
+                p = intpoly.charpoly(sigma_of(action, n))
                 cyc = intpoly.cyclotomic_divisors(p)
                 if cyc:
                     entry["violations"].append({"element": list(n),
@@ -810,27 +753,12 @@ def _torsion_candidates(an: _Analysis, action: ActionSpec,
         return []
     b, j = an.locator(func.classes[0])
     block = an.blocks[b]
-    fpoly = Poly(list(block.fT_key), _t)
-    deg = fpoly.degree()
-    if deg == 0:
-        return []
     with mpmath.workdps(60):
         roots = mpmath.polyroots([int(c) for c in block.fT_key], maxsteps=200,
                                  extraprec=120)
         cols = []
         for vec in basis:
-            kern = nullspace(poly_of_matrix([Fraction(c) for c in block.fT_key],
-                                            block.T))
-            colsm = _columns(kern)
-            t_k = _restrict(colsm, block.T)
-            r_a = None
-            for g, ag in enumerate(vec):
-                if ag == 0:
-                    continue
-                p = mat_pow(block.restr[g], int(ag))
-                r_a = p if r_a is None else mat_mul(r_a, p)
-            q_a = _solve_poly_in(t_k, _restrict(colsm, r_a), deg) if r_a is not None \
-                else [Fraction(1)]
+            q_a = _element_poly(block, vec)
             vals = []
             for rt in roots:
                 acc = mpmath.mpc(0)

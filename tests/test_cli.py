@@ -37,6 +37,26 @@ def inputs(tmp_path_factory):
     return d
 
 
+@pytest.mark.parametrize("args, unloaded", [
+    (["normalform", "--input", "cubic.json"], ("sympy", "numpy")),
+    (["resonances", "--input", "bands.json"], ("sympy", "numpy")),
+    (["rootsys", "--type", "D", "--rank", "4"], ("sympy",)),
+], ids=["normalform", "resonances", "rootsys"])
+def test_cli_import_boundary(inputs, tmp_path, args, unloaded):
+    """The exact rational paths never load the libraries they do not need."""
+    args = [str(inputs / a) if a.endswith(".json") else a for a in args]
+    out = tmp_path / "out.json"
+    code = ("import sys\n"
+            "from anosovkit.cli import main\n"
+            f"rc = main({args + ['--output', str(out)]!r})\n"
+            f"loaded = [m for m in {list(unloaded)!r} if m in sys.modules]\n"
+            "assert not loaded, f'{loaded} imported'\n"
+            "sys.exit(rc)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["verdict"] == "pass"
+
+
 def test_analyze_cat_rank_gate(inputs):
     out = run_cli(["analyze", "--input", str(inputs / "cat.json")])
     assert out.returncode == 0

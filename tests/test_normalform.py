@@ -225,20 +225,6 @@ def test_jordan_block_in_one_band_rejected(tmp_path):
         "error": "linear part must be semisimple within each block"}
 
 
-def test_normalform_cli_imports_no_sympy(tmp_path):
-    path = tmp_path / "cubic.json"
-    path.write_text(json.dumps(cubic_example().to_json()))
-    code = ("import sys\n"
-            "from anosovkit.cli import main\n"
-            f"rc = main(['normalform', '--input', {str(path)!r}, "
-            f"'--output', {str(tmp_path / 'out.json')!r}])\n"
-            "assert 'sympy' not in sys.modules, 'normalform imported sympy'\n"
-            "sys.exit(rc)\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads((tmp_path / "out.json").read_text())["verdict"] == "pass"
-
-
 def test_scaling_covariance():
     b = bands_21()
     f = cubic_example()

@@ -145,7 +145,7 @@ def test_semisimple_against_sympy_oracle():
     count = 0
     while count < 25:
         m = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
-        p = intpoly.charpoly_int(m)
+        p = intpoly.charpoly(m)
         det = (-1) ** 3 * p[-1]
         if det not in (1, -1):
             continue
@@ -218,7 +218,7 @@ def test_weak_mixing_against_det_oracle_sample():
     checked = 0
     while checked < 200:
         m = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
-        p = intpoly.charpoly_int(m)
+        p = intpoly.charpoly(m)
         if (-1) ** 2 * p[-1] not in (1, -1):
             continue
         checked += 1
