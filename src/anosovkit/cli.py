@@ -64,6 +64,12 @@ def _emit(args, report: dict, text_lines=None) -> None:
 
 _EXIT = {"pass": 0, "fail": 2, "inconclusive": 3, "info": 0}
 
+# Peak RSS of a `conjugate` run, less the interpreter's own, over the bytes of
+# its N^dim x dim float64 displacement field: 15.3 for psi-t3 and
+# t3-gen1-only --probe at 128^3, 17.6 for cat-sin --probe at 1024^2
+# (2-vCPU Xeon, Python 3.11, numpy 2.4); rounded up.
+_GRID_WORKING_SET = 20
+
 
 def cmd_analyze(args) -> int:
     from . import chambers, spectra
@@ -201,13 +207,13 @@ def cmd_normalform(args) -> int:
 def _build_preset(name: str, eps: float):
     import numpy as np
 
-    from . import spectra
+    from .exact import validate_action
     from .conjugacy import ToralPerturbation, TrigPolynomial, psi_conjugation
 
-    cat = spectra.validate_action([[[2, 1], [1, 1]]])
+    cat = validate_action([[[2, 1], [1, 1]]])
     m_mat = [[0, 0, -1], [1, 0, 2], [0, 1, 1]]
     n_mat = (np.array(m_mat) @ np.array(m_mat) - 2 * np.eye(3, dtype=int)).astype(int)
-    t3 = spectra.validate_action([m_mat, n_mat.tolist()])
+    t3 = validate_action([m_mat, n_mat.tolist()])
     if name == "cat-sin":
         p = TrigPolynomial([((0, 1), (0.0, 0.0), (eps, 0.0))], 2)
         return ToralPerturbation(base=cat, perturbations=[p]), None
@@ -247,6 +253,13 @@ def cmd_conjugate(args) -> int:
             return 1
     if args.grid & (args.grid - 1):
         sys.stderr.write("parse error: --grid must be a power of two\n")
+        return 1
+    need = args.grid ** pert.dim * pert.dim * 8 * _GRID_WORKING_SET
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        sys.stderr.write(f"parse error: --grid {args.grid} on T^{pert.dim} needs about "
+                         f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB "
+                         "of physical memory\n")
         return 1
     config = {"grid": args.grid, "tol": args.tol, "generator": args.generator,
               "mode": args.mode, "eps": args.eps if args.preset else None,

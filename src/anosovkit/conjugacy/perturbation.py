@@ -24,14 +24,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..spectra import ActionSpec
+from ..exact import ActionSpec
+
+# Points per block of TrigPolynomial.evaluate: its (terms, block) buffers
+# stay small whatever the grid size.
+_BLOCK = 1 << 12
 
 
 class TrigPolynomial:
     """p(x) = sum_t cos_t * cos(2 pi f_t . x) + sin_t * sin(2 pi f_t . x).
 
     ``terms``: list of (freq int tuple, cos vector, sin vector).  A zero
-    frequency with a cos vector encodes a constant term.
+    frequency with a cos vector encodes a constant term; a frequency
+    shorter than dim has zeros in the missing coordinates.
     """
 
     def __init__(self, terms, dim: int):
@@ -43,9 +48,19 @@ class TrigPolynomial:
             sinv = np.asarray(sinv, dtype=float)
             if cosv.shape != (dim,) or sinv.shape != (dim,):
                 raise ValueError("coefficient vectors must have length dim")
+            if len(freq) > dim:
+                raise ValueError("frequency vectors must have length dim")
             if np.any(cosv) or np.any(sinv):
                 norm.append((freq, cosv, sinv))
         self.terms = norm
+        # stacked kernel data: frequencies (T, dim) and the cos block over
+        # the sin block of coefficients (2T, dim)
+        self._freqs = np.zeros((len(norm), dim), dtype=np.int64)
+        for t, (freq, _, _) in enumerate(norm):
+            self._freqs[t, :len(freq)] = freq
+        self._coeffs = np.array([c for _, c, _ in norm] + [s for _, _, s in norm],
+                                dtype=float).reshape(2 * len(norm), dim)
+        self._axes = np.flatnonzero(self._freqs.any(axis=0))
 
     @staticmethod
     def from_json(obj: dict, dim: int) -> "TrigPolynomial":
@@ -71,18 +86,73 @@ class TrigPolynomial:
                           for f, c, s in self.terms]}
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(points)
-        for freq, cosv, sinv in self.terms:
-            phase = np.zeros(points.shape[0])
-            for d, fd in enumerate(freq):
-                if fd:
-                    phase += fd * points[:, d]
-            phase *= 2.0 * np.pi
-            if np.any(cosv):
-                out += np.cos(phase)[:, None] * cosv[None, :]
-            if np.any(sinv):
-                out += np.sin(phase)[:, None] * sinv[None, :]
-        return out
+        """p at each row of ``points``, in blocks of ``_BLOCK`` points.
+
+        With more terms than axes in use, each term's phasor exp(2 pi i f.x)
+        is a product of per-axis power tables z_d^k, k = -K_d..K_d, built
+        from one cos and one sin per axis, and p is the real part of one
+        complex product with the coefficients cos_t - i sin_t.  Otherwise,
+        or when the tables would have more rows than the T phasors (large
+        frequencies), the phases of a block are 2 pi F X^T, one cos and one
+        sin per term, stacked into a (2T, block) matrix and multiplied once
+        by the stacked cos and sin coefficients.  Block buffers are
+        allocated once per call.
+        """
+        points = np.asarray(points, dtype=np.float64)
+        m, t = points.shape[0], len(self.terms)
+        if not (t and m):
+            return np.zeros((m, self.dim))
+        out_t = np.empty((self.dim, m))
+        block = min(_BLOCK, m)
+        kmax = np.abs(self._freqs).max(axis=0)
+        direct = t <= len(self._axes) or int((2 * kmax[self._axes] + 1).sum()) > 2 * t
+        if direct:
+            freqs = self._freqs.astype(np.float64)
+            coeffs = self._coeffs.T                       # (dim, 2T)
+            phase, trig = np.empty((t, block)), np.empty((2 * t, block))
+        else:
+            coeffs = (self._coeffs[:t] - 1j * self._coeffs[t:]).T   # (dim, T)
+            prod, rows = np.empty((2, t, block), dtype=np.complex128)
+            table = np.empty((2 * int(kmax.max()) + 1, block), dtype=np.complex128)
+            acc = np.empty((self.dim, block), dtype=np.complex128)
+        for lo in range(0, m, block):
+            x = points[lo:lo + block].T                   # (dim, b)
+            b = x.shape[1]
+            if direct:
+                ph = np.matmul(freqs, x, out=phase[:, :b])
+                ph *= 2.0 * np.pi
+                np.cos(ph, out=trig[:t, :b])
+                np.sin(ph, out=trig[t:, :b])
+                np.matmul(coeffs, trig[:, :b], out=out_t[:, lo:lo + b])
+            else:
+                z = self._phasors(x, prod[:, :b], rows[:, :b], table[:, :b])
+                np.matmul(coeffs, z, out=acc[:, :b])
+                out_t[:, lo:lo + b] = acc[:, :b].real
+        return out_t.T.copy()
+
+    def _phasors(self, x, prod, rows, table):
+        """exp(2 pi i f_t . x) of every term into ``prod`` (T, b), for x of
+        shape (dim, b): products over the axes in use of the powers z_d^k of
+        z_d = exp(2 pi i x_d), k = -K_d..K_d (all ones with no axis in use,
+        the lone constant term)."""
+        if not len(self._axes):
+            prod.fill(1.0)
+        for i, d in enumerate(self._axes):
+            kmax = int(np.abs(self._freqs[:, d]).max())
+            tab = table[:2 * kmax + 1]
+            angle = (2.0 * np.pi) * x[d]
+            tab[kmax] = 1.0
+            np.cos(angle, out=tab[kmax + 1].real)
+            np.sin(angle, out=tab[kmax + 1].imag)
+            for k in range(kmax + 2, 2 * kmax + 1):
+                np.multiply(tab[k - 1], tab[kmax + 1], out=tab[k])
+            np.conjugate(tab[2 * kmax:kmax:-1], out=tab[:kmax])
+            if i == 0:
+                np.take(tab, self._freqs[:, d] + kmax, axis=0, out=prod, mode="clip")
+            else:
+                np.take(tab, self._freqs[:, d] + kmax, axis=0, out=rows, mode="clip")
+                prod *= rows
+        return prod
 
     def sup_bound(self) -> float:
         return float(sum(np.abs(c).max() + np.abs(s).max()

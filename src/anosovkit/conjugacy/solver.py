@@ -16,8 +16,9 @@ Two solve modes:
   forward, unstable pulled back); linear convergence at the spectral-gap
   rate.  Kept as a cross-check and reference implementation.
 
-The stable/unstable splitting comes from the exact (algebraic) eigendata
-of the base matrix, not from the perturbed map.
+The stable/unstable splitting comes from the eigendata of the base
+matrix, not from the perturbed map; whether the base is hyperbolic and
+semisimple is decided exactly, in integer arithmetic (``intpoly``).
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy
 
-from .. import spectra
+from .. import intpoly
+from ..exact import ActionSpec
 from .perturbation import ToralPerturbation
 
 
@@ -47,22 +48,42 @@ _EIG_CACHE: dict = {}
 _ORBIT_CACHE: dict = {}
 
 
+def _round_sig(x, digits: int = 12):
+    """x rounded to ``digits`` significant digits (elementwise): equal values
+    that differ only by roundoff compare equal after it."""
+    x = np.asarray(x, dtype=np.float64)
+    scale = 10.0 ** (digits - 1 - np.floor(np.log10(np.where(x > 0, x, 1.0))))
+    return np.where(x > 0, np.round(x * scale) / scale, x)
+
+
 def _eigendata(matrix_key):
-    """Exact eigendecomposition of an integer matrix, evaluated to floats."""
+    """Eigendecomposition (lam, V, V^-1) of a semisimple integer matrix.
+
+    Semisimplicity is decided exactly (``intpoly.is_semisimple_matrix``);
+    the eigenpairs come from ``numpy.linalg.eig``.  Eigenvalues are in
+    ascending (|lam|, arg lam) order, with arg in (-pi, pi] and the moduli
+    compared at 12 significant digits so that roundoff cannot reorder equal
+    moduli.  Each eigenvector is scaled so that its last nonzero coordinate
+    is 1, the convention of an exact nullspace basis, which fixes the signs
+    of the real eigen-directions.
+    """
     if matrix_key in _EIG_CACHE:
         return _EIG_CACHE[matrix_key]
-    m = sympy.Matrix([list(r) for r in matrix_key])
-    vects = m.eigenvects()
-    vals, cols = [], []
-    for val, mult, vecs in vects:
-        if len(vecs) != mult:
-            raise ValueError("solver requires a semisimple (diagonalizable) base")
-        for v in vecs:
-            vals.append(complex(val.evalf(30)))
-            cols.append([complex(x.evalf(30)) for x in v])
-    v_mat = np.array(cols, dtype=np.complex128).T
+    rows = [list(r) for r in matrix_key]
+    if not intpoly.is_semisimple_matrix(rows):
+        raise ValueError("solver requires a semisimple (diagonalizable) base")
+    vals, vecs = np.linalg.eig(np.array(rows, dtype=np.float64))
+    vals = vals.astype(np.complex128)
+    mods = _round_sig(np.abs(vals))
+    args = np.arctan2(vals.imag + 0.0, vals.real)    # + 0.0 turns -0.0 into 0.0
+    order = np.lexsort((args, mods))
+    lam = vals[order]
+    v_mat = vecs.astype(np.complex128)[:, order]
+    for e in range(v_mat.shape[1]):
+        mag = np.abs(v_mat[:, e])
+        last = np.flatnonzero(mag > 1e-10 * mag.max())[-1]
+        v_mat[:, e] /= v_mat[last, e]
     w_mat = np.linalg.inv(v_mat)
-    lam = np.array(vals, dtype=np.complex128)
     _EIG_CACHE[matrix_key] = (lam, v_mat, w_mat)
     return _EIG_CACHE[matrix_key]
 
@@ -82,36 +103,36 @@ def _permutation(matrix: np.ndarray, size: int) -> np.ndarray:
 def _orbit_groups(matrix_key, size: int):
     """Cycle decomposition of the grid permutation, grouped by length.
 
-    Returns a list of (L, index_matrix) with index_matrix of shape (G, L):
-    row g is one orbit x_0, x_1 = A x_0, ..., x_{L-1}.
+    Returns a list of (L, index_matrix) sorted by L, with index_matrix of
+    shape (G, L): row g is one orbit x_0, x_1 = A x_0, ..., x_{L-1}, where
+    x_0 is the orbit's smallest index, and rows are in increasing x_0.
+    Cycles are found by pointer doubling with min-label propagation: after
+    r rounds label[i] is the least index among the 2^r points i, A i, ...,
+    and a round that changes no label means every label is its cycle's
+    minimum.  That takes log2 of the longest cycle whole-array rounds.
     """
     key = (matrix_key, size)
     if key in _ORBIT_CACHE:
         return _ORBIT_CACHE[key]
     matrix = np.array([list(r) for r in matrix_key], dtype=np.int64)
     perm = _permutation(matrix, size)
-    m = perm.shape[0]
-    visited = np.zeros(m, dtype=bool)
-    order = np.empty(m, dtype=np.int64)
-    by_len: dict = {}
-    pos = 0
-    perm_list = perm.tolist()
-    visited_list = visited
-    for s in range(m):
-        if visited_list[s]:
-            continue
-        start = pos
-        j = s
-        while not visited_list[j]:
-            visited_list[j] = True
-            order[pos] = j
-            pos += 1
-            j = perm_list[j]
-        by_len.setdefault(pos - start, []).append(start)
+    label = np.arange(perm.shape[0], dtype=np.int64)
+    jump = perm
+    while True:
+        new = np.minimum(label, label[jump])
+        if np.array_equal(new, label):
+            break
+        label = new
+        jump = jump[jump]
+    starts = np.flatnonzero(label == np.arange(label.shape[0]))
+    lengths = np.bincount(label)[starts]
     groups = []
-    for length, starts in sorted(by_len.items()):
-        starts_arr = np.array(starts, dtype=np.int64)
-        idxmat = order[starts_arr[:, None] + np.arange(length)[None, :]]
+    for length in np.unique(lengths).tolist():
+        first = starts[lengths == length]
+        idxmat = np.empty((first.shape[0], length), dtype=np.int64)
+        idxmat[:, 0] = first
+        for t in range(1, length):
+            idxmat[:, t] = perm[idxmat[:, t - 1]]
         groups.append((length, idxmat))
     _ORBIT_CACHE[key] = groups
     return groups
@@ -159,7 +180,7 @@ def _cycle_solve(groups, lam: complex, q: np.ndarray) -> np.ndarray:
 class ConjugacyField:
     """Displacement u of h = id + u on a regular grid, with certificates."""
 
-    base: spectra.ActionSpec
+    base: ActionSpec
     generator: int
     resolution: int
     u: np.ndarray                  # (N^n, n) float64
@@ -203,12 +224,17 @@ class ConjugacyField:
             fh.write(np.ascontiguousarray(self.u, dtype="<f8").tobytes())
 
     def fourier_table(self, top: int = 64) -> list:
-        """Largest Fourier modes as JSON-ready entries, deterministic order."""
+        """Largest Fourier modes as JSON-ready entries, deterministic order.
+
+        Modes are sorted by magnitude rounded to 12 significant digits, then
+        by flat index, so the equal-magnitude +-f pairs of a real field
+        come out in the same order whatever the roundoff.
+        """
         n, size = self.dim, self.resolution
         co = self.fourier()
         freqs = np.fft.fftfreq(size, d=1.0 / size).astype(int)
         mags = np.abs(co).sum(axis=-1).ravel()
-        order = np.argsort(-mags, kind="stable")[:top]
+        order = np.argsort(-_round_sig(mags), kind="stable")[:top]
         out = []
         for flat in order:
             if mags[flat] < 1e-15:
@@ -236,7 +262,7 @@ def solve_conjugacy(pert: ToralPerturbation, solving_generator: int = 0,
     base = pert.base
     n = base.dim
     gen = solving_generator
-    if not spectra.is_anosov_element(base, [int(i == gen) for i in range(base.k)]):
+    if intpoly.has_unit_circle_root(intpoly.charpoly(base.generator(gen))):
         raise NotAnosov(f"generator {gen} is not Anosov for the base action")
     matrix_key = base.generators[gen]
     lam, v_mat, w_mat = _eigendata(matrix_key)

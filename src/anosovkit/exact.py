@@ -1,6 +1,9 @@
 """Exact rational arithmetic: decimal parsing, Fraction matrices, sparse
 elimination and integer lattices, plus the rational intervals and sign
-exceptions that the sympy-free chamber path shares with ``algnum``.
+exceptions that the sympy-free chamber path shares with ``algnum``, and
+toral Z^k actions as validated data (``ActionSpec``, ``validate_action``),
+which ``spectra`` re-exports and the sympy-free conjugacy lab imports from
+here.
 """
 
 from __future__ import annotations
@@ -330,3 +333,101 @@ def simplest_rational_between(lo, hi) -> Fraction:
         return floor_a + 1 / rec(1 / (b - floor_a), 1 / (a - floor_a))
 
     return rec(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Toral actions: k commuting unimodular integer matrices
+# ---------------------------------------------------------------------------
+
+
+class ActionValidationError(ValueError):
+    """Structured rejection: all violated invariants of a would-be action."""
+
+    def __init__(self, violations):
+        self.violations = tuple(violations)
+        super().__init__("; ".join(self._format(v) for v in violations))
+
+    @staticmethod
+    def _format(v):
+        kind = v[0]
+        if kind == "NonCommuting":
+            return f"NonCommuting({v[1]},{v[2]})"
+        if kind == "NotUnimodular":
+            return f"NotUnimodular({v[1]})"
+        return f"ShapeMismatch({v[1:]})" if len(v) > 1 else "ShapeMismatch"
+
+
+@dataclass(frozen=True)
+class ActionSpec:
+    """k commuting unimodular integer matrices acting on T^dim."""
+
+    dim: int
+    generators: tuple
+    labels: tuple
+
+    @property
+    def k(self) -> int:
+        return len(self.generators)
+
+    def generator(self, i: int):
+        return [list(row) for row in self.generators[i]]
+
+    def to_json(self) -> dict:
+        return {
+            "dim": self.dim,
+            "generators": [[x for row in g for x in row] for g in self.generators],
+            "labels": list(self.labels),
+        }
+
+    @staticmethod
+    def from_json(obj: dict) -> "ActionSpec":
+        dim = obj["dim"]
+        mats = []
+        for flat in obj["generators"]:
+            if len(flat) != dim * dim:
+                raise ActionValidationError([("ShapeMismatch", len(flat), dim * dim)])
+            mats.append([flat[i * dim:(i + 1) * dim] for i in range(dim)])
+        return validate_action(mats, labels=obj.get("labels"))
+
+
+def validate_action(raw, labels=None) -> ActionSpec:
+    """Check shapes, integrality, unimodularity and commutativity; all exact.
+
+    Collects every violated invariant before rejecting.
+    """
+    violations = []
+    if not raw:
+        raise ActionValidationError([("ShapeMismatch", "empty generator list")])
+    n = len(raw[0])
+    mats = []
+    for i, m in enumerate(raw):
+        rows = [list(row) for row in m]
+        if len(rows) != n or any(len(r) != len(rows) for r in rows):
+            violations.append(("ShapeMismatch", i))
+            continue
+        if any(not isinstance(x, (int,)) and not float(x).is_integer() for r in rows for x in r):
+            violations.append(("ShapeMismatch", i, "non-integer entry"))
+            continue
+        mats.append([[int(x) for x in r] for r in rows])
+    if violations:
+        raise ActionValidationError(violations)
+    from .intpoly import charpoly   # intpoly imports this module
+
+    for i, m in enumerate(mats):
+        p = charpoly(m)
+        det = (-1) ** n * p[-1]
+        if det not in (1, -1):
+            violations.append(("NotUnimodular", i))
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            ab = mat_mul(mats[i], mats[j])
+            ba = mat_mul(mats[j], mats[i])
+            if ab != ba:
+                violations.append(("NonCommuting", i, j))
+    if violations:
+        raise ActionValidationError(violations)
+    labels = tuple(labels) if labels else tuple(f"g{i}" for i in range(len(mats)))
+    if len(labels) != len(mats):
+        raise ActionValidationError([("ShapeMismatch", "labels", len(labels))])
+    gens = tuple(tuple(tuple(row) for row in m) for m in mats)
+    return ActionSpec(dim=n, generators=gens, labels=labels)

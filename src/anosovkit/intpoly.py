@@ -14,6 +14,9 @@ polynomial fact the toral verdicts rest on:
   polynomial annihilates the matrix iff the minimal polynomial is
   squarefree;
 - the cyclotomic divisibility scan, an exact root-of-unity detector;
+- ``has_unit_circle_root``, the exact hyperbolicity test: the reciprocal
+  part gcd(p, reversed p), rewritten in t = x + 1/x, and a Sturm count of
+  its real roots in (-2, 2);
 - ``primitive`` normalization and ``factor`` over Q.
 
 Only ``factor`` uses sympy, imported on first call, so the normal-form and
@@ -206,3 +209,71 @@ def has_root_of_unity(p) -> bool:
     some Phi_n with phi(n) <= deg p divides p.
     """
     return bool(cyclotomic_divisors(p))
+
+
+def _horner(p, x):
+    acc = 0
+    for c in p:
+        acc = acc * x + c
+    return acc
+
+
+def _sign_changes(seq, x) -> int:
+    signs = [v > 0 for v in (_horner(p, x) for p in seq) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _sturm_count(h, a, b) -> int:
+    """Distinct real roots of h in (a, b], by Sturm's theorem over Q.
+
+    Each remainder is scaled by a positive constant to integer content 1,
+    which keeps every sign of the sequence.  h need not be squarefree.
+    """
+    seq = [primitive(h)]
+    r = primitive(c * (len(h) - 1 - i) for i, c in enumerate(h[:-1]))
+    while r:
+        seq.append(r)
+        rem = poly_divmod(seq[-2], seq[-1])[1]
+        r = primitive(rem)
+        if rem and (rem[0] > 0) == (r[0] > 0):
+            r = tuple(-c for c in r)     # the Sturm step takes -rem
+    return _sign_changes(seq, a) - _sign_changes(seq, b)
+
+
+def has_unit_circle_root(p) -> bool:
+    """True iff the integer polynomial p has a root z with |z| = 1; exact.
+
+    A root on the circle satisfies 1/z = conj(z), so it is also a root of
+    the reversed polynomial.  After the x-factors are stripped and
+    z = +-1 is tested directly, g = gcd(p, reversed p) is reciprocal of
+    even degree 2m, g(x) = x^m h(x + 1/x), and z = e^{i theta} maps to the
+    real point t = 2 cos(theta) in (-2, 2).  Roots of g off the circle map
+    to real t with |t| > 2 or to non-real t, so the answer is whether h has
+    a real root in (-2, 2), counted with a Sturm sequence.
+    """
+    p = list(primitive(p))
+    while p and p[-1] == 0:
+        p.pop()
+    if len(p) < 2:
+        return False
+    if _horner(p, 1) == 0 or _horner(p, -1) == 0:
+        return True
+    g = list(p)
+    r = primitive(reversed(p))
+    while r:
+        g, r = r, primitive(poly_divmod(g, r)[1])
+    m = (len(g) - 1) // 2
+    if m == 0:
+        return False
+    # x^-m g(x) = g_m + sum_k g_{m+k} (x^k + x^-k), and x^k + x^-k = D_k(t)
+    # with the Dickson recursion D_k = t D_{k-1} - D_{k-2}, D_0 = 2, D_1 = t;
+    # h and D_k are ascending in t here
+    h = [g[m]] + [0] * m
+    d_prev, d = [2], [0, 1]
+    for k in range(1, m + 1):
+        for i, v in enumerate(d):
+            h[i] += g[m - k] * v
+        d_prev, d = d, [-v for v in d_prev] + [0, 0]
+        for i, v in enumerate(d_prev):
+            d[i + 1] += v
+    return _sturm_count(tuple(reversed(h)), -2, 2) > 0

@@ -38,7 +38,9 @@ from .algnum import (
     root_box,
     values_poly,
 )
-from .exact import (
+from .exact import (  # noqa: F401  (the action types are re-exported)
+    ActionSpec,
+    ActionValidationError,
     identity,
     mat_mul,
     mat_pow,
@@ -46,25 +48,9 @@ from .exact import (
     primitive_vector,
     saturate_lattice,
     solve_linear,
+    validate_action,
 )
 from .intpoly import is_semisimple_matrix, poly_of_matrix
-
-
-class ActionValidationError(ValueError):
-    """Structured rejection: all violated invariants of a would-be action."""
-
-    def __init__(self, violations):
-        self.violations = tuple(violations)
-        super().__init__("; ".join(self._format(v) for v in violations))
-
-    @staticmethod
-    def _format(v):
-        kind = v[0]
-        if kind == "NonCommuting":
-            return f"NonCommuting({v[1]},{v[2]})"
-        if kind == "NotUnimodular":
-            return f"NotUnimodular({v[1]})"
-        return f"ShapeMismatch({v[1:]})" if len(v) > 1 else "ShapeMismatch"
 
 
 class JointSpectrumUnsupported(Exception):
@@ -73,80 +59,6 @@ class JointSpectrumUnsupported(Exception):
 
 class UndecidedEquality(Exception):
     """An exact equality escalation ran out of budget (should not occur)."""
-
-
-@dataclass(frozen=True)
-class ActionSpec:
-    """k commuting unimodular integer matrices acting on T^dim."""
-
-    dim: int
-    generators: tuple
-    labels: tuple
-
-    @property
-    def k(self) -> int:
-        return len(self.generators)
-
-    def generator(self, i: int):
-        return [list(row) for row in self.generators[i]]
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "generators": [[x for row in g for x in row] for g in self.generators],
-            "labels": list(self.labels),
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "ActionSpec":
-        dim = obj["dim"]
-        mats = []
-        for flat in obj["generators"]:
-            if len(flat) != dim * dim:
-                raise ActionValidationError([("ShapeMismatch", len(flat), dim * dim)])
-            mats.append([flat[i * dim:(i + 1) * dim] for i in range(dim)])
-        return validate_action(mats, labels=obj.get("labels"))
-
-
-def validate_action(raw, labels=None) -> ActionSpec:
-    """Check shapes, integrality, unimodularity and commutativity; all exact.
-
-    Collects every violated invariant before rejecting.
-    """
-    violations = []
-    if not raw:
-        raise ActionValidationError([("ShapeMismatch", "empty generator list")])
-    n = len(raw[0])
-    mats = []
-    for i, m in enumerate(raw):
-        rows = [list(row) for row in m]
-        if len(rows) != n or any(len(r) != len(rows) for r in rows):
-            violations.append(("ShapeMismatch", i))
-            continue
-        if any(not isinstance(x, (int,)) and not float(x).is_integer() for r in rows for x in r):
-            violations.append(("ShapeMismatch", i, "non-integer entry"))
-            continue
-        mats.append([[int(x) for x in r] for r in rows])
-    if violations:
-        raise ActionValidationError(violations)
-    for i, m in enumerate(mats):
-        p = intpoly.charpoly(m)
-        det = (-1) ** n * p[-1]
-        if det not in (1, -1):
-            violations.append(("NotUnimodular", i))
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            ab = mat_mul(mats[i], mats[j])
-            ba = mat_mul(mats[j], mats[i])
-            if ab != ba:
-                violations.append(("NonCommuting", i, j))
-    if violations:
-        raise ActionValidationError(violations)
-    labels = tuple(labels) if labels else tuple(f"g{i}" for i in range(len(mats)))
-    if len(labels) != len(mats):
-        raise ActionValidationError([("ShapeMismatch", "labels", len(labels))])
-    gens = tuple(tuple(tuple(row) for row in m) for m in mats)
-    return ActionSpec(dim=n, generators=gens, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -528,23 +440,19 @@ def is_semisimple(action: ActionSpec):
 
 
 def is_anosov_element(action: ActionSpec, a) -> bool:
-    """True iff no Lyapunov exponent of sigma(a) vanishes; exact.
+    """True iff sigma(a) has no eigenvalue on the unit circle; exact.
 
-    The zero vector is not Anosov.  Uses the exact unit-modulus test on
-    each joint class (an eigenvalue modulus equals 1 iff the identified
-    squared-modulus algebraic number equals 1).
+    The zero vector is not Anosov.  A Lyapunov exponent of sigma(a)
+    vanishes iff its characteristic polynomial has a root of modulus 1,
+    which ``intpoly.has_unit_circle_root`` decides in integer arithmetic;
+    the conjugacy solver's NotAnosov gate makes the same test.
     """
     a = [int(x) for x in a]
     if len(a) != action.k:
         raise ValueError("element length must equal the action rank")
     if all(x == 0 for x in a):
         return False
-    an = analyze(action)
-    an.classes()
-    for b, j in an.class_entries():
-        if an.element_logvalue(b, j, a).sign() == 0:
-            return False
-    return True
+    return not intpoly.has_unit_circle_root(intpoly.charpoly(sigma_of(action, a)))
 
 
 def is_weak_mixing(matrix) -> bool:

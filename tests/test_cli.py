@@ -26,6 +26,11 @@ def inputs(tmp_path_factory):
          "block_dims": [1, 1]}))
     (d / "badbands.json").write_text(json.dumps(
         {"intervals": [["-1", "-0.5"], ["-0.7", "-0.2"]], "block_dims": [1, 1]}))
+    (d / "salem.json").write_text(json.dumps(
+        {"base": {"dim": 4, "generators": [[0, 0, 0, -1, 1, 0, 0, 1,
+                                            0, 1, 0, 1, 0, 0, 1, 1]]},
+         "perturbations": [{"terms": [{"freq": [0, 1, 0, 0],
+                                       "sin": [0.001, 0.0, 0.0, 0.0]}]}]}))
     (d / "cubic.json").write_text(json.dumps(
         {"bands": {"intervals": [["-1386294/1000000", "-1386294/1000000"],
                                  ["-693147/1000000", "-693147/1000000"]],
@@ -41,7 +46,8 @@ def inputs(tmp_path_factory):
     (["normalform", "--input", "cubic.json"], ("sympy", "numpy")),
     (["resonances", "--input", "bands.json"], ("sympy", "numpy")),
     (["rootsys", "--type", "D", "--rank", "4"], ("sympy",)),
-], ids=["normalform", "resonances", "rootsys"])
+    (["conjugate", "--preset", "psi-cat", "--grid", "16"], ("sympy",)),
+], ids=["normalform", "resonances", "rootsys", "conjugate"])
 def test_cli_import_boundary(inputs, tmp_path, args, unloaded):
     """The exact rational paths never load the libraries they do not need."""
     args = [str(inputs / a) if a.endswith(".json") else a for a in args]
@@ -142,6 +148,44 @@ def test_conjugate_oversized_eps_exit2():
 def test_conjugate_grid_power_of_two():
     out = run_cli(["conjugate", "--preset", "cat-sin", "--grid", "100"])
     assert out.returncode == 1
+
+
+def test_conjugate_grid_memory_gate():
+    # 4096^3 points of a T^3 field need terabytes: refused before any grid
+    # is allocated, as a parse error.  The CLI is started from a small
+    # launcher, because a child forked from this (large) test process
+    # would report the test process's peak RSS as its own.
+    launcher = (
+        "import json, os, subprocess, sys, time\n"
+        "t0 = time.perf_counter()\n"
+        "p = subprocess.Popen([sys.executable, '-m', 'anosovkit.cli', 'conjugate',\n"
+        "                      '--preset', 'psi-t3', '--grid', '4096'],\n"
+        "                     stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)\n"
+        "err = p.stderr.read().decode()\n"
+        "_, status, usage = os.wait4(p.pid, 0)\n"
+        "p.returncode = os.waitstatus_to_exitcode(status)\n"
+        "print(json.dumps({'exit': p.returncode, 'stderr': err,\n"
+        "                  'maxrss_kb': usage.ru_maxrss,\n"
+        "                  'wall': time.perf_counter() - t0}))\n")
+    proc = subprocess.run([sys.executable, "-c", launcher], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout)
+    assert child["exit"] == 1
+    assert child["stderr"].startswith("parse error: --grid 4096")
+    assert "physical memory" in child["stderr"]
+    assert child["maxrss_kb"] < 200 * 1024       # no field was allocated
+    assert child["wall"] < 30
+
+
+def test_conjugate_salem_base_exit2(inputs):
+    # a Salem base has eigenvalues on the unit circle: NotAnosov, exit 2
+    out = run_cli(["conjugate", "--input", str(inputs / "salem.json"), "--grid", "8"])
+    assert out.returncode == 2
+    rep = json.loads(out.stdout)
+    assert rep["verdict"] == "fail"
+    assert rep["result"]["error"] == "NotAnosov"
+    assert rep["result"]["detail"] == "generator 0 is not Anosov for the base action"
 
 
 def test_rootsys_reports():

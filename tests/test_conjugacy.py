@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from anosovkit import spectra
+from anosovkit.conjugacy.solver import _eigendata, _orbit_groups, _permutation
 from anosovkit.conjugacy import (
     ConjugatedPerturbation,
     Diverged,
@@ -73,6 +74,33 @@ def test_not_anosov_refused(phi3_action):
                              perturbations=[TrigPolynomial([], 2)])
     with pytest.raises(NotAnosov):
         solve_conjugacy(pert, resolution=16)
+
+
+SALEM4 = [[0, 0, 0, -1], [1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
+
+
+def test_salem_base_not_anosov():
+    # companion of x^4 - x^3 - x^2 - x + 1: two real eigenvalues off the
+    # unit circle and a conjugate pair on it, none a root of unity
+    base = spectra.validate_action([SALEM4])
+    assert spectra.is_weak_mixing(SALEM4)
+    p = TrigPolynomial([((0, 1, 0, 0), (0.0,) * 4, (1e-3, 0.0, 0.0, 0.0))], 4)
+    pert = ToralPerturbation(base=base, perturbations=[p])
+    with pytest.raises(NotAnosov):
+        solve_conjugacy(pert, resolution=8)
+
+
+def test_eigendata_order_and_scaling(t3_action):
+    for key in [((2, 1), (1, 1))] + list(t3_action.generators):
+        lam, v_mat, w_mat = _eigendata(key)
+        a = np.array(key, dtype=float)
+        assert np.allclose(a @ v_mat, v_mat * lam[None, :], atol=1e-12)
+        assert np.allclose(w_mat @ v_mat, np.eye(len(lam)), atol=1e-12)
+        mods = np.abs(lam)
+        assert np.all(np.diff(mods) > 0)       # distinct moduli, ascending
+        for e in range(len(lam)):
+            nonzero = np.flatnonzero(np.abs(v_mat[:, e]) > 1e-12)
+            assert abs(v_mat[nonzero[-1], e] - 1.0) < 1e-15
 
 
 def test_oversized_refused(cat_action):
@@ -247,3 +275,113 @@ def test_fourier_table_deterministic():
     t2 = field.fourier_table(top=8)
     assert t1 == t2
     assert all("freq" in e and "re" in e for e in t1)
+
+
+def test_fourier_table_order_stable_under_roundoff():
+    # the +-f modes of a real field have equal magnitudes; their order must
+    # not depend on roundoff in u (without the tie rule, 11 of 20 such
+    # perturbations swapped a pair)
+    field = solve_conjugacy(small_cat_pert(), resolution=64, tol=1e-10)
+    order = [e["freq"] for e in field.fourier_table(top=16)]
+    u0 = field.u.copy()
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        field.u = u0 * (1.0 + 1e-16 * rng.standard_normal(u0.shape))
+        assert [e["freq"] for e in field.fourier_table(top=16)] == order
+
+
+# ---------------------------------------------------------------------------
+# kernels against the reference implementations they replaced
+# ---------------------------------------------------------------------------
+
+
+def per_term_evaluate(tp, points):
+    """Reference: the per-term loop TrigPolynomial.evaluate used to run."""
+    out = np.zeros_like(points)
+    for freq, cosv, sinv in tp.terms:
+        phase = np.zeros(points.shape[0])
+        for d, fd in enumerate(freq):
+            if fd:
+                phase += fd * points[:, d]
+        phase *= 2.0 * np.pi
+        if np.any(cosv):
+            out += np.cos(phase)[:, None] * cosv[None, :]
+        if np.any(sinv):
+            out += np.sin(phase)[:, None] * sinv[None, :]
+    return out
+
+
+@pytest.mark.parametrize("terms, fmax, dim, const, dyadic", [
+    (1, 64, 3, True, True),      # fewer terms than axes: phase matrix
+    (2, 64, 3, False, True),
+    (2, 64, 3, False, False),
+    (2, 2, 2, True, False),
+    (24, 2, 3, True, False),     # more terms than axes: power tables
+    (24, 2, 3, False, True),
+    (40, 8, 3, True, True),
+    (40, 8, 3, False, False),
+    (30, 64, 3, True, True),     # tables larger than the phasors: phase matrix
+    (30, 64, 2, True, False),
+    (0, 0, 2, True, False),      # a lone constant term: power tables, no axis
+], ids=lambda v: str(v))
+def test_trig_evaluate_matches_per_term_loop(terms, fmax, dim, const, dyadic):
+    rng = np.random.default_rng(terms * 1000 + fmax * 10 + dim)
+    data = [(rng.integers(-fmax, fmax + 1, dim), rng.normal(size=dim),
+             rng.normal(size=dim)) for _ in range(terms)]
+    if const:
+        data.append(((0,) * dim, rng.normal(size=dim), np.zeros(dim)))
+    tp = TrigPolynomial(data, dim)
+    points = (rng.integers(0, 1024, (9000, dim)) / 1024 if dyadic
+              else rng.random((9000, dim)))
+    diff = np.abs(tp.evaluate(points) - per_term_evaluate(tp, points)).max()
+    weight = [np.abs(c).sum() + np.abs(s).sum() for _, c, s in tp.terms]
+    if dyadic and fmax > 8 or fmax <= 2:
+        # phase matrix at dyadic points (exact phases) or small phases:
+        # agreement to roundoff
+        assert diff <= 1e-15 * sum(weight)
+    # the reference rounds 2 pi f.x to ~ulp(2 pi |f.x|) itself
+    assert diff <= 1e-15 * sum(w * (1 + 2 * np.pi * np.abs(f).sum())
+                               for w, (f, _, _) in zip(weight, tp.terms))
+
+
+def python_cycle_walk(matrix_key, size):
+    """Reference: the pure-Python cycle walk _orbit_groups used to run."""
+    matrix = np.array([list(r) for r in matrix_key], dtype=np.int64)
+    perm = _permutation(matrix, size)
+    m = perm.shape[0]
+    visited = np.zeros(m, dtype=bool)
+    order = np.empty(m, dtype=np.int64)
+    by_len: dict = {}
+    pos = 0
+    perm_list = perm.tolist()
+    for s in range(m):
+        if visited[s]:
+            continue
+        start = pos
+        j = s
+        while not visited[j]:
+            visited[j] = True
+            order[pos] = j
+            pos += 1
+            j = perm_list[j]
+        by_len.setdefault(pos - start, []).append(start)
+    groups = []
+    for length, starts in sorted(by_len.items()):
+        starts_arr = np.array(starts, dtype=np.int64)
+        groups.append((length, order[starts_arr[:, None] + np.arange(length)[None, :]]))
+    return groups
+
+
+@pytest.mark.parametrize("matrix_key, size", [
+    (((2, 1), (1, 1)), 256),
+    (((2, 1), (1, 1)), 512),
+    (((0, 0, -1), (1, 0, 2), (0, 1, 1)), 16),
+    (((0, 0, -1), (1, 0, 2), (0, 1, 1)), 64),
+], ids=["cat-256", "cat-512", "t3M-16", "t3M-64"])
+def test_orbit_groups_match_python_walk(matrix_key, size):
+    got = _orbit_groups(matrix_key, size)
+    want = python_cycle_walk(matrix_key, size)
+    assert [length for length, _ in got] == [length for length, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)

@@ -1,11 +1,13 @@
-"""Property tests of the polynomial layer against sympy.
+"""Property tests of the polynomial layer against sympy and mpmath.
 
 sympy is the independent oracle for the characteristic polynomial,
-division, the squarefree part, factoring and the cyclotomic polynomials.
+division, the squarefree part, factoring and the cyclotomic polynomials;
+mpmath root finding at 60 digits is the oracle for the unit-circle test.
 """
 
 from fractions import Fraction
 
+import mpmath
 import sympy
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from anosovkit.intpoly import (
     charpoly,
     cyclotomic_poly,
     factor,
+    has_unit_circle_root,
     poly_divmod,
     primitive,
     squarefree_part,
@@ -118,3 +121,82 @@ def test_cyclotomic_against_sympy():
     for n in range(1, 61):
         assert cyclotomic_poly(n) == tuple(
             int(c) for c in sympy.Poly(sympy.cyclotomic_poly(n, X), X).all_coeffs())
+
+
+# Factors whose roots lie on, near or off the unit circle: Salem polynomials
+# (two roots off the circle, the rest on it), cyclotomic polynomials,
+# reciprocal pairs a(x) x^deg(a) a(1/x) (roots alpha and 1/alpha) and
+# reciprocal quadratics c x^2 + b x + c (on the circle iff |b| < 2|c|).
+SALEM = ((1, -1, -1, -1, 1),
+         (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))    # Lehmer's polynomial
+CYCLOTOMIC = tuple(cyclotomic_poly(n) for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 18))
+
+
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return tuple(out)
+
+
+@st.composite
+def circle_products(draw):
+    """A random integer polynomial with p(0) != 0, times Salem, cyclotomic
+    and reciprocal-pair factors, some of them repeated."""
+    p = draw(polys(st.integers(-5, 5), max_size=6).filter(lambda c: c[-1] != 0))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("salem", "cyclotomic", "pair", "quadratic")))
+        if kind == "salem":
+            f = draw(st.sampled_from(SALEM))
+        elif kind == "cyclotomic":
+            f = draw(st.sampled_from(CYCLOTOMIC))
+        elif kind == "pair":
+            a = draw(polys(st.integers(-4, 4), max_size=4).filter(lambda c: c[-1] != 0))
+            f = _mul(a, tuple(reversed(a)))
+        else:
+            c = draw(st.integers(1, 5))
+            f = (c, draw(st.integers(-12, 12)), c)
+        for _ in range(draw(st.integers(1, 2))):
+            p = _mul(p, f)
+    return p
+
+
+def _unit_circle_oracle(p):
+    """Whether some root of p has modulus 1, from mpmath roots at 60 digits
+    of sympy's squarefree part; a root within 1e-8 of the circle but not
+    within 1e-25 would be undecided, and fails the oracle itself."""
+    q = [int(c) for c in sympy.Poly(sympy.sqf_part(poly(p).as_expr(), X), X).all_coeffs()]
+    if len(q) < 2:
+        return False
+    with mpmath.workdps(60):
+        roots = mpmath.polyroots(q, maxsteps=400, extraprec=400)
+        gaps = [abs(abs(z) - 1) for z in roots]
+    assert all(g < 1e-25 or g > 1e-8 for g in gaps), gaps
+    return any(g < 1e-25 for g in gaps)
+
+
+@given(circle_products())
+def test_unit_circle_root_against_mpmath(p):
+    assert has_unit_circle_root(p) == _unit_circle_oracle(p)
+
+
+def test_unit_circle_root_examples():
+    assert has_unit_circle_root(SALEM[0])
+    assert has_unit_circle_root(SALEM[1])
+    assert not has_unit_circle_root((1, -3, 1))          # cat map
+    assert not has_unit_circle_root((1, -1, -2, 1))      # real cubic unit
+    assert has_unit_circle_root((1, 1, 1))               # Phi_3
+    assert has_unit_circle_root((1, -2, 1))              # (x - 1)^2
+    assert not has_unit_circle_root((2, -5, 2))          # roots 2 and 1/2
+    assert not has_unit_circle_root((1, 0, 0))           # x^2: roots at 0
+    assert not has_unit_circle_root((5,))
+    assert has_unit_circle_root((4, 7, 4))               # x + 1/x = -7/4
+    assert has_unit_circle_root((4, -7, 4))              # x + 1/x = 7/4
+    assert not has_unit_circle_root((4, 9, 4))           # x + 1/x = -9/4
+    assert has_unit_circle_root((1, 0, 1, 0, 1))         # Phi_3 Phi_6
+    # two reciprocal pairs, no root on the circle: the Sturm remainders'
+    # signs decide this one
+    pair_a = _mul((2, -4, 1), (1, -4, 2))
+    pair_b = _mul((3, 2, 0, 3), (3, 0, 2, 3))
+    assert not has_unit_circle_root(_mul(pair_a, pair_b))
