@@ -214,15 +214,15 @@ def coarse_decomposition(functionals):
     spaces = []
     for grp in groups:
         ratios = {idx: rel for idx, rel in grp}
-        bottom = min(ratios, key=lambda idx: _coeff_value(ratios[idx]))
+        bottom = min(ratios, key=lambda idx: float(ratios[idx]))
         base = ratios[bottom]
         rel_coeffs = []
         for idx, rel in grp:
             if isinstance(rel, Fraction) and isinstance(base, Fraction):
                 rel_coeffs.append((idx, rel / base))
             else:
-                rel_coeffs.append((idx, _coeff_value(rel) / _coeff_value(base)))
-        rel_coeffs.sort(key=lambda t: _coeff_value(t[1]))
+                rel_coeffs.append((idx, float(rel) / float(base)))
+        rel_coeffs.sort(key=lambda t: float(t[1]))
         members = tuple(idx for idx, _ in rel_coeffs)
         half = LyapunovHalfspace(normal=_ray_normalize(coeffs[bottom]),
                                  member_functionals=members)
@@ -236,10 +236,6 @@ def coarse_decomposition(functionals):
 
 def _coeff_positive(c) -> bool:
     return (c > 0) if isinstance(c, Fraction) else (float(c) > 0)
-
-
-def _coeff_value(c) -> float:
-    return float(c)
 
 
 def coarse_decomposition_with_neutral(functionals):
@@ -435,8 +431,8 @@ def _enumerate_proxy(reps, k):
                             for lo, hi in (_interval(c, tol) for c in rep)])
         certified = True
         for subset in itertools.combinations(range(m), k):
-            det_iv = _interval_det([reps[i] for i in subset], tol)
-            det_proxy = _exact_det([proxies[i] for i in subset])
+            det_iv = _det([[RInt(*_interval(x, tol)) for x in reps[i]] for i in subset])
+            det_proxy = _det([proxies[i] for i in subset])
             if det_iv.lo > 0 and det_proxy > 0:
                 continue
             if det_iv.hi < 0 and det_proxy < 0:
@@ -457,33 +453,15 @@ def _enumerate_proxy(reps, k):
         "arrangement chirotope could not be certified (possible exact degeneracy)")
 
 
-def _interval_det(rows, tol):
-    k = len(rows)
-    ivs = [[RInt(*_interval(x, tol)) for x in row] for row in rows]
-
-    def det(mat):
-        if len(mat) == 1:
-            return mat[0][0]
-        acc = None
-        for j in range(len(mat)):
-            minor = det([r[:j] + r[j + 1:] for r in mat[1:]])
-            term = mat[0][j] * minor
-            if j % 2:
-                term = RInt(-term.hi, -term.lo)
-            acc = term if acc is None else acc + term
-        return acc
-
-    return det(ivs)
-
-
-def _exact_det(rows):
-    k = len(rows)
-    if k == 1:
+def _det(rows):
+    """Cofactor expansion along the first row, over RInt or Fraction entries
+    (exact either way)."""
+    if len(rows) == 1:
         return rows[0][0]
-    acc = Fraction(0)
-    for j in range(k):
-        minor = _exact_det([r[:j] + r[j + 1:] for r in rows[1:]])
-        acc += (-1) ** j * rows[0][j] * minor
+    acc = rows[0][0] * _det([r[1:] for r in rows[1:]])
+    for j in range(1, len(rows)):
+        term = rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+        acc = acc - term if j % 2 else acc + term
     return acc
 
 

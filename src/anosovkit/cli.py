@@ -64,10 +64,11 @@ def _emit(args, report: dict, text_lines=None) -> None:
 
 _EXIT = {"pass": 0, "fail": 2, "inconclusive": 3, "info": 0}
 
-# Peak RSS of a `conjugate` run, less the interpreter's own, over the bytes of
-# its N^dim x dim float64 displacement field: 15.3 for psi-t3 and
-# t3-gen1-only --probe at 128^3, 17.6 for cat-sin --probe at 1024^2
-# (2-vCPU Xeon, Python 3.11, numpy 2.4); rounded up.
+# Peak RSS of a `conjugate` run, less that of a process that only imports
+# the CLI, the conjugacy package and numpy, over the bytes of its N^dim x dim
+# float64 displacement field: 14.1 for psi-t3 and 12.1 for t3-gen1-only
+# --probe at 128^3, 15.8 for cat-sin --probe at 1024^2 (2-vCPU Xeon,
+# Python 3.11, numpy 2.4); rounded up to 20, leaving headroom.
 _GRID_WORKING_SET = 20
 
 

@@ -8,9 +8,7 @@ perturbation backends:
 - ``ConjugatedPerturbation``: the guaranteed-commuting family
   f_i = psi ∘ A_i ∘ psi^{-1} for a small diffeomorphism psi = id + eps*q,
   evaluated pointwise through a fixed-point inversion of psi (machine
-  precision, no truncation).  It can export a fitted TrigPolynomial for
-  the wire format; coefficients below the fit threshold are dropped and
-  the threshold is recorded.
+  precision, no truncation).
 
 Arbitrary user perturbations are accepted without a commutativity promise;
 ``ToralPerturbation.commutativity_defect`` measures how far the perturbed
@@ -29,6 +27,15 @@ from ..exact import ActionSpec
 # Points per block of TrigPolynomial.evaluate: its (terms, block) buffers
 # stay small whatever the grid size.
 _BLOCK = 1 << 12
+
+# Points per axis of the grid on which commutativity_defect is measured.
+_DEFECT_GRID = 32
+
+
+def _grid_points(n: int, size: int) -> np.ndarray:
+    """The size^n points j/size of the torus grid, as rows in C order."""
+    axes = np.indices((size,) * n).reshape(n, -1)
+    return (axes.T / size).astype(np.float64)
 
 
 class TrigPolynomial:
@@ -163,18 +170,6 @@ class TrigPolynomial:
                          (np.abs(c).max() + np.abs(s).max())
                          for f, c, s in self.terms))
 
-    def shifted(self, c_vec) -> "TrigPolynomial":
-        """p(x + c) as a TrigPolynomial (phase rotation per term)."""
-        c_vec = np.asarray(c_vec, dtype=float)
-        terms = []
-        for freq, cosv, sinv in self.terms:
-            phi = 2.0 * np.pi * float(sum(f * c for f, c in zip(freq, c_vec)))
-            # cos(th+phi) = cos th cos phi - sin th sin phi, etc.
-            terms.append((freq,
-                          np.cos(phi) * cosv + np.sin(phi) * sinv,
-                          -np.sin(phi) * cosv + np.cos(phi) * sinv))
-        return TrigPolynomial(terms, self.dim)
-
 
 class ConjugatedPerturbation:
     """p_i(y) = eps*q(A_i w) - eps*A_i q(w) with w = psi^{-1}(y), psi = id + eps*q.
@@ -218,31 +213,6 @@ class ConjugatedPerturbation:
         return 2.0 * abs(self.eps) * self.q.deriv_bound() * (1 + amp) * (
             1.0 / (1.0 - self._contraction))
 
-    def fit_trig_polynomial(self, grid: int, threshold: float = 1e-13) -> TrigPolynomial:
-        """Sample on a grid, FFT, and keep coefficients above threshold."""
-        n = self.matrix.shape[0]
-        axes = [np.arange(grid) / grid] * n
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        vals = self.evaluate(pts).reshape(*([grid] * n), n)
-        coeffs = np.fft.fftn(vals, axes=tuple(range(n))) / (grid ** n)
-        cutoff = threshold * max(1e-300, float(np.abs(coeffs).max()))
-        freqs = np.fft.fftfreq(grid, d=1.0 / grid).astype(int)
-        terms = []
-        hit = np.argwhere(np.abs(coeffs).max(axis=-1) > cutoff)
-        seen = set()
-        for idx in hit:
-            f = tuple(int(freqs[i]) for i in idx)
-            if f in seen or tuple(-x for x in f) in seen:
-                continue
-            seen.add(f)
-            c = coeffs[tuple(idx)]
-            if all(x == 0 for x in f):
-                terms.append((f, c.real, np.zeros(n)))
-            else:
-                terms.append((f, 2 * c.real, -2 * c.imag))
-        return TrigPolynomial(terms, n)
-
 
 @dataclass
 class ToralPerturbation:
@@ -272,16 +242,13 @@ class ToralPerturbation:
     def c1_norm_bound(self) -> float:
         return max(p.sup_bound() + p.deriv_bound() for p in self.perturbations)
 
-    def commutativity_defect(self, grid: int = 32) -> float:
+    def commutativity_defect(self) -> float:
         """sup |f_i(f_j(x)) - f_j(f_i(x))| over a coarse grid, mod 1.
 
         The rigidity hypothesis is that the perturbed generators commute;
         arbitrary user data may not, so the defect is measured and reported.
         """
-        n = self.dim
-        axes = [np.arange(grid) / grid] * n
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
+        pts = _grid_points(self.dim, _DEFECT_GRID)
         worst = 0.0
         for i in range(self.k):
             for j in range(i + 1, self.k):
@@ -298,19 +265,6 @@ class ToralPerturbation:
         perts = [TrigPolynomial.from_json(p, base.dim)
                  for p in obj["perturbations"]]
         return ToralPerturbation(base=base, perturbations=perts)
-
-    def to_json(self) -> dict:
-        perts = []
-        for p in self.perturbations:
-            if isinstance(p, TrigPolynomial):
-                perts.append(p.to_json())
-            else:
-                fitted = p.fit_trig_polynomial(grid=64)
-                entry = fitted.to_json()
-                entry["fitted_from"] = "conjugated-family (threshold 1e-13)"
-                perts.append(entry)
-        return {"base": self.base.to_json(), "perturbations": perts,
-                "c1_norm_bound": self.c1_norm_bound()}
 
 
 def psi_conjugation(base: ActionSpec, q: TrigPolynomial,

@@ -7,6 +7,9 @@ import numpy as np
 from .perturbation import ToralPerturbation
 from .solver import ConjugacyField, _eigendata, _permutation
 
+# A first-difference slope below this classifies a direction as Hölder, not C1.
+_C1_THRESHOLD = 0.95
+
 
 def verify_intertwining(field: ConjugacyField, pert: ToralPerturbation) -> dict:
     """sup |f_i(h(x)) - h(A_i x)| per generator, exact at grid points.
@@ -17,13 +20,12 @@ def verify_intertwining(field: ConjugacyField, pert: ToralPerturbation) -> dict:
     interpolation budget (spectral tail of u) bounds the extra sup-norm
     error away from grid points.
     """
-    n, size = field.dim, field.resolution
     x = field.grid_points()
     u = field.u
     residuals = []
     for i in range(pert.k):
         a_int = np.array(pert.base.generator(i), dtype=np.int64)
-        perm = _permutation(a_int, size)
+        perm = _permutation(a_int, field.resolution)
         lhs = u @ a_int.T.astype(float) + pert.p_eval(i, x + u)
         res = float(np.max(np.abs(lhs - u[perm])))
         residuals.append(res)
@@ -44,7 +46,7 @@ def _eigen_directions(base, generator: int):
     Complex pairs contribute their real and imaginary parts (a basis of
     the corresponding invariant plane).
     """
-    lam, v_mat, _ = _eigendata(base.generators[generator])
+    lam, v_mat, _ = _eigendata(base.generator(generator))
     dirs = []
     seen_conj = set()
     for e, l in enumerate(lam):
@@ -65,27 +67,28 @@ def _eigen_directions(base, generator: int):
     return dirs
 
 
-def regularity_probe(field: ConjugacyField, pert: ToralPerturbation | None = None,
-                     scales=None, c1_threshold: float = 0.95) -> dict:
+def regularity_probe(field: ConjugacyField) -> dict:
     """Finite-difference regularity of u along base eigen-directions.
 
-    For each direction v and dyadic scale t: first differences
-    sup |u(x + t v) - u(x)| and symmetric second differences; slopes of
-    log2(delta) against log2(t) estimate the Hölder exponent.  Off-grid
-    values come from the trigonometric interpolant (exact when u is a
-    trig polynomial; tail-limited otherwise, reported).
+    For each direction v and dyadic scale t (1/8 down to max(4/N, 1/256)):
+    first differences sup |u(x + t v) - u(x)| and symmetric second
+    differences sup |u(x + t v) + u(x - t v) - 2 u(x)|; slopes of log2(delta)
+    against log2(t) estimate the Hölder exponent.  Off-grid values come from
+    the trigonometric interpolant (exact when u is a trig polynomial;
+    tail-limited otherwise, reported), so each difference is a Fourier
+    multiplier on the field's spectrum: exp(i theta) - 1 and
+    2 cos(theta) - 2 with theta = 2 pi t f.v, written with sin^2(theta/2)
+    to avoid cancellation at small theta.
     """
     n, size = field.dim, field.resolution
-    base = field.base
-    sup_u = field.sup_u()
-    if scales is None:
-        # start at 1/8: coarser shifts saturate low-frequency differences
-        jmax = min(8, int(np.log2(size)) - 2)
-        scales = [2.0 ** (-j) for j in range(3, jmax + 1)]
-    report = {"scales": [float(t) for t in scales], "directions": [],
+    # start at 1/8: coarser shifts saturate low-frequency differences
+    jmax = min(8, int(np.log2(size)) - 2)
+    scales = [2.0 ** (-j) for j in range(3, jmax + 1)]
+    directions = _eigen_directions(field.base, field.generator)
+    report = {"scales": scales, "directions": [],
               "spectral_tail_fraction": field.tail_fraction()}
-    if sup_u < 1e-12:
-        for d, mod, tag in _eigen_directions(base, field.generator):
+    if field.sup_u() < 1e-12:
+        for d, mod, tag in directions:
             report["directions"].append({
                 "direction": [float(x) for x in d],
                 "eigen_modulus": mod, "part": tag,
@@ -94,30 +97,24 @@ def regularity_probe(field: ConjugacyField, pert: ToralPerturbation | None = Non
                 "slope_second": None, "delta1": [], "delta2": []})
         report["min_holder_exponent"] = None
         return report
-    co = field.fourier()
-    freqs = np.fft.fftfreq(size, d=1.0 / size).astype(int)
-    mesh = np.meshgrid(*([freqs] * n), indexing="ij")
+    co = field.fourier
+    freqs = np.fft.fftfreq(size, d=1.0 / size)
     min_exp = np.inf
-    for d, mod, tag in _eigen_directions(base, field.generator):
+    for d, mod, tag in directions:
         d1_list, d2_list = [], []
         for t in scales:
-            phase = np.zeros((size,) * n)
-            for axis in range(n):
-                phase = phase + mesh[axis] * (t * d[axis])
-            rot = np.exp(2j * np.pi * phase)
-            up = np.fft.ifftn(co * rot[..., None] * (size ** n),
-                              axes=tuple(range(n))).real
-            um = np.fft.ifftn(co * np.conj(rot)[..., None] * (size ** n),
-                              axes=tuple(range(n))).real
-            ug = field.u_grid()
-            d1_list.append(float(np.max(np.abs(up - ug))))
-            d2_list.append(float(np.max(np.abs(up + um - 2 * ug))))
+            theta = 2.0 * np.pi * sum(
+                freqs.reshape((size,) + (1,) * (n - 1 - a)) * (t * d[a])
+                for a in range(n))
+            half = -2.0 * np.sin(0.5 * theta) ** 2        # cos(theta) - 1
+            d1_list.append(_sup_multiplied(co, half + 1j * np.sin(theta)))
+            d2_list.append(_sup_multiplied(co, 2.0 * half))
         slope1 = _regression_slope(scales, d1_list)
         slope2 = _regression_slope(scales, d2_list)
         if slope1 is None:
             cls = "smooth (no variation along direction)"
             exponent = None
-        elif slope1 < c1_threshold:
+        elif slope1 < _C1_THRESHOLD:
             cls = "Holder (not C1)"
             exponent = slope1
             min_exp = min(min_exp, slope1)
@@ -134,6 +131,13 @@ def regularity_probe(field: ConjugacyField, pert: ToralPerturbation | None = Non
             "delta1": d1_list, "delta2": d2_list})
     report["min_holder_exponent"] = None if min_exp is np.inf else float(min_exp)
     return report
+
+
+def _sup_multiplied(co, mult) -> float:
+    """sup |Re v| over the grid, v the inverse transform of co * mult."""
+    v = co * mult[..., None]
+    np.fft.ifftn(v, axes=tuple(range(co.ndim - 1)), norm="forward", out=v)
+    return float(np.max(np.abs(v.real)))
 
 
 def _regression_slope(scales, deltas):

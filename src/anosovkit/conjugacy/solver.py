@@ -23,13 +23,14 @@ semisimple is decided exactly, in integer arithmetic (``intpoly``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import intpoly
 from ..exact import ActionSpec
-from .perturbation import ToralPerturbation
+from .perturbation import ToralPerturbation, _grid_points
 
 
 class NotAnosov(ValueError):
@@ -44,8 +45,9 @@ class ResolutionInsufficient(RuntimeError):
     """Spectral tail indicates the grid cannot represent the displacement."""
 
 
-_EIG_CACHE: dict = {}
-_ORBIT_CACHE: dict = {}
+# The smallness gate refuses a perturbation whose displacement bound
+# sup|p| / (1 - rate) reaches this size.
+_SMALLNESS = 0.1
 
 
 def _round_sig(x, digits: int = 12):
@@ -56,7 +58,7 @@ def _round_sig(x, digits: int = 12):
     return np.where(x > 0, np.round(x * scale) / scale, x)
 
 
-def _eigendata(matrix_key):
+def _eigendata(matrix):
     """Eigendecomposition (lam, V, V^-1) of a semisimple integer matrix.
 
     Semisimplicity is decided exactly (``intpoly.is_semisimple_matrix``);
@@ -67,9 +69,7 @@ def _eigendata(matrix_key):
     is 1, the convention of an exact nullspace basis, which fixes the signs
     of the real eigen-directions.
     """
-    if matrix_key in _EIG_CACHE:
-        return _EIG_CACHE[matrix_key]
-    rows = [list(r) for r in matrix_key]
+    rows = [list(r) for r in matrix]
     if not intpoly.is_semisimple_matrix(rows):
         raise ValueError("solver requires a semisimple (diagonalizable) base")
     vals, vecs = np.linalg.eig(np.array(rows, dtype=np.float64))
@@ -83,14 +83,7 @@ def _eigendata(matrix_key):
         mag = np.abs(v_mat[:, e])
         last = np.flatnonzero(mag > 1e-10 * mag.max())[-1]
         v_mat[:, e] /= v_mat[last, e]
-    w_mat = np.linalg.inv(v_mat)
-    _EIG_CACHE[matrix_key] = (lam, v_mat, w_mat)
-    return _EIG_CACHE[matrix_key]
-
-
-def _grid_points(n: int, size: int) -> np.ndarray:
-    axes = np.indices((size,) * n).reshape(n, -1)
-    return (axes.T / size).astype(np.float64)
+    return lam, v_mat, np.linalg.inv(v_mat)
 
 
 def _permutation(matrix: np.ndarray, size: int) -> np.ndarray:
@@ -100,8 +93,8 @@ def _permutation(matrix: np.ndarray, size: int) -> np.ndarray:
     return np.ravel_multi_index(img, (size,) * n)
 
 
-def _orbit_groups(matrix_key, size: int):
-    """Cycle decomposition of the grid permutation, grouped by length.
+def _orbit_groups(perm: np.ndarray):
+    """Cycle decomposition of the grid permutation ``perm``, grouped by length.
 
     Returns a list of (L, index_matrix) sorted by L, with index_matrix of
     shape (G, L): row g is one orbit x_0, x_1 = A x_0, ..., x_{L-1}, where
@@ -111,11 +104,6 @@ def _orbit_groups(matrix_key, size: int):
     and a round that changes no label means every label is its cycle's
     minimum.  That takes log2 of the longest cycle whole-array rounds.
     """
-    key = (matrix_key, size)
-    if key in _ORBIT_CACHE:
-        return _ORBIT_CACHE[key]
-    matrix = np.array([list(r) for r in matrix_key], dtype=np.int64)
-    perm = _permutation(matrix, size)
     label = np.arange(perm.shape[0], dtype=np.int64)
     jump = perm
     while True:
@@ -134,7 +122,6 @@ def _orbit_groups(matrix_key, size: int):
         for t in range(1, length):
             idxmat[:, t] = perm[idxmat[:, t - 1]]
         groups.append((length, idxmat))
-    _ORBIT_CACHE[key] = groups
     return groups
 
 
@@ -176,9 +163,14 @@ def _cycle_solve(groups, lam: complex, q: np.ndarray) -> np.ndarray:
     return w
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConjugacyField:
-    """Displacement u of h = id + u on a regular grid, with certificates."""
+    """Displacement u of h = id + u on a regular grid, with certificates.
+
+    ``fourier`` is the spectrum of u, computed on first use and kept: the
+    tail fraction, the Fourier table and the regularity probe all read it.
+    The field is frozen so that the spectrum cannot go stale.
+    """
 
     base: ActionSpec
     generator: int
@@ -200,16 +192,14 @@ class ConjugacyField:
     def grid_points(self) -> np.ndarray:
         return _grid_points(self.dim, self.resolution)
 
-    def u_grid(self) -> np.ndarray:
-        return self.u.reshape(*([self.resolution] * self.dim), self.dim)
-
+    @functools.cached_property
     def fourier(self) -> np.ndarray:
-        n, size = self.dim, self.resolution
-        return np.fft.fftn(self.u_grid(), axes=tuple(range(n))) / (size ** n)
+        """Fourier coefficients of u, shape (N,) * n + (n,)."""
+        return _spectrum(self.u, self.dim, self.resolution)
 
     def tail_fraction(self) -> float:
         """Sup-norm style weight of frequencies beyond half the Nyquist cube."""
-        return _tail_fraction(self.u, self.dim, self.resolution)
+        return _tail_fraction(self.fourier)
 
     def export_binary(self, path: str):
         """Row-major IEEE-754 doubles with a fixed 16-byte header.
@@ -231,7 +221,7 @@ class ConjugacyField:
         come out in the same order whatever the roundoff.
         """
         n, size = self.dim, self.resolution
-        co = self.fourier()
+        co = self.fourier
         freqs = np.fft.fftfreq(size, d=1.0 / size).astype(int)
         mags = np.abs(co).sum(axis=-1).ravel()
         order = np.argsort(-_round_sig(mags), kind="stable")[:top]
@@ -251,8 +241,7 @@ class ConjugacyField:
 
 def solve_conjugacy(pert: ToralPerturbation, solving_generator: int = 0,
                     resolution: int = 256, tol: float = 1e-10,
-                    max_iter: int = 10000, mode: str = "cycle",
-                    smallness_threshold: float = 0.1) -> ConjugacyField:
+                    max_iter: int = 10000, mode: str = "cycle") -> ConjugacyField:
     """Solve f ∘ h = h ∘ A for the chosen generator on an N^n grid.
 
     Raises NotAnosov (exact spectral test), Diverged (smallness gate or
@@ -262,29 +251,29 @@ def solve_conjugacy(pert: ToralPerturbation, solving_generator: int = 0,
     base = pert.base
     n = base.dim
     gen = solving_generator
-    if intpoly.has_unit_circle_root(intpoly.charpoly(base.generator(gen))):
+    rows = base.generator(gen)
+    if intpoly.has_unit_circle_root(intpoly.charpoly(rows)):
         raise NotAnosov(f"generator {gen} is not Anosov for the base action")
-    matrix_key = base.generators[gen]
-    lam, v_mat, w_mat = _eigendata(matrix_key)
+    lam, v_mat, w_mat = _eigendata(rows)
     rate = max(max((abs(l) for l in lam if abs(l) < 1), default=0.0),
                max((1.0 / abs(l) for l in lam if abs(l) > 1), default=0.0))
     c1 = pert.c1_norm_bound()
     # injectivity-scale gate: the displacement u is bounded by
-    # sup|p|/(1-rate); refuse when that exceeds the threshold, and refuse
+    # sup|p|/(1-rate); refuse when that reaches _SMALLNESS, and refuse
     # when the derivative bound breaks the outer contraction.
     sup_p = max(p.sup_bound() for p in pert.perturbations)
     deriv_p = max(p.deriv_bound() for p in pert.perturbations)
-    if sup_p / (1.0 - rate) >= smallness_threshold or deriv_p >= (1.0 - rate):
+    if sup_p / (1.0 - rate) >= _SMALLNESS or deriv_p >= (1.0 - rate):
         raise Diverged(
             f"perturbation too large for the smallness gate: sup bound "
             f"{sup_p:.3g}, derivative bound {deriv_p:.3g}, contraction rate "
             f"{rate:.3g} (refusing upfront rather than diverging)")
-    a_int = np.array(base.generator(gen), dtype=np.int64)
+    a_int = np.array(rows, dtype=np.int64)
     a_float = a_int.astype(np.float64)
     x = _grid_points(n, resolution)
     m_pts = x.shape[0]
     perm = _permutation(a_int, resolution)
-    groups = _orbit_groups(matrix_key, resolution) if mode == "cycle" else None
+    groups = _orbit_groups(perm) if mode == "cycle" else None
     u = np.zeros_like(x)
     history = []
     iterations = 0
@@ -299,7 +288,7 @@ def solve_conjugacy(pert: ToralPerturbation, solving_generator: int = 0,
         if residual < tol:
             break
         if len(history) >= 6 and history[-1] >= history[-6] * 0.999:
-            tail = _tail_fraction(u, n, resolution)
+            tail = _tail_fraction(_spectrum(u, n, resolution))
             if tail > 1e-6 and residual > tol:
                 raise ResolutionInsufficient(
                     f"residual plateau at {residual:.3g} with spectral tail "
@@ -337,10 +326,16 @@ def solve_conjugacy(pert: ToralPerturbation, solving_generator: int = 0,
     return field_obj
 
 
-def _tail_fraction(u: np.ndarray, n: int, size: int) -> float:
-    """Share of the displacement's Fourier weight beyond half the Nyquist cube."""
+def _spectrum(u: np.ndarray, n: int, size: int) -> np.ndarray:
+    """Fourier coefficients of a displacement u of shape (size^n, n)."""
     grid = u.reshape(*([size] * n), n)
-    co = np.fft.fftn(grid, axes=tuple(range(n))) / (size ** n)
+    return np.fft.fftn(grid, axes=tuple(range(n))) / (size ** n)
+
+
+def _tail_fraction(co: np.ndarray) -> float:
+    """Share of the Fourier weight of the coefficients ``co`` (shape
+    (size,) * n + (n,)) beyond half the Nyquist cube."""
+    n, size = co.ndim - 1, co.shape[0]
     freqs = np.fft.fftfreq(size, d=1.0 / size).astype(int)
     mags = np.abs(co).sum(axis=-1)
     total = float(mags.sum())

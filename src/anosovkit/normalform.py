@@ -176,7 +176,7 @@ class BlockedPolynomialMap:
 # ---------------------------------------------------------------------------
 
 
-def _pmul(a: dict, b: dict, degree: int, n: int) -> dict:
+def _pmul(a: dict, b: dict, degree: int) -> dict:
     out = {}
     for ea, va in a.items():
         da = sum(ea)
@@ -191,7 +191,7 @@ def _pmul(a: dict, b: dict, degree: int, n: int) -> dict:
 def _ppow(base: dict, k: int, degree: int, n: int) -> dict:
     result = {tuple([0] * n): Fraction(1)}
     for _ in range(k):
-        result = _pmul(result, base, degree, n)
+        result = _pmul(result, base, degree)
     return result
 
 
@@ -216,7 +216,7 @@ def compose(f: BlockedPolynomialMap, g: BlockedPolynomialMap) -> BlockedPolynomi
         term = {tuple([0] * n): Fraction(1)}
         for v, e in enumerate(expo):
             if e:
-                term = _pmul(term, gpow(v, e), degree, n)
+                term = _pmul(term, gpow(v, e), degree)
                 if not term:
                     break
         for e, tv in term.items():
@@ -412,7 +412,7 @@ def _substitute_linear(monos, lin, degree: int, n: int) -> dict:
                 if (v, e) not in powers:
                     form = {unit[w]: x for w, x in enumerate(lin[v]) if x != 0}
                     powers[(v, e)] = _ppow(form, e, degree, n)
-                term = _pmul(term, powers[(v, e)], degree, n)
+                term = _pmul(term, powers[(v, e)], degree)
         out[expo] = term
     return out
 
@@ -501,23 +501,9 @@ def normalize_contraction(f: BlockedPolynomialMap, degree: int | None = None,
 
     h is tangent to the identity; N keeps exactly the sub-resonance terms.
     Exact with rational coefficients: the residual is the zero fraction.
+    The orbit of one fiber: ``normalize_periodic_orbit([f])``.
     """
-    if not is_narrow_band(f.bands):
-        raise NotNarrowBand("normalization requires narrow band spectrum")
-    work_degree = degree if degree is not None else max(
-        f.truncation_degree, degree_bound(f.bands))
-    if work_degree != f.truncation_degree:
-        f = BlockedPolynomialMap.make(f.bands, work_degree,
-                                      {k: v for k, v in f.coeffs
-                                       if sum(k[1]) <= work_degree})
-    lin = _check_linear_part(f)
-    _check_block_moduli(f, lin, band_tol)
-    (h,), (normal,) = _normalize_cycle([f], [lin], "homological operator")
-    residual = map_sub(compose(h, f), compose(normal, h)).max_abs_coeff()
-    ok, viol = is_subresonance_type(normal)
-    if not ok:
-        raise ResonantDenominator(f"normal form retained non-SR terms {viol}")
-    return NormalFormResult(change=h, normal=normal, residual=residual)
+    return normalize_periodic_orbit([f], degree=degree, band_tol=band_tol)[0]
 
 
 def verify_centralizer(g: BlockedPolynomialMap, normal: BlockedPolynomialMap,
@@ -545,6 +531,7 @@ def normalize_periodic_orbit(maps, degree: int | None = None,
     maps[t] sends fiber t to fiber t+1 (mod p); returns per-fiber results
     with h_{t+1} ∘ F_t = N_t ∘ h_t and every N_t of sub-resonance type.
     Solved degree by degree as one exact linear system around the cycle.
+    p = 1 is a single contraction, h∘F = N∘h.
     """
     p = len(maps)
     if p == 0:
@@ -552,8 +539,8 @@ def normalize_periodic_orbit(maps, degree: int | None = None,
     bands = maps[0].bands
     if any(m.bands != bands for m in maps):
         raise BandMismatch("all fiber maps must share bands")
-    if p == 1:
-        return [normalize_contraction(maps[0], degree=degree, band_tol=band_tol)]
+    if not is_narrow_band(bands):
+        raise NotNarrowBand("normalization requires narrow band spectrum")
     work_degree = degree if degree is not None else max(
         max(m.truncation_degree for m in maps), degree_bound(bands))
     maps = [BlockedPolynomialMap.make(bands, work_degree,
@@ -566,14 +553,17 @@ def normalize_periodic_orbit(maps, degree: int | None = None,
         cycle = compose(m, cycle)
     _check_block_moduli(cycle, cycle.linear_part(),
                         band_tol=band_tol * p + (p - 1) * 2.0)
-    hs, ns = _normalize_cycle(maps, lins, "cycle homological operator")
+    hs, ns = _normalize_cycle(maps, lins, "homological operator" if p == 1
+                              else "cycle homological operator")
     results = []
     for t in range(p):
         res = map_sub(compose(hs[(t + 1) % p], maps[t]),
                       compose(ns[t], hs[t])).max_abs_coeff()
         ok, viol = is_subresonance_type(ns[t])
         if not ok:
-            raise ResonantDenominator(f"fiber {t} normal form kept non-SR terms {viol}")
+            raise ResonantDenominator(
+                f"normal form retained non-SR terms {viol}" if p == 1
+                else f"fiber {t} normal form kept non-SR terms {viol}")
         results.append(NormalFormResult(change=hs[t], normal=ns[t], residual=res))
     return results
 

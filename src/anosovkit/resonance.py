@@ -119,8 +119,7 @@ def degree_bound(bands: SpectrumBands) -> int:
     lam1 = bands.intervals[0][0]
     mu_l = bands.intervals[-1][1]
     ratio = lam1 / mu_l  # both negative, ratio >= 1
-    return int(ratio.numerator // ratio.denominator) if ratio.denominator != 1 \
-        else int(ratio)
+    return ratio.numerator // ratio.denominator
 
 
 def satisfies_relation(bands: SpectrumBands, i: int, s) -> bool:

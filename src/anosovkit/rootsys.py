@@ -41,9 +41,7 @@ class RestrictedRootSystem:
 
 def _label_of_root(type_label: str, root) -> str:
     support = [abs(x) for x in root if x != 0]
-    if type_label == "A":
-        return "root"
-    if type_label == "D":
+    if type_label in ("A", "D"):
         return "root"
     if len(support) == 2:
         return "e+e"

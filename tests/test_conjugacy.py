@@ -1,13 +1,15 @@
-import io
+import dataclasses
+import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from anosovkit import spectra
+from anosovkit import cli, spectra
+from anosovkit.conjugacy.probes import _eigen_directions
 from anosovkit.conjugacy.solver import _eigendata, _orbit_groups, _permutation
 from anosovkit.conjugacy import (
-    ConjugatedPerturbation,
     Diverged,
     NotAnosov,
     ToralPerturbation,
@@ -215,6 +217,79 @@ def test_probe_psi_case_at_least_c1():
                                        "smooth (zero displacement)")
 
 
+def shifted_interpolant_deltas(field, scales):
+    """Reference: the probe's differences as the sup of u(x + t v) - u(x) and
+    u(x + t v) + u(x - t v) - 2 u(x), with the shifted fields built from the
+    trigonometric interpolant in real space (the formula the probe used
+    before it applied difference multipliers to the spectrum)."""
+    n, size = field.dim, field.resolution
+    ug = field.u.reshape((size,) * n + (n,))
+    co = np.fft.fftn(ug, axes=tuple(range(n))) / size ** n
+    freqs = np.fft.fftfreq(size, d=1.0 / size).astype(int)
+    mesh = np.meshgrid(*([freqs] * n), indexing="ij")
+    out = []
+    for d, _, _ in _eigen_directions(field.base, field.generator):
+        d1, d2 = [], []
+        for t in scales:
+            phase = np.zeros((size,) * n)
+            for axis in range(n):
+                phase = phase + mesh[axis] * (t * d[axis])
+            rot = np.exp(2j * np.pi * phase)
+            up = np.fft.ifftn(co * rot[..., None] * size ** n,
+                              axes=tuple(range(n))).real
+            um = np.fft.ifftn(co * np.conj(rot)[..., None] * size ** n,
+                              axes=tuple(range(n))).real
+            d1.append(np.max(np.abs(up - ug)))
+            d2.append(np.max(np.abs(up + um - 2 * ug)))
+        out.append((d1, d2))
+    return out
+
+
+@pytest.mark.parametrize("preset, eps, grid", [
+    ("cat-sin", 0.01, 128),
+    ("t3-gen1-only", 0.005, 32),
+])
+def test_probe_matches_shifted_interpolant(preset, eps, grid):
+    pert, _ = cli._build_preset(preset, eps)
+    field = solve_conjugacy(pert, resolution=grid, tol=1e-10)
+    rep = regularity_probe(field)
+    want = shifted_interpolant_deltas(field, rep["scales"])
+    assert len(rep["directions"]) == len(want) > 0
+    for got, (d1, d2) in zip(rep["directions"], want):
+        assert np.max(np.abs(np.array(got["delta1"]) - d1)) <= 1e-12 * field.sup_u()
+        assert np.max(np.abs(np.array(got["delta2"]) - d2)) <= 1e-12 * field.sup_u()
+
+
+def test_probe_run_transforms_the_field_once(monkeypatch, tmp_path):
+    calls = []
+    fftn = np.fft.fftn
+
+    def counting_fftn(*args, **kwargs):
+        calls.append(1)
+        return fftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", counting_fftn)
+    code = cli.main(["conjugate", "--preset", "t3-gen1-only", "--eps", "0.005",
+                     "--grid", "32", "--probe", "--output", str(tmp_path / "report.json")])
+    assert code == 2      # the negative control: generator 1 is not intertwined
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert "regularity" in report["result"]
+    assert len(calls) == 1
+
+
+def test_probe_peak_memory_bounded():
+    # the 64^3 negative control; the shifted-field formula peaked near 14x
+    pert, _ = cli._build_preset("t3-gen1-only", 0.005)
+    field = solve_conjugacy(pert, resolution=64, tol=1e-10)
+    tracemalloc.start()
+    try:
+        regularity_probe(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * field.u.nbytes
+
+
 def test_probe_generic_case_holder():
     eps = 0.02
     p = TrigPolynomial([((0, 1), (eps * 0.5, 0.0), (eps, 0.0)),
@@ -247,14 +322,6 @@ def test_flat_json_form_sine_convention():
     assert p.evaluate(pts)[0, 0] == pytest.approx(0.01)
 
 
-def test_conjugated_fit_matches_evaluation(cat_action):
-    q = TrigPolynomial([((1, 0), (0.1, 0.0), (0.1, 0.05))], 2)
-    conj = ConjugatedPerturbation(cat_action.generator(0), q, 0.01)
-    fitted = conj.fit_trig_polynomial(grid=64)
-    pts = np.random.default_rng(1).random((100, 2))
-    assert np.max(np.abs(conj.evaluate(pts) - fitted.evaluate(pts))) < 1e-10
-
-
 def test_binary_export(tmp_path):
     pert = small_cat_pert()
     field = solve_conjugacy(pert, resolution=32, tol=1e-10)
@@ -283,11 +350,12 @@ def test_fourier_table_order_stable_under_roundoff():
     # perturbations swapped a pair)
     field = solve_conjugacy(small_cat_pert(), resolution=64, tol=1e-10)
     order = [e["freq"] for e in field.fourier_table(top=16)]
-    u0 = field.u.copy()
     rng = np.random.default_rng(7)
     for _ in range(20):
-        field.u = u0 * (1.0 + 1e-16 * rng.standard_normal(u0.shape))
-        assert [e["freq"] for e in field.fourier_table(top=16)] == order
+        noisy = field.u * (1.0 + 1e-16 * rng.standard_normal(field.u.shape))
+        # a new field: the spectrum is kept per field
+        table = dataclasses.replace(field, u=noisy).fourier_table(top=16)
+        assert [e["freq"] for e in table] == order
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +447,7 @@ def python_cycle_walk(matrix_key, size):
     (((0, 0, -1), (1, 0, 2), (0, 1, 1)), 64),
 ], ids=["cat-256", "cat-512", "t3M-16", "t3M-64"])
 def test_orbit_groups_match_python_walk(matrix_key, size):
-    got = _orbit_groups(matrix_key, size)
+    got = _orbit_groups(_permutation(np.array(matrix_key, dtype=np.int64), size))
     want = python_cycle_walk(matrix_key, size)
     assert [length for length, _ in got] == [length for length, _ in want]
     for (_, a), (_, b) in zip(got, want):

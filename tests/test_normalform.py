@@ -164,6 +164,8 @@ def test_requires_narrow_band():
     f = BPM.from_linear(wide, 2, [[F(1, 100), 0], [0, F(1, 3)]])
     with pytest.raises(nf.NotNarrowBand):
         nf.normalize_contraction(f)
+    with pytest.raises(nf.NotNarrowBand):
+        nf.normalize_periodic_orbit([f, f])
 
 
 def test_requires_block_diagonal():
