@@ -1,4 +1,4 @@
-"""Exact real-algebraic scalars and rigorous log-modulus values.
+"""Exact real-algebraic scalars, certified roots and rigorous log-moduli.
 
 The joint-spectrum analysis needs to decide, with proof, questions like
 "is this eigenvalue modulus equal to 1", "are these two log-moduli equal",
@@ -6,23 +6,32 @@ or "is log|a| a rational multiple of log|b|".  Floating enclosures can
 separate unequal values but never settle equality, so every scalar here
 carries an exact handle:
 
-- ``RealAlgebraic``: a real algebraic number as (irreducible integer
-  minimal polynomial, root index), identified from any vanishing integer
-  polynomial by interval refinement.  Comparisons are decidable.
+- ``Root``: one root of an irreducible integer polynomial, held by a
+  certified disk.  ``roots(key)`` lists them, real roots first in
+  ascending order, then the non-real ones by (re, im); ``root_box`` is the
+  one enclosure entry point.
+- ``RealAlgebraic``: a real algebraic number as a real ``Root`` of its
+  irreducible minimal polynomial.  Comparisons are decidable.
 - ``LogValue``: (1/2)*log of a positive RealAlgebraic (the squared modulus
   of an eigenvalue), optionally negated.  Signs, equality and rational
   proportionality are decided exactly; float enclosures are rigorous
   (directed rounding throughout).
 
-Polynomials are ``intpoly`` coefficient tuples.  Polynomial constructions
-(values under a polynomial map, pairwise products, powers) are done with
-sympy resultants and one ``intpoly.factor``; this is orders of magnitude
-faster than ``sympy.minimal_polynomial`` on conjugate products.  Root
-enclosures come from sympy ``CRootOf``.  Those are the only sympy uses.
+Roots are found with mpmath ``polyroots``, started from double-precision
+Durand-Kerner approximations, and certified with inclusion disks (Rump, J. Comput. Appl. Math. 156, 2003): for any z, some root of a
+degree-n polynomial p lies within n*|p(z)/p'(z)| of z, with p and p'
+evaluated exactly at a dyadic z.  When the n disks of an irreducible p
+(whose roots are simple) are pairwise disjoint, each holds exactly one
+root.  Refinement is Newton's method at doubling precision.
+
+Values under a polynomial map, pairwise products and powers come from the
+``intpoly`` power-sum constructions; ``identify_root`` then pins a value
+down among the roots of their irreducible factors.  No sympy is used here.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,8 +39,6 @@ from functools import lru_cache
 
 import mpmath
 from mpmath import libmp
-import sympy
-from sympy import Poly, Symbol
 
 from . import intpoly
 from .exact import (  # noqa: F401  (re-exported for existing importers)
@@ -40,10 +47,6 @@ from .exact import (  # noqa: F401  (re-exported for existing importers)
     UndecidedSign,
     simplest_rational_between,
 )
-
-_x = Symbol("_anosovkit_x")
-_y = Symbol("_anosovkit_y")
-_z = Symbol("_anosovkit_z")
 
 _EPS_SCHEDULE = [Fraction(1, 10**m) for m in (12, 24, 48, 96, 192, 384)]
 
@@ -69,6 +72,9 @@ class CBox:
     def modsq(self) -> RInt:
         return self.re.square() + self.im.square()
 
+    def intersects(self, o) -> bool:
+        return self.re.intersects(o.re) and self.im.intersects(o.im)
+
     @property
     def width(self) -> Fraction:
         return max(self.re.width, self.im.width)
@@ -76,6 +82,9 @@ class CBox:
     @staticmethod
     def point(re, im=Fraction(0)) -> "CBox":
         return CBox(RInt.point(re), RInt.point(im))
+
+
+_REAL = RInt.point(0)   # the imaginary part of a real value
 
 
 def eval_poly_box(coeffs, box: CBox) -> CBox:
@@ -86,85 +95,230 @@ def eval_poly_box(coeffs, box: CBox) -> CBox:
     return acc
 
 
-def root_box(croot, eps: Fraction) -> CBox:
-    """Rigorous rational box of half-width eps around a sympy CRootOf.
-
-    Rational roots (which sympy auto-resolves out of CRootOf form) give
-    exact point boxes.
-    """
-    if croot.is_Rational:
-        return CBox.point(Fraction(int(croot.p), int(croot.q)))
-    deps = sympy.Rational(eps.numerator, eps.denominator)
-    if croot.is_real:
-        r = croot.eval_rational(dx=deps)
-        re = Fraction(int(r.p), int(r.q))
-        return CBox(RInt(re - eps, re + eps), RInt.point(0))
-    r = croot.eval_rational(dx=deps, dy=deps)
-    re_s, im_s = r.as_real_imag()
-    re = Fraction(int(re_s.p), int(re_s.q))
-    im = Fraction(int(im_s.p), int(im_s.q))
-    return CBox(RInt(re - eps, re + eps), RInt(im - eps, im + eps))
-
-
 # ---------------------------------------------------------------------------
-# Resultant constructions
+# Certified roots
 # ---------------------------------------------------------------------------
 
 
-def _expr(coeffs, var):
-    return Poly(list(coeffs), var).as_expr()
+def _horner(p, x: int, y: int, s: int):
+    """s^deg(p) * p((x + iy)/s) as an integer pair (re, im)."""
+    re, im, sk = p[0], 0, 1
+    for c in p[1:]:
+        sk *= s
+        re, im = re * x - im * y + c * sk, re * y + im * x
+    return re, im
 
 
-def _resultant(f, g, var, gen) -> tuple:
-    """resultant(f, g) in var, a polynomial in gen, as a primitive key."""
-    res = Poly(sympy.resultant(f, g, var), gen, domain="QQ")
-    return intpoly.primitive(Fraction(int(c.p), int(c.q)) for c in res.all_coeffs())
+def _sqrt_up(num: int, den: int) -> Fraction:
+    """A dyadic upper bound of sqrt(num/den), with about 32 significant bits
+    below 2^32; exactly 0 for num = 0."""
+    if not num:
+        return Fraction(0)
+    m = max(0, 32 - (num.bit_length() - den.bit_length()) // 2)
+    return Fraction(math.isqrt((num << 2 * m) // den) + 1, 1 << m)
 
 
-def values_poly(f: tuple, q_coeffs) -> tuple:
-    """Integer polynomial whose roots include q(tau) for every root tau of f.
+def _round(num: int, den: int, bits: int) -> Fraction:
+    """num/den (den > 0) rounded to a multiple of 2^-bits."""
+    return Fraction(((num << bits) + den // 2) // den, 1 << bits)
 
-    ``q_coeffs``: rational coefficients of q, descending order.
+
+def _newton(p, re: Fraction, im: Fraction, bits: int):
+    """((re, im, r), next) at z = re + i*im, or None where p'(z) = 0.
+
+    r bounds deg(p)*|p(z)/p'(z)| from above, so some root of p lies within
+    r of z; next is the Newton iterate z - p(z)/p'(z) rounded to multiples
+    of 2^-bits.  p and p' are evaluated exactly over the Gaussian integers.
     """
-    qx = sum(sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) * _x ** i
-             for i, c in enumerate(reversed(list(q_coeffs))))
-    return _resultant(_expr(f, _x), _y - qx, _x, _y)
+    n = len(p) - 1
+    s = math.lcm(re.denominator, im.denominator)
+    x, y = re.numerator * (s // re.denominator), im.numerator * (s // im.denominator)
+    pr, pi = _horner(p, x, y, s)
+    qr, qi = _horner([c * (n - i) for i, c in enumerate(p[:-1])], x, y, s)
+    q2 = qr * qr + qi * qi
+    if not q2:
+        return None
+    r = _sqrt_up(n * n * (pr * pr + pi * pi), q2 * s * s)
+    # p(z)/p'(z) = P/(s Q) with P, Q the scaled values above, so
+    # z - p/p' = ((x + iy)|Q|^2 - P conj(Q)) / (s |Q|^2)
+    den = s * q2
+    nxt = (_round(x * q2 - pr * qr - pi * qi, den, bits),
+           _round(y * q2 - pi * qr + pr * qi, den, bits))
+    return (re, im, r), nxt
 
 
-def _squarefree_nonzero(p: tuple) -> tuple:
-    """Squarefree part of p with the root 0 removed."""
-    while p[-1] == 0:
-        p = p[:-1]
-    return intpoly.squarefree_part(p)
+def _disjoint(disks) -> bool:
+    for i, (a, b, r) in enumerate(disks):
+        for c, d, t in disks[:i]:
+            if (a - c) ** 2 + (b - d) ** 2 <= (r + t) ** 2:
+                return False
+    return True
 
 
-def power_poly(m: tuple, k: int) -> tuple:
-    """Integer polynomial whose roots are alpha^k for roots alpha of m."""
-    assert k >= 1
-    return _resultant(_expr(m, _x), _z - _x ** k, _x, _z)
+def _inside(disk, outer) -> bool:
+    (a, b, r), (c, d, t) = disk, outer
+    return r <= t and (a - c) ** 2 + (b - d) ** 2 <= (t - r) ** 2
 
 
-def composed_product_pair(a: tuple, b: tuple) -> tuple:
-    """Integer polynomial whose roots are products alpha*beta of roots of a, b.
+def _dyadic(x) -> Fraction:
+    """The exact value of an mpf."""
+    sign, man, exp, _ = x._mpf_
+    man = -man if sign else man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
-    Zero roots are stripped and the squarefree parts are used first.
+
+def _seeds(key: tuple):
+    """Durand-Kerner approximations of the roots in double precision, the
+    starting points of ``polyroots`` (which polishes them in a few steps
+    instead of the many from its generic start); None when they are not
+    finite."""
+    n = len(key) - 1
+    try:
+        c = [x / key[0] for x in key[1:]]
+    except OverflowError:
+        return None
+    z = [(0.4 + 0.9j) ** i for i in range(n)]
+    for _ in range(50 + 4 * n):
+        step = 0.0
+        for i, p in enumerate(z):
+            v = 1
+            for ck in c:
+                v = v * p + ck
+            for j, q in enumerate(z):
+                if j != i and q != p:
+                    v /= p - q
+            z[i] = p - v
+            step = max(step, abs(v))
+        if step <= 1e-12 * max(map(abs, z)):
+            break
+    return z if all(cmath.isfinite(x) for x in z) else None
+
+
+def _isolate(key: tuple, prec: int) -> tuple:
+    """(prec', [(disk, next)]) for every root of the irreducible ``key`` of
+    degree >= 2, from ``polyroots`` at prec' >= ``prec`` bits: real roots
+    ascending, then non-real ones by (re, im); each ``next`` is rounded to
+    multiples of 2^-(2 prec').
+
+    An approximation whose disk meets the real axis is moved onto it; its
+    disk then holds a real root, because the conjugate of its one root is in
+    the same disk.  The non-real disks are those of the upper half-plane and
+    their mirror images.  Precision doubles until the deg(key) disks are
+    pairwise disjoint.
     """
-    a = _squarefree_nonzero(a)
-    b = _squarefree_nonzero(b)
-    d = len(b) - 1
-    hom = sum(c * _z ** (d - i) * _y ** i for i, c in enumerate(reversed(b)))
-    return _resultant(_expr(a, _y), hom, _y, _z)
+    n = len(key) - 1
+    init = _seeds(key)
+    while True:
+        with mpmath.workprec(prec):
+            try:
+                approx = mpmath.polyroots(key, maxsteps=50 + 4 * n, extraprec=prec,
+                                          roots_init=init)
+            except mpmath.NoConvergence:
+                approx = ()
+        init = approx or None     # the next, more precise try starts here
+        real, upper = [], []
+        for z in approx:
+            re, im = _dyadic(z.real), abs(_dyadic(z.imag))
+            got = _newton(key, re, im, 2 * prec)
+            if got is not None and im > got[0][2]:
+                if z.imag > 0:
+                    upper.append(got)
+            else:
+                real.append(_newton(key, re, Fraction(0), 2 * prec))
+        if None not in real and len(real) + 2 * len(upper) == n:
+            lower = [((re, -im, r), (nre, -nim)) for (re, im, r), (nre, nim) in upper]
+            found = sorted(real) + sorted(upper + lower)
+            if _disjoint([disk for disk, _ in found]):
+                return prec, found
+        prec *= 2
 
 
-def complex_roots(key: tuple) -> list:
-    """Roots of an irreducible integer polynomial as sympy CRootOf, in
-    sympy's index order (real roots first); a rational root is a Rational."""
+class Root:
+    """Root ``idx`` of ``roots(key)``, held by a certified disk (re, im, r).
+
+    The isolating disk ``iso`` holds no other root of ``key``.  Refinement
+    accepts only disks inside it, so every later ``disk`` encloses the same
+    root.  A rational root (degree-1 key) is an exact point of radius 0.
+    """
+
+    __slots__ = ("key", "idx", "is_real", "iso", "disk", "_next", "_bits")
+
+    def __init__(self, key: tuple, idx: int, disk: tuple, nxt, bits: int):
+        self.key, self.idx = key, idx
+        self.is_real = disk[1] == 0
+        self.iso = self.disk = disk
+        self._next, self._bits = nxt, bits
+
+    def refine(self) -> None:
+        """One Newton step from the last iterate, rounded at twice the bits."""
+        self._bits *= 2
+        got = _newton(self.key, *self._next, self._bits)
+        prec = self._bits
+        while got is None or not _inside(got[0], self.iso):
+            # Newton left the isolating disk: isolate again, more precisely
+            prec, found = _isolate(self.key, 2 * prec)
+            got = next((d for d in found if _inside(d[0], self.iso)), None)
+            self._bits = 2 * prec
+        if got[0][2] < self.disk[2]:
+            self.disk = got[0]
+        self._next = got[1]
+
+
+@lru_cache(maxsize=8192)
+def roots(key: tuple) -> tuple:
+    """The roots of an irreducible (or any squarefree) primitive integer
+    polynomial as ``Root``s: real roots ascending, then non-real roots by
+    (re, im)."""
     if len(key) == 2:
-        return [sympy.Rational(-key[1], key[0])]
-    from sympy.polys.rootoftools import rootof
+        point = (Fraction(-key[1], key[0]), Fraction(0), Fraction(0))
+        return (Root(key, 0, point, None, 0),)
+    prec, found = _isolate(key, 64)
+    return tuple(Root(key, i, disk, nxt, 2 * prec) for i, (disk, nxt) in enumerate(found))
 
-    expr = _expr(key, _z)
-    return [rootof(expr, _z, i, radicals=False) for i in range(len(key) - 1)]
+
+def _outward(c: Fraction, r: Fraction, k: int) -> RInt:
+    """[c - r, c + r] rounded outward to multiples of 2^-k."""
+    return RInt(Fraction(math.floor((c - r) * (1 << k)), 1 << k),
+                Fraction(math.ceil((c + r) * (1 << k)), 1 << k))
+
+
+def root_box(root: Root, eps: Fraction) -> CBox:
+    """Rigorous box of half-width <= eps around a root.
+
+    A rational root gives an exact point; a real root a box on the axis.
+    """
+    while root.disk[2] > eps / 2:
+        root.refine()
+    re, im, r = root.disk
+    if not r:
+        return CBox.point(re, im)
+    k = math.ceil(4 / eps).bit_length()     # 2^-k <= eps/4
+    return CBox(_outward(re, r, k), _REAL if root.is_real else _outward(im, r, k))
+
+
+def _irreducible_factors(poly_key: tuple) -> list:
+    return sorted(key for key, _ in intpoly.factor(poly_key))
+
+
+def identify_root(poly_key: tuple, refiner, real: bool = False) -> Root:
+    """The root, of an irreducible factor of ``poly_key``, that a value is.
+
+    ``refiner(eps) -> CBox`` must return rigorous enclosures of the value
+    of width <= 2*eps; the value must be a root of ``poly_key``.  With
+    ``real`` only real roots are candidates.  The candidates are narrowed by
+    joint refinement, which terminates because the value is exactly one
+    root of exactly one irreducible factor.
+    """
+    candidates = [root for fkey in _irreducible_factors(poly_key)
+                  for root in roots(fkey) if root.is_real or not real]
+    for eps in _EPS_SCHEDULE:
+        box = refiner(eps)
+        candidates = [root for root in candidates if root_box(root, eps).intersects(box)]
+        if len(candidates) == 1:
+            return candidates[0]
+        if not candidates:
+            raise ValueError("value is not a root of the given polynomial")
+    raise EnclosureTooWide("could not isolate the value among the roots")
 
 
 # ---------------------------------------------------------------------------
@@ -172,79 +326,50 @@ def complex_roots(key: tuple) -> list:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8192)
-def _real_roots(poly_key: tuple) -> tuple:
-    from sympy.polys.rootoftools import ComplexRootOf
-
-    # radicals=False keeps CRootOf form even for quadratics
-    return tuple(ComplexRootOf.real_roots(Poly(list(poly_key), _z), radicals=False))
-
-
-def _irreducible_factors(poly_key: tuple) -> list:
-    return sorted(key for key, _ in intpoly.factor(poly_key))
-
-
 def _image_refiner(image, what: str):
-    """refiner(eps) for ``from_vanishing``: the first enclosure image(eps2)
-    of width <= 2*eps as the operand enclosures tighten; image returns None
-    while its value is not yet enclosed."""
+    """refiner(eps) for ``identify_root``: the first enclosure image(eps2)
+    of width <= 2*eps as the operand enclosures tighten, as a real CBox;
+    image returns None while its value is not yet enclosed."""
 
     def refiner(eps):
         for eps2 in _EPS_SCHEDULE:
             box = image(eps2)
             if box is not None and box.width <= 2 * eps:
-                return box
+                return CBox(box, _REAL)
         raise EnclosureTooWide(f"{what} refinement failed")
 
     return refiner
 
 
 class RealAlgebraic:
-    """A real algebraic number, canonically (irreducible minpoly, root index).
+    """A real algebraic number, canonically a real root of its irreducible
+    minimal polynomial ``key``, with index ``idx`` in ``roots(key)``.
 
     Two instances are equal iff they are the same number; the comparison is
     structural when the canonical data agree and interval-based otherwise,
     which terminates because distinct canonical data mean distinct values.
     """
 
-    __slots__ = ("key", "idx", "_root", "_box")
+    __slots__ = ("root", "_box")
 
-    def __init__(self, key: tuple, idx: int):
-        self.key = key
-        self.idx = idx
-        self._root = _real_roots(key)[idx]
+    def __init__(self, root: Root):
+        if not root.is_real:
+            raise ValueError("a RealAlgebraic needs a real root")
+        self.root = root
         self._box = None
+
+    @property
+    def key(self) -> tuple:
+        return self.root.key
+
+    @property
+    def idx(self) -> int:
+        return self.root.idx
 
     @staticmethod
     def from_fraction(q) -> "RealAlgebraic":
         q = Fraction(q)
-        return RealAlgebraic((q.denominator, -q.numerator), 0)
-
-    @staticmethod
-    def from_vanishing(poly_key: tuple, refiner) -> "RealAlgebraic":
-        """Identify a real value as a root of the polynomial ``poly_key``.
-
-        ``refiner(eps) -> RInt`` must return rigorous enclosures of the
-        value.  The irreducible factor and root index are pinned down by
-        joint refinement; terminates because the value is a root of exactly
-        one irreducible factor.
-        """
-        candidates = []
-        for fkey in _irreducible_factors(poly_key):
-            for i in range(len(_real_roots(fkey))):
-                candidates.append((fkey, i))
-        if not candidates:
-            raise ValueError("polynomial has no real roots to identify against")
-        for eps in _EPS_SCHEDULE:
-            box = refiner(eps)
-            live = [(fkey, i) for fkey, i in candidates
-                    if root_box(_real_roots(fkey)[i], eps).re.intersects(box)]
-            candidates = live
-            if len(candidates) == 1:
-                return RealAlgebraic(*candidates[0])
-            if not candidates:
-                raise ValueError("value is not a root of the given polynomial")
-        raise EnclosureTooWide("could not isolate algebraic value among roots")
+        return RealAlgebraic(roots((q.denominator, -q.numerator))[0])
 
     @property
     def is_rational(self) -> bool:
@@ -256,7 +381,7 @@ class RealAlgebraic:
 
     def interval(self, eps: Fraction) -> RInt:
         if self._box is None or self._box.width > 2 * eps:
-            self._box = root_box(self._root, eps).re
+            self._box = root_box(self.root, eps).re
         return self._box
 
     def cmp_fraction(self, q) -> int:
@@ -296,14 +421,15 @@ class RealAlgebraic:
         if self.is_rational:
             return RealAlgebraic.from_fraction(self.as_fraction() ** k)
         refiner = _image_refiner(lambda e: self.interval(e).pow_int(k), "power")
-        return RealAlgebraic.from_vanishing(power_poly(self.key, k), refiner)
+        return RealAlgebraic(identify_root(intpoly.power_poly(self.key, k), refiner,
+                                           real=True))
 
     def mul(self, other: "RealAlgebraic") -> "RealAlgebraic":
         if self.is_rational and other.is_rational:
             return RealAlgebraic.from_fraction(self.as_fraction() * other.as_fraction())
         refiner = _image_refiner(lambda e: self.interval(e) * other.interval(e), "product")
-        return RealAlgebraic.from_vanishing(composed_product_pair(self.key, other.key),
-                                            refiner)
+        return RealAlgebraic(identify_root(intpoly.composed_product_pair(self.key, other.key),
+                                           refiner, real=True))
 
     def inverse(self) -> "RealAlgebraic":
         if self.is_rational:
@@ -313,8 +439,8 @@ class RealAlgebraic:
             box = self.interval(e)
             return RInt(1 / box.hi, 1 / box.lo) if box.lo > 0 or box.hi < 0 else None
 
-        return RealAlgebraic.from_vanishing(intpoly.primitive(reversed(self.key)),
-                                            _image_refiner(inverse_box, "inverse"))
+        return RealAlgebraic(identify_root(intpoly.primitive(reversed(self.key)),
+                                           _image_refiner(inverse_box, "inverse"), real=True))
 
     def __repr__(self):
         box = self.interval(Fraction(1, 10**12))
@@ -328,47 +454,12 @@ class RealAlgebraic:
 _ONE_KEY = (1, -1)
 
 
-def _log_half_interval(box: RInt, prec: int):
-    """Directed-rounded floats enclosing log(box)/2 for box > 0.
-
-    Returns (lo, hi, inner_width) where inner_width is the width of the
-    high-precision enclosure before float conversion; the float pair may be
-    a few ulps wider since no tighter float interval exists.
-    """
+def _log_half(box: RInt, prec: int):
+    """Directed-rounded mpf ends (lo, hi) of log(box)/2 for box > 0."""
     rlo = libmp.from_rational(box.lo.numerator, box.lo.denominator, prec, libmp.round_floor)
     rhi = libmp.from_rational(box.hi.numerator, box.hi.denominator, prec, libmp.round_ceiling)
-    llo = libmp.mpf_shift(libmp.mpf_log(rlo, prec, libmp.round_floor), -1)
-    lhi = libmp.mpf_shift(libmp.mpf_log(rhi, prec, libmp.round_ceiling), -1)
-    inner = libmp.to_float(libmp.mpf_sub(lhi, llo, prec, libmp.round_ceiling),
-                           rnd=libmp.round_ceiling)
-    flo = libmp.to_float(llo, rnd=libmp.round_floor)
-    fhi = libmp.to_float(lhi, rnd=libmp.round_ceiling)
-    return math.nextafter(flo, -math.inf), math.nextafter(fhi, math.inf), inner
-
-
-def identify_factor(poly_key: tuple, cbox_refiner) -> tuple:
-    """Key of the irreducible factor of ``poly_key`` vanishing at a value.
-
-    ``cbox_refiner(eps) -> CBox`` must return rigorous complex enclosures of
-    the (possibly complex) value; the value must be a root of ``poly_key``.
-    """
-    factor_roots = {fkey: complex_roots(fkey) for fkey in _irreducible_factors(poly_key)}
-    candidates = list(factor_roots)
-    for eps in _EPS_SCHEDULE:
-        box = cbox_refiner(eps)
-        live = []
-        for fkey in candidates:
-            hits = any(root_box(r, eps).re.intersects(box.re)
-                       and root_box(r, eps).im.intersects(box.im)
-                       for r in factor_roots[fkey])
-            if hits:
-                live.append(fkey)
-        candidates = live
-        if len(candidates) == 1:
-            return candidates[0]
-        if not candidates:
-            raise ValueError("value is not a root of the given polynomial")
-    raise EnclosureTooWide("could not isolate the minimal polynomial factor")
+    return (libmp.mpf_shift(libmp.mpf_log(rlo, prec, libmp.round_floor), -1),
+            libmp.mpf_shift(libmp.mpf_log(rhi, prec, libmp.round_ceiling), -1))
 
 
 class LogValue:
@@ -376,19 +467,21 @@ class LogValue:
 
     The exact carrier for log|eigenvalue| entries of Lyapunov functionals:
     ``sign``/``equals``/``is_zero``/``verify_ratio`` are exact decisions,
-    ``interval`` returns rigorous float enclosures of requested width.
+    ``interval`` returns rigorous float enclosures of requested width and
+    ``mid`` the double nearest the exact value.
     """
 
-    __slots__ = ("modsq", "neg", "_cached")
+    __slots__ = ("modsq", "neg", "_cached", "_mid")
 
     def __init__(self, modsq: RealAlgebraic, neg: bool = False):
         self.modsq = modsq
         self.neg = neg
         self._cached = None
+        self._mid = None
 
     @staticmethod
     def zero() -> "LogValue":
-        return LogValue(RealAlgebraic(_ONE_KEY, 0))
+        return LogValue(RealAlgebraic.from_fraction(1))
 
     @staticmethod
     def from_modsq_fraction(q) -> "LogValue":
@@ -432,7 +525,13 @@ class LogValue:
             box = self.modsq.interval(eps)
             if box.lo <= 0:
                 continue
-            lo, hi, inner = _log_half_interval(box, prec)
+            llo, lhi = _log_half(box, prec)
+            inner = libmp.to_float(libmp.mpf_sub(lhi, llo, prec, libmp.round_ceiling),
+                                   rnd=libmp.round_ceiling)
+            # the float pair may be a few ulps wider than the mpf enclosure,
+            # since no tighter float interval exists
+            lo = math.nextafter(libmp.to_float(llo, rnd=libmp.round_floor), -math.inf)
+            hi = math.nextafter(libmp.to_float(lhi, rnd=libmp.round_ceiling), math.inf)
             if self.neg:
                 lo, hi = -hi, -lo
             if hi - lo <= tol or inner <= tol / 4:
@@ -442,8 +541,26 @@ class LogValue:
         raise EnclosureTooWide(f"log enclosure did not reach width {tol}")
 
     def mid(self) -> float:
-        lo, hi = self.interval(1e-12)
-        return (lo + hi) / 2
+        """The double nearest the exact value.
+
+        The enclosure is refined until the nearest roundings of both its ends
+        agree.  That terminates: a nonzero log of an algebraic number is
+        transcendental (Lindemann), so it is never a tie between two doubles.
+        """
+        if self._mid is None:
+            self._mid = 0.0 if self.is_zero() else self._nearest()
+        return self._mid
+
+    def _nearest(self) -> float:
+        for eps in _EPS_SCHEDULE:
+            box = self.modsq.interval(eps)
+            if box.lo <= 0:
+                continue
+            lo, hi = (libmp.to_float(x, rnd=libmp.round_nearest)
+                      for x in _log_half(box, eps.denominator.bit_length() + 32))
+            if lo == hi:
+                return -lo if self.neg else lo
+        raise EnclosureTooWide("no enclosure fixed the nearest double")
 
     def mpf(self, dps: int):
         """High-precision value for relation-candidate searches (not a proof)."""

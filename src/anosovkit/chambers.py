@@ -92,7 +92,8 @@ def proportionality_coefficient(u, v, budget: int = 4):
     Exact for rational vectors.  For log vectors, interval minors certify
     non-proportionality; a rational candidate from the ratio enclosure is
     verified with exact power relations.  k = 1 vectors are always
-    proportional with a possibly irrational (float) coefficient.
+    proportional; an irrational coefficient is the float ratio of the two
+    nearest doubles.
     """
     k = len(u)
     su = [_sign(x) for x in u]
@@ -114,7 +115,7 @@ def proportionality_coefficient(u, v, budget: int = 4):
         cand = simplest_rational_between(c_iv[0], c_iv[1])
         if cand != 0 and v[0].verify_ratio(u[0], cand):
             return cand
-        return (float(c_iv[0]) + float(c_iv[1])) / 2
+        return _mid(v[0]) / _mid(u[0])
     tol = 1e-9
     for _ in range(budget):
         separated = False

@@ -89,7 +89,7 @@ def cmd_analyze(args) -> int:
         "labels": list(action.labels),
         "joint_classes": [
             {"index": c.index,
-             "moduli_log": [float(sum(iv) / 2) for iv in c.enclosures(args.tol)],
+             "moduli_log": [lv.mid() for lv in c.moduli_log],
              "enclosure_widths": [float(iv[1] - iv[0]) for iv in c.enclosures(args.tol)],
              "dimension": c.dimension,
              "minimal_polynomial": list(c.minimal_polynomial)}

@@ -1,6 +1,6 @@
 """Exact rational arithmetic: decimal parsing, Fraction matrices, sparse
 elimination and integer lattices, plus the rational intervals and sign
-exceptions that the sympy-free chamber path shares with ``algnum``, and
+exceptions that the chamber path shares with ``algnum``, and
 toral Z^k actions as validated data (``ActionSpec``, ``validate_action``),
 which ``spectra`` re-exports and the sympy-free conjugacy lab imports from
 here.

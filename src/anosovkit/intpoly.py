@@ -17,10 +17,17 @@ polynomial fact the toral verdicts rest on:
 - ``has_unit_circle_root``, the exact hyperbolicity test: the reciprocal
   part gcd(p, reversed p), rewritten in t = x + 1/x, and a Sturm count of
   its real roots in (-2, 2);
-- ``primitive`` normalization and ``factor`` over Q.
+- ``primitive`` normalization and ``factor`` over Q;
+- the constructions that exact identification of eigenvalue moduli needs,
+  from power sums of roots (Newton's identities both ways; Bostan,
+  Flajolet, Salvy and Schost, J. Symbolic Comput. 41, 2006):
+  ``values_poly`` (the values q(tau) over the roots tau of f),
+  ``power_poly`` (the k-th powers) and ``composed_product_pair`` (the
+  pairwise products).  Each equals the classical resultant after
+  ``primitive``, up to sign.
 
-Only ``factor`` uses sympy, imported on first call, so the normal-form and
-rational paths that import this module stay sympy-free.
+Only ``factor`` uses sympy, imported on first call; it is the only sympy
+use in anosovkit.
 """
 
 from __future__ import annotations
@@ -139,6 +146,86 @@ def is_semisimple_matrix(a) -> bool:
     a = [[Fraction(x) for x in row] for row in a]
     return not any(x for row in poly_of_matrix(squarefree_part(charpoly(a)), a)
                    for x in row)
+
+
+def power_sums(p, count: int) -> list:
+    """[s_1, ..., s_count], the power sums of p's roots with multiplicity.
+
+    Newton's identities: a_0 s_k = -(k a_k + sum_{i=1}^{k-1} a_i s_{k-i}),
+    with a_k = 0 beyond deg p.  Integers when p is monic over Z.
+    """
+    n = len(p) - 1
+    sums = []
+    for k in range(1, count + 1):
+        acc = k * p[k] if k <= n else 0
+        for i in range(1, min(k - 1, n) + 1):
+            acc += p[i] * sums[k - i - 1]
+        sums.append(_quo(-acc, p[0]))
+    return sums
+
+
+def from_power_sums(sums) -> tuple:
+    """The primitive polynomial of degree len(sums) whose roots have the
+    power sums ``sums``: Newton's identities back, c_k = -(1/k) sum_{i<=k}
+    c_{k-i} s_i for the monic coefficients c."""
+    c = [1]
+    for k in range(1, len(sums) + 1):
+        c.append(_quo(-sum(c[k - i] * sums[i - 1] for i in range(1, k + 1)), k))
+    return primitive(c)
+
+
+def _mul(p, q) -> list:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
+def values_poly(f, q) -> tuple:
+    """Primitive polynomial whose roots are q(tau) over the roots tau of f.
+
+    ``q``: rational coefficients, descending.  Its power sums are the
+    traces tr(q(C_f)^j), C_f the companion matrix of f: multiplication by
+    q^j on Q[x]/(f), whose trace is sum_m [x^m](q^j mod f) * s_m(f).
+    """
+    n = len(f) - 1
+    sf = [n] + power_sums(f, n - 1)
+    sums, acc = [], (1,)
+    for _ in range(n):
+        acc = poly_divmod(_mul(acc, q), f)[1]
+        sums.append(sum(c * sf[m] for m, c in enumerate(reversed(acc))))
+    return from_power_sums(sums)
+
+
+def power_poly(m, k: int) -> tuple:
+    """Primitive polynomial whose roots are alpha^k over the roots alpha of
+    m: s_j(alpha^k) = s_{jk}(alpha)."""
+    assert k >= 1
+    n = len(m) - 1
+    return from_power_sums(power_sums(m, n * k)[k - 1::k])
+
+
+def _squarefree_nonzero(p) -> tuple:
+    """Squarefree part of p with the root 0 removed."""
+    p = tuple(p)
+    while p[-1] == 0:
+        p = p[:-1]
+    return squarefree_part(p)
+
+
+def composed_product_pair(a, b) -> tuple:
+    """Primitive polynomial whose roots are the products alpha*beta over the
+    roots alpha of a and beta of b: s_k(alpha*beta) = s_k(alpha) s_k(beta).
+
+    Zero roots are stripped and the squarefree parts are used first (once
+    when a and b are the same polynomial).
+    """
+    sa = _squarefree_nonzero(a)
+    sb = sa if tuple(b) == tuple(a) else _squarefree_nonzero(b)
+    n = (len(sa) - 1) * (len(sb) - 1)
+    return from_power_sums([x * y for x, y in zip(power_sums(sa, n), power_sums(sb, n))])
 
 
 @lru_cache(maxsize=8192)

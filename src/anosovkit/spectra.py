@@ -10,7 +10,7 @@ for rank-two rigidity.
 
 All yes/no answers are exact.  Enclosures only ever *separate* values;
 equality and zero decisions escalate to algebraic certificates
-(factorization, resultant constructions, cyclotomic divisibility).
+(factorization, power-sum constructions, cyclotomic divisibility).
 """
 
 from __future__ import annotations
@@ -25,18 +25,16 @@ import mpmath
 from . import intpoly
 from .algnum import (
     _EPS_SCHEDULE,
+    _REAL,
     CBox,
     EnclosureTooWide,
     LogValue,
     RealAlgebraic,
     UndecidedSign,
-    complex_roots,
-    composed_product_pair,
     eval_poly_box,
-    identify_factor,
-    power_poly,
+    identify_root,
     root_box,
-    values_poly,
+    roots,
 )
 from .exact import (  # noqa: F401  (the action types are re-exported)
     ActionSpec,
@@ -50,7 +48,13 @@ from .exact import (  # noqa: F401  (the action types are re-exported)
     solve_linear,
     validate_action,
 )
-from .intpoly import is_semisimple_matrix, poly_of_matrix
+from .intpoly import (
+    composed_product_pair,
+    is_semisimple_matrix,
+    poly_of_matrix,
+    power_poly,
+    values_poly,
+)
 
 
 class JointSpectrumUnsupported(Exception):
@@ -76,8 +80,8 @@ class JointEigenvalueClass:
     def enclosures(self, tol: float = 1e-12):
         return tuple(lv.interval(tol) for lv in self.moduli_log)
 
-    def moduli_mid(self, tol: float = 1e-12):
-        return tuple((lo + hi) / 2 for lo, hi in self.enclosures(tol))
+    def moduli_mid(self):
+        return tuple(lv.mid() for lv in self.moduli_log)
 
 
 @dataclass(frozen=True)
@@ -203,7 +207,7 @@ def _link_block(block: _Block, rng):
             block.fT_key, block.kcols, block.t_k = fkey, cols, t_k
             assert block.dim % deg == 0
             block.class_dim = block.dim // deg
-            block.croots = complex_roots(fkey)
+            block.croots = roots(fkey)
             return
         except (ValueError, ZeroDivisionError) as exc:
             last_err = exc
@@ -377,7 +381,8 @@ def _eigenvalue_refiner(croot, q_coeffs, enclose=lambda box: box):
     """refiner(eps): an enclosure of width <= eps of enclose(q(croot)).
 
     q(croot) is the eigenvalue of q(T) at the root croot of f_T; enclose
-    maps its complex box to the wanted quantity (itself, or CBox.modsq).
+    maps its complex box to the wanted quantity (itself, or the box of its
+    squared modulus).
     """
     q = [Fraction(c) for c in q_coeffs]
 
@@ -395,14 +400,14 @@ def _make_logvalue(fT_key, croot, q_coeffs) -> LogValue:
     a_poly = values_poly(fT_key, q_coeffs)
     vanishing = (power_poly(a_poly, 2) if croot.is_real
                  else composed_product_pair(a_poly, a_poly))
-    refiner = _eigenvalue_refiner(croot, q_coeffs, CBox.modsq)
-    return LogValue(RealAlgebraic.from_vanishing(vanishing, refiner))
+    refiner = _eigenvalue_refiner(croot, q_coeffs, lambda box: CBox(box.modsq(), _REAL))
+    return LogValue(RealAlgebraic(identify_root(vanishing, refiner, real=True)))
 
 
 def _first_gen_minpoly(block: _Block, j: int) -> tuple:
     q1 = block.qs[0]
-    return identify_factor(values_poly(block.fT_key, q1),
-                           _eigenvalue_refiner(block.croots[j], q1))
+    return identify_root(values_poly(block.fT_key, q1),
+                         _eigenvalue_refiner(block.croots[j], q1)).key
 
 
 _ANALYSES: dict = {}
@@ -662,30 +667,25 @@ def _torsion_candidates(an: _Analysis, action: ActionSpec,
     b, j = an.locator(func.classes[0])
     block = an.blocks[b]
     with mpmath.workdps(60):
-        roots = mpmath.polyroots([int(c) for c in block.fT_key], maxsteps=200,
-                                 extraprec=120)
+        conjugates = mpmath.polyroots([int(c) for c in block.fT_key], maxsteps=200,
+                                      extraprec=120)
         cols = []
         for vec in basis:
             q_a = _element_poly(block, vec)
             vals = []
-            for rt in roots:
+            for rt in conjugates:
                 acc = mpmath.mpc(0)
                 for c in q_a:
                     acc = acc * rt + mpmath.mpf(c.numerator) / c.denominator
                 vals.append(mpmath.log(abs(acc)))
             cols.append(vals)
-    import numpy as np
-
-    u = np.array([[float(x) for x in col] for col in cols]).T  # deg x rank
-    if u.shape[1] < 2:
-        return []
-    _, s, vt = np.linalg.svd(u)
+        # the deg x rank matrix of the columns, at the same precision
+        _, s, vt = mpmath.svd_r(mpmath.matrix(cols).T, full_matrices=True)
     cands = []
-    smin = s[-1] if len(s) == min(u.shape) else 0.0
-    if smin < 1e-12 * max(1.0, s[0]):
-        null = vt[-1]
-        scale = null / max(abs(null))
-        approx = [Fraction(float(x)).limit_denominator(1000) for x in scale]
+    if s[len(s) - 1] < 1e-12 * max(1.0, s[0]):
+        null = [vt[vt.rows - 1, i] for i in range(vt.cols)]
+        top = max(abs(x) for x in null)
+        approx = [Fraction(float(x / top)).limit_denominator(1000) for x in null]
         from math import lcm
 
         mult = lcm(*[f.denominator for f in approx])

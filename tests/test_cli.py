@@ -1,8 +1,14 @@
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
+import mpmath
 import pytest
+
+from anosovkit.cli import main
+from anosovkit.exact import mat_inv
 
 
 def run_cli(args, **kw):
@@ -210,3 +216,65 @@ def test_byte_determinism_all_commands(inputs, tmp_path):
         b = run_cli(args).stdout
         assert a == b, args
         assert a.strip()
+
+
+# ---------------------------------------------------------------------------
+# Off-circle regression corpus: non-real eigenvalues off the unit circle
+# ---------------------------------------------------------------------------
+
+EXPECTED = json.loads((Path(__file__).resolve().parents[1] / "bench"
+                       / "expected.json").read_text())["spectral"]
+
+
+def offcircle_units(n):
+    """C, C - I and C + I for the companion C of x^n - x - 1."""
+    c = [[int(i == j + 1) for j in range(n)] for i in range(n)]
+    c[0][n - 1], c[1][n - 1] = 1, 1
+    return [[[x + s * (i == j) for j, x in enumerate(row)] for i, row in enumerate(c)]
+            for s in (0, -1, 1)]
+
+
+def analyze_report(tmp_path, gens, name="action"):
+    src, out = tmp_path / f"{name}.json", tmp_path / f"{name}.out.json"
+    src.write_text(json.dumps({"dim": len(gens[0]),
+                               "generators": [[x for row in g for x in row] for g in gens]}))
+    rc = main(["analyze", "--input", str(src), "--output", str(out)])
+    return rc, json.loads(out.read_text())
+
+
+def mp_log_moduli(m):
+    with mpmath.workdps(60):
+        eigs = mpmath.eig(mpmath.matrix(m), left=False, right=False)
+        return sorted(float(mpmath.log(abs(e))) for e in eigs)
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in (3, 4, 5) for k in (1, 2, 3)])
+def test_offcircle_corpus(tmp_path, n, k):
+    gens = offcircle_units(n)[:k]
+    rc, rep = analyze_report(tmp_path, gens)
+    expected = EXPECTED[f"offcircle-n{n}-k{k}"]["verdict"]
+    assert rep["verdict"] == expected
+    assert rc == {"pass": 0, "fail": 2}[expected]
+    classes = rep["result"]["joint_classes"]
+    for g, m in enumerate(gens):
+        claimed = sorted(c["moduli_log"][g] for c in classes for _ in range(c["dimension"]))
+        for a, b in zip(claimed, mp_log_moduli(m)):
+            assert abs(a - b) <= math.ulp(b)
+        assert all(w <= 1e-12 for c in classes for w in c["enclosure_widths"])
+
+
+def test_moduli_are_exactly_negated_under_inversion(tmp_path):
+    """The printed log-moduli are the nearest doubles of exact values, so the
+    cat map's two moduli, and an action against its inverse, are exact
+    negatives of each other."""
+    _, cat = analyze_report(tmp_path, [[[2, 1], [1, 1]]], "cat")
+    (a,), (b,) = (c["moduli_log"] for c in cat["result"]["joint_classes"])
+    assert a == -b
+    gens = offcircle_units(3)[:2]
+    inverses = [[[int(x) for x in row] for row in mat_inv(g)] for g in gens]
+    _, fwd = analyze_report(tmp_path, gens, "fwd")
+    _, inv = analyze_report(tmp_path, inverses, "inv")
+    for g in range(2):
+        lhs = sorted(-c["moduli_log"][g] for c in fwd["result"]["joint_classes"])
+        rhs = sorted(c["moduli_log"][g] for c in inv["result"]["joint_classes"])
+        assert lhs == rhs
