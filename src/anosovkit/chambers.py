@@ -1,10 +1,15 @@
 """Geometry of the Lyapunov functional arrangement.
 
-Half-spaces and coarse Lyapunov spaces (positive-proportionality classes of
-functionals), Weyl chamber enumeration with rational interior witnesses,
-regular (Anosov-candidate) element extraction, and the combinatorial part
-of the rank>=2 hypothesis: every coarse space is a maximal intersection of
-stable sets, certified by explicit elements.
+Everything here reads one grouping pass, ``group_functionals``: a single
+run of ``proportionality_coefficient`` over the functional list sorts the
+nonzero functionals into walls (proportional up to sign, each member with
+its signed coefficient) and sets the zero functionals aside as the neutral
+part.  From that pass come the coarse Lyapunov spaces (the positive and
+negative half of each wall), Weyl chamber enumeration with rational
+interior witnesses (``weyl_chambers``, run only when asked), regular
+(Anosov-candidate) element extraction, and the combinatorial part of the
+rank>=2 hypothesis: every coarse space is a maximal intersection of stable
+sets, certified by explicit elements.
 
 Functionals come in two flavors and both are handled exactly:
 
@@ -59,10 +64,6 @@ def _sign(x) -> int:
     return x.sign()
 
 
-def _neg(x):
-    return -x if _is_exact(x) else x.negated()
-
-
 def _interval(x, tol: float):
     if _is_exact(x):
         return (Fraction(x), Fraction(x))
@@ -72,14 +73,6 @@ def _interval(x, tol: float):
 
 def _mid(x) -> float:
     return float(x) if _is_exact(x) else x.mid()
-
-
-def _coeffs_of(func):
-    return func.coeffs if hasattr(func, "coeffs") else tuple(func)
-
-
-def _mult_of(func) -> int:
-    return func.multiplicity if hasattr(func, "multiplicity") else 1
 
 
 def _functional_is_zero(coeffs) -> bool:
@@ -158,7 +151,7 @@ def _verify_coord_ratio(vi, ui, c: Fraction) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Coarse Lyapunov decomposition
+# The functional arrangement: one proportionality pass
 # ---------------------------------------------------------------------------
 
 
@@ -175,8 +168,20 @@ class CoarseLyapunovSpace:
     coefficients: tuple         # 1 = c_1 < c_2 < ... (Fractions when proven)
     dimension: int
 
-    def coefficient_set(self):
-        return tuple(self.coefficients)
+
+@dataclass(frozen=True)
+class Wall:
+    normal: tuple     # coefficients of the representative functional
+    members: tuple    # (functional index, c) with chi_index = c * normal
+
+
+@dataclass(frozen=True)
+class FunctionalArrangement:
+    k: int
+    coeffs: tuple          # coefficient tuple of every input functional
+    walls: tuple           # nonzero functionals grouped up to sign
+    coarse_spaces: tuple   # each wall split into its positive and negative half
+    neutral: int           # total multiplicity of the zero functionals
 
 
 def _ray_normalize(coeffs):
@@ -190,75 +195,63 @@ def _ray_normalize(coeffs):
     return tuple(x / mids[i0] for x in mids)
 
 
-def coarse_decomposition(functionals):
-    """Group nonzero functionals into positive-proportionality classes.
+def group_functionals(functionals) -> FunctionalArrangement:
+    """Group functionals by proportionality in one pass.
 
-    Returns CoarseLyapunovSpace records; the zero functional is rejected
-    (report it separately as the neutral/orbit part).
+    Each nonzero functional is compared with the representative (first
+    member) of each wall so far and joins the first one it is proportional
+    to, keeping its signed coefficient.  Zero functionals join no wall;
+    their multiplicity is the neutral part.  Indices refer to the input
+    list.
     """
-    coeffs = [_coeffs_of(f) for f in functionals]
-    mults = [_mult_of(f) for f in functionals]
-    for c in coeffs:
+    coeffs = tuple(tuple(f.coeffs) for f in functionals)
+    groups, neutral = [], 0
+    for i, (c, f) in enumerate(zip(coeffs, functionals)):
         if _functional_is_zero(c):
-            raise ValueError("zero functional passed to coarse_decomposition")
-    groups = []  # list of dict(rep=index, members=[(index, c_rel_to_rep)])
-    for i, c in enumerate(coeffs):
-        placed = False
-        for grp in groups:
-            rel = proportionality_coefficient(coeffs[grp[0][0]], c)
-            if rel is not None and _coeff_positive(rel):
-                grp.append((i, rel))
-                placed = True
+            neutral += f.multiplicity
+            continue
+        for members in groups:
+            rel = proportionality_coefficient(coeffs[members[0][0]], c)
+            if rel is not None:
+                members.append((i, rel))
                 break
-        if not placed:
-            groups.append([(i, Fraction(1))])
-    spaces = []
-    for grp in groups:
-        ratios = {idx: rel for idx, rel in grp}
-        bottom = min(ratios, key=lambda idx: float(ratios[idx]))
-        base = ratios[bottom]
-        rel_coeffs = []
-        for idx, rel in grp:
-            if isinstance(rel, Fraction) and isinstance(base, Fraction):
-                rel_coeffs.append((idx, rel / base))
-            else:
-                rel_coeffs.append((idx, float(rel) / float(base)))
-        rel_coeffs.sort(key=lambda t: float(t[1]))
-        members = tuple(idx for idx, _ in rel_coeffs)
-        half = LyapunovHalfspace(normal=_ray_normalize(coeffs[bottom]),
-                                 member_functionals=members)
-        spaces.append(CoarseLyapunovSpace(
-            halfspace=half, bottom=bottom,
-            coefficients=tuple(c for _, c in rel_coeffs),
-            dimension=sum(mults[idx] for idx in members)))
-    spaces.sort(key=lambda s: tuple(float(x) for x in s.halfspace.normal))
-    return spaces
-
-
-def _coeff_positive(c) -> bool:
-    return (c > 0) if isinstance(c, Fraction) else (float(c) > 0)
-
-
-def coarse_decomposition_with_neutral(functionals):
-    """Split off zero functionals; returns (spaces, neutral_multiplicity)."""
-    nonzero, neutral = [], 0
-    for f in functionals:
-        if _functional_is_zero(_coeffs_of(f)):
-            neutral += _mult_of(f)
         else:
-            nonzero.append(f)
-    return coarse_decomposition(nonzero) if nonzero else [], neutral
+            groups.append([(i, Fraction(1))])
+    walls = tuple(Wall(normal=coeffs[members[0][0]], members=tuple(members))
+                  for members in groups)
+    mults = [f.multiplicity for f in functionals]
+    spaces = [_coarse_space(coeffs, mults, half) for wall in walls
+              for half in ([m for m in wall.members if m[1] > 0],
+                           [m for m in wall.members if m[1] < 0]) if half]
+    spaces.sort(key=lambda s: tuple(float(x) for x in s.halfspace.normal))
+    return FunctionalArrangement(k=len(coeffs[0]), coeffs=coeffs, walls=walls,
+                                 coarse_spaces=tuple(spaces), neutral=neutral)
+
+
+def _coarse_space(coeffs, mults, half) -> CoarseLyapunovSpace:
+    """The coarse space of one half of a wall, coefficients relative to its
+    bottom (least |c|) member."""
+    bottom, c_bottom = min(half, key=lambda m: abs(float(m[1])))
+    rel_coeffs = []
+    for idx, c in half:
+        if idx == bottom:
+            rel_coeffs.append((idx, Fraction(1)))
+        elif isinstance(c, Fraction) and isinstance(c_bottom, Fraction):
+            rel_coeffs.append((idx, c / c_bottom))
+        else:  # an irrational ratio, which proportionality only gives for k = 1
+            rel_coeffs.append((idx, _mid(coeffs[idx][0]) / _mid(coeffs[bottom][0])))
+    rel_coeffs.sort(key=lambda t: float(t[1]))
+    members = tuple(idx for idx, _ in rel_coeffs)
+    return CoarseLyapunovSpace(
+        halfspace=LyapunovHalfspace(normal=_ray_normalize(coeffs[bottom]),
+                                    member_functionals=members),
+        bottom=bottom, coefficients=tuple(c for _, c in rel_coeffs),
+        dimension=sum(mults[idx] for idx in members))
 
 
 # ---------------------------------------------------------------------------
 # Weyl chambers
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Wall:
-    normal: tuple            # representative functional coefficients (exact handles)
-    ray_members: tuple       # (functional index, orientation +-1) pairs
 
 
 @dataclass(frozen=True)
@@ -269,30 +262,12 @@ class Chamber:
 
 @dataclass(frozen=True)
 class ChamberArrangement:
-    walls: tuple
+    grouping: FunctionalArrangement
     chambers: tuple
-    k: int
 
-    def functional_sign_in_chamber(self, wall_idx: int, orientation: int,
-                                   chamber: Chamber) -> int:
-        return orientation * chamber.signs[wall_idx]
-
-
-def _group_walls(coeffs):
-    """Group functionals into kernel rays (proportional up to sign)."""
-    walls = []
-    for i, c in enumerate(coeffs):
-        placed = False
-        for wall in walls:
-            rep = coeffs[wall[0][0]]
-            rel = proportionality_coefficient(rep, c)
-            if rel is not None:
-                wall.append((i, 1 if _coeff_positive(rel) else -1))
-                placed = True
-                break
-        if not placed:
-            walls.append([(i, 1)])
-    return walls
+    @property
+    def walls(self):
+        return self.grouping.walls
 
 
 def exact_sign_at(coeffs, point) -> int:
@@ -323,7 +298,7 @@ def exact_sign_at(coeffs, point) -> int:
     return combine_logvalues(list(coeffs), ipt).sign()
 
 
-def weyl_chambers(functionals) -> ChamberArrangement:
+def weyl_chambers(grouping: FunctionalArrangement) -> ChamberArrangement:
     """Enumerate the chambers of the kernel arrangement with exact witnesses.
 
     Rational functionals: incremental insertion with exact rational LP.
@@ -332,31 +307,21 @@ def weyl_chambers(functionals) -> ChamberArrangement:
     and every witness is re-certified against the true normals.  A
     degeneracy that resists certification raises UndecidedSign.
     """
-    coeffs = [_coeffs_of(f) for f in functionals]
-    if not coeffs:
-        raise ValueError("no functionals")
-    k = len(coeffs[0])
-    for c in coeffs:
-        if _functional_is_zero(c):
-            raise ValueError("zero functional passed to weyl_chambers")
-    wall_groups = _group_walls(coeffs)
-    wall_reps = [coeffs[grp[0][0]] for grp in wall_groups]
-    walls = tuple(Wall(normal=tuple(rep), ray_members=tuple(grp))
-                  for rep, grp in zip(wall_reps, wall_groups))
-
+    if not grouping.walls:
+        raise ValueError("no nonzero functionals")
+    k = grouping.k
+    wall_reps = [wall.normal for wall in grouping.walls]
     if all(all(_is_exact(x) for x in rep) for rep in wall_reps):
         chambers = _enumerate_exact([list(map(Fraction, r)) for r in wall_reps], k)
     elif k == 1:
-        s0 = _sign(wall_reps[0][0])
-        signs = tuple(s0 if _i == 0 else _sign(wall_reps[_i][0])
-                      for _i in range(len(wall_reps)))
+        signs = tuple(_sign(rep[0]) for rep in wall_reps)
         chambers = (Chamber(signs=signs, witness=(Fraction(1),)),
                     Chamber(signs=tuple(-s for s in signs), witness=(Fraction(-1),)))
     elif k == 2:
         chambers = _enumerate_rank2(wall_reps)
     else:
         chambers = _enumerate_proxy(wall_reps, k)
-    return ChamberArrangement(walls=walls, chambers=tuple(chambers), k=k)
+    return ChamberArrangement(grouping=grouping, chambers=tuple(chambers))
 
 
 def _enumerate_exact(reps, k):
@@ -483,7 +448,7 @@ def find_regular_element(arrangement: ChamberArrangement, chamber: Chamber):
 # ---------------------------------------------------------------------------
 
 
-def check_maximal_intersections(functionals, coarse=None, arrangement=None) -> dict:
+def check_maximal_intersections(arrangement: ChamberArrangement) -> dict:
     """Certify the maximal-intersection hypothesis for each coarse space.
 
     For each coarse space E_H: exhibit a nonzero wall element (built from
@@ -492,47 +457,30 @@ def check_maximal_intersections(functionals, coarse=None, arrangement=None) -> d
     intersect exactly in the members of H (verified sign by sign).  The
     ergodicity clause is explicitly NOT verified here; reports say so.
     """
-    coeffs = [_coeffs_of(f) for f in functionals]
-    if not coeffs:
-        raise ValueError("no functionals")
-    k = len(coeffs[0])
-    if k < 2:
+    grouping = arrangement.grouping
+    if grouping.k < 2:
         raise RankTooLow("k = 1: Lyapunov walls contain no nonzero elements")
-    nonzero_idx = [i for i, c in enumerate(coeffs) if not _functional_is_zero(c)]
-    if coarse is None:
-        coarse = coarse_decomposition([functionals[i] for i in nonzero_idx])
-        remap = {j: nonzero_idx[j] for j in range(len(nonzero_idx))}
-        coarse = [CoarseLyapunovSpace(
-            halfspace=LyapunovHalfspace(
-                normal=s.halfspace.normal,
-                member_functionals=tuple(remap[i] for i in s.halfspace.member_functionals)),
-            bottom=remap[s.bottom], coefficients=s.coefficients,
-            dimension=s.dimension) for s in coarse]
-    if arrangement is None:
-        arrangement = weyl_chambers([functionals[i] for i in nonzero_idx])
-    wall_of = {}
-    for w_idx, wall in enumerate(arrangement.walls):
-        for local_idx, orient in wall.ray_members:
-            wall_of[nonzero_idx[local_idx]] = (w_idx, orient)
+    coeffs = grouping.coeffs
+    wall_of = {i: (w_idx, 1 if c > 0 else -1)
+               for w_idx, wall in enumerate(grouping.walls) for i, c in wall.members}
+    nonzero_idx = sorted(wall_of)
 
-    report = {"k": k, "spaces": [], "pass": True,
+    report = {"k": grouping.k, "spaces": [], "pass": True,
               "ergodicity_clause": "NOT verified combinatorially; supply the "
                                    "weak-mixing certificate or assert it"}
-    for space in coarse:
+    for space in grouping.coarse_spaces:
         members = set(space.halfspace.member_functionals)
-        bottom_coeffs = coeffs[space.bottom]
-        wall_elt, wall_exact = _wall_element(bottom_coeffs)
+        wall_elt, wall_exact = _wall_element(coeffs[space.bottom])
         b_set = []
         covered = set(members)
         w_bot, o_bot = wall_of[space.bottom]
         for phi in nonzero_idx:
-            if phi in members or phi in covered:
+            if phi in covered:
                 continue
             w_phi, o_phi = wall_of[phi]
             cand = None
             for ch in arrangement.chambers:
-                if (arrangement.functional_sign_in_chamber(w_bot, o_bot, ch) == -1
-                        and arrangement.functional_sign_in_chamber(w_phi, o_phi, ch) == 1):
+                if o_bot * ch.signs[w_bot] == -1 and o_phi * ch.signs[w_phi] == 1:
                     cand = find_regular_element(arrangement, ch)
                     break
             if cand is None:

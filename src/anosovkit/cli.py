@@ -102,17 +102,19 @@ def cmd_analyze(args) -> int:
         "weak_mixing_per_generator": [
             spectra.is_weak_mixing(action.generator(i)) for i in range(action.k)],
     }
-    spaces, neutral = chambers.coarse_decomposition_with_neutral(functionals)
-    result["coarse_spaces"] = [
-        {"normal": [float(x) for x in s.halfspace.normal],
-         "members": list(s.halfspace.member_functionals),
-         "coefficients": [c for c in s.coefficients],
-         "dimension": s.dimension} for s in spaces]
-    result["neutral_dimension"] = neutral
-    nonzero = [f for f in functionals if not f.is_zero_functional()]
-    if nonzero:
-        try:
-            arr = chambers.weyl_chambers(nonzero)
+    # coarse spaces, chambers and maximal intersections all read one
+    # grouping; an undecided step reports its error in each field it feeds
+    geometry = ["coarse_spaces", "chambers"] + (["maximal_intersections"]
+                                                if action.k >= 2 else [])
+    try:
+        grouping = chambers.group_functionals(functionals)
+        result["coarse_spaces"] = [
+            {"normal": [float(x) for x in s.halfspace.normal],
+             "members": list(s.halfspace.member_functionals),
+             "coefficients": [c for c in s.coefficients],
+             "dimension": s.dimension} for s in grouping.coarse_spaces]
+        if grouping.walls:
+            arr = chambers.weyl_chambers(grouping)
             result["chambers"] = {
                 "walls": len(arr.walls),
                 "count": len(arr.chambers),
@@ -120,20 +122,19 @@ def cmd_analyze(args) -> int:
                 "integer_witnesses": [chambers.find_regular_element(arr, ch)
                                       for ch in arr.chambers],
             }
-        except (chambers.UndecidedSign, chambers.UndecidedProportionality) as exc:
-            result["chambers"] = {"error": type(exc).__name__, "detail": str(exc)}
+            if action.k >= 2:
+                result["maximal_intersections"] = \
+                    chambers.check_maximal_intersections(arr)
+    except (chambers.UndecidedSign, chambers.UndecidedProportionality) as exc:
+        for key in geometry:
+            result.setdefault(key, {"error": type(exc).__name__, "detail": str(exc)})
+    result["neutral_dimension"] = sum(f.multiplicity for f in functionals
+                                      if f.is_zero_functional())
     verdict = "pass"
     if action.k >= 2:
         hyp = spectra.check_rigidity_hypotheses(action,
                                                 anosov_radius=args.radius)
         result["rigidity_hypotheses"] = hyp
-        try:
-            mi = chambers.check_maximal_intersections(functionals)
-            result["maximal_intersections"] = mi
-        except (chambers.RankTooLow, chambers.UndecidedSign,
-                chambers.UndecidedProportionality) as exc:
-            result["maximal_intersections"] = {"error": type(exc).__name__,
-                                               "detail": str(exc)}
         verdict = hyp["verdict"]
     else:
         result["rigidity_hypotheses"] = "not applicable (k < 2)"
@@ -144,9 +145,11 @@ def cmd_analyze(args) -> int:
             result["failure_certificate"] = "NotAnosov: generator has a unit-modulus eigenvalue"
     report = envelope("analyze", digest, result, verdict, seed=args.seed,
                       config={"tol": args.tol, "radius": args.radius})
+    coarse = result["coarse_spaces"]
     text = [f"dim {action.dim}, rank {action.k}",
             f"functionals: {len(functionals)}",
-            f"coarse spaces: {len(spaces)} (+ neutral dim {neutral})"]
+            f"coarse spaces: {coarse['error'] if isinstance(coarse, dict) else len(coarse)}"
+            f" (+ neutral dim {result['neutral_dimension']})"]
     _emit(args, report, text)
     return _EXIT[verdict]
 

@@ -138,7 +138,7 @@ def weyl_flow_lyapunov_data(system: RestrictedRootSystem) -> dict:
     """
     funcs = [_RootFunctional(r, m) for r, m in zip(system.roots,
                                                    system.multiplicities)]
-    spaces = chambers.coarse_decomposition(funcs)
+    spaces = chambers.group_functionals(funcs).coarse_spaces
     coeff_sets = sorted({tuple(s.coefficients) for s in spaces})
     for s in spaces:
         assert set(s.coefficients) <= {Fraction(1), Fraction(2)}, s

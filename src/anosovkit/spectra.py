@@ -592,14 +592,14 @@ def check_rigidity_hypotheses(action: ActionSpec, anosov_radius: int = 8,
             from . import chambers
 
             try:
-                arr = chambers.weyl_chambers([f.coeffs for f in funcs
-                                              if not f.is_zero_functional()])
+                arr = chambers.weyl_chambers(chambers.group_functionals(funcs))
                 for ch in arr.chambers:
                     v = chambers.find_regular_element(arr, ch)
                     if is_anosov_element(action, v):
                         anosov.update(found=True, vector=list(v), method="chamber")
                         break
-            except Exception as exc:  # chamber route is best-effort here
+            except (UndecidedSign, chambers.UndecidedProportionality,
+                    EnclosureTooWide) as exc:
                 anosov["chamber_error"] = str(exc)
     report["anosov_element"] = anosov
 

@@ -265,7 +265,8 @@ def test_criterion_6_coarse_partition(cat_action, t3_action, phi3_action,
                       [[[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, -1], [0, 0, -1, 2]]])]
         for action in corpus:
             funcs = spectra.lyapunov_functionals(action)
-            spaces, neutral = chambers.coarse_decomposition_with_neutral(funcs)
+            grouping = chambers.group_functionals(funcs)
+            spaces, neutral = grouping.coarse_spaces, grouping.neutral
             assert sum(s.dimension for s in spaces) + neutral == action.dim
         _, a2_spaces = rootsys.weyl_flow_lyapunov_data(
             rootsys.build_root_system("A", 2))

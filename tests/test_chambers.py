@@ -13,6 +13,10 @@ def a2_functionals():
     return [Func([Fraction(a), Fraction(b)]) for a, b in vecs]
 
 
+def arrange(funcs):
+    return chambers.weyl_chambers(chambers.group_functionals(funcs))
+
+
 # ---------------------------------------------------------------------------
 # coarse decomposition
 # ---------------------------------------------------------------------------
@@ -20,7 +24,7 @@ def a2_functionals():
 
 def test_cat_coarse(cat_action):
     funcs = spectra.lyapunov_functionals(cat_action)
-    spaces = chambers.coarse_decomposition(funcs)
+    spaces = chambers.group_functionals(funcs).coarse_spaces
     assert len(spaces) == 2
     assert all(s.dimension == 1 for s in spaces)
     assert all(s.coefficients == (Fraction(1),) for s in spaces)
@@ -29,21 +33,25 @@ def test_cat_coarse(cat_action):
 def test_proportional_family_groups():
     fam = [Func([Fraction(1), Fraction(2)]), Func([Fraction(2), Fraction(4)]),
            Func([Fraction(-1), Fraction(-2)])]
-    spaces = chambers.coarse_decomposition(fam)
+    spaces = chambers.group_functionals(fam).coarse_spaces
     by_members = {s.halfspace.member_functionals: s for s in spaces}
     assert set(by_members) == {(0, 1), (2,)}
     assert by_members[(0, 1)].coefficients == (Fraction(1), Fraction(2))
 
 
 def test_a2_coarse():
-    spaces = chambers.coarse_decomposition(a2_functionals())
+    spaces = chambers.group_functionals(a2_functionals()).coarse_spaces
     assert len(spaces) == 6
     assert all(s.coefficients == (Fraction(1),) for s in spaces)
 
 
 def test_zero_functional_rejected():
+    # a zero functional joins no coarse space or wall: it is neutral
+    grouping = chambers.group_functionals([Func([Fraction(0), Fraction(0)], 2)])
+    assert grouping.coarse_spaces == () and grouping.walls == ()
+    assert grouping.neutral == 2
     with pytest.raises(ValueError):
-        chambers.coarse_decomposition([Func([Fraction(0), Fraction(0)])])
+        chambers.weyl_chambers(grouping)
 
 
 def test_partition_property(cat_action, t3_action, identity_action, phi3_action):
@@ -51,7 +59,8 @@ def test_partition_property(cat_action, t3_action, identity_action, phi3_action)
               spectra.validate_action([[[1, 1], [0, 1]]])]
     for action in corpus:
         funcs = spectra.lyapunov_functionals(action)
-        spaces, neutral = chambers.coarse_decomposition_with_neutral(funcs)
+        grouping = chambers.group_functionals(funcs)
+        spaces, neutral = grouping.coarse_spaces, grouping.neutral
         assert sum(s.dimension for s in spaces) + neutral == action.dim
 
 
@@ -61,7 +70,7 @@ def test_k1_irrational_coefficient():
     action = spectra.validate_action([m4])
     funcs = spectra.lyapunov_functionals(action)
     negatives = [f for f in funcs if f.coeffs[0].sign() < 0]
-    spaces = chambers.coarse_decomposition(negatives)
+    spaces = chambers.group_functionals(negatives).coarse_spaces
     assert len(spaces) == 1
     coeffs = spaces[0].coefficients
     assert coeffs[0] == Fraction(1)
@@ -74,26 +83,26 @@ def test_k1_irrational_coefficient():
 
 
 def test_single_functional_two_chambers():
-    arr = chambers.weyl_chambers([Func([Fraction(3)])])
+    arr = arrange([Func([Fraction(3)])])
     assert len(arr.chambers) == 2
 
 
 def test_a2_six_chambers():
-    arr = chambers.weyl_chambers(a2_functionals())
+    arr = arrange(a2_functionals())
     assert len(arr.walls) == 3
     assert len(arr.chambers) == 6
 
 
 def test_shared_wall_two_chambers():
-    arr = chambers.weyl_chambers([Func([Fraction(1), Fraction(2)]),
-                                  Func([Fraction(2), Fraction(4)])])
+    arr = arrange([Func([Fraction(1), Fraction(2)]),
+                   Func([Fraction(2), Fraction(4)])])
     assert len(arr.walls) == 1
     assert len(arr.chambers) == 2
 
 
 def test_t3_chambers(t3_action):
     funcs = spectra.lyapunov_functionals(t3_action)
-    arr = chambers.weyl_chambers(funcs)
+    arr = arrange(funcs)
     assert len(arr.walls) == 3
     assert len(arr.chambers) == 6
 
@@ -131,13 +140,13 @@ def test_chamber_count_against_whitney_oracle(seed):
                for w in normals):
             continue
         normals.append(v)
-    arr = chambers.weyl_chambers([Func(list(v)) for v in normals])
+    arr = arrange([Func(list(v)) for v in normals])
     expected = _zaslavsky_region_count(normals, k)
     assert len(arr.chambers) == expected
 
 
 def test_find_regular_element_exact_signs():
-    arr = chambers.weyl_chambers(a2_functionals())
+    arr = arrange(a2_functionals())
     for ch in arr.chambers:
         a = chambers.find_regular_element(arr, ch)
         for wall, s in zip(arr.walls, ch.signs):
@@ -146,7 +155,7 @@ def test_find_regular_element_exact_signs():
 
 def test_find_regular_element_is_anosov(t3_action):
     funcs = spectra.lyapunov_functionals(t3_action)
-    arr = chambers.weyl_chambers(funcs)
+    arr = arrange(funcs)
     a = chambers.find_regular_element(arr, arr.chambers[0])
     assert spectra.is_anosov_element(t3_action, a)
 
@@ -157,7 +166,7 @@ def test_find_regular_element_is_anosov(t3_action):
 
 
 def test_maximal_intersections_a2_passes():
-    rep = chambers.check_maximal_intersections(a2_functionals())
+    rep = chambers.check_maximal_intersections(arrange(a2_functionals()))
     assert rep["pass"]
     assert len(rep["spaces"]) == 6
     assert all(s["intersection_equals_members"] for s in rep["spaces"])
@@ -167,12 +176,12 @@ def test_maximal_intersections_a2_passes():
 def test_maximal_intersections_rank_one_fails(cat_action):
     funcs = spectra.lyapunov_functionals(cat_action)
     with pytest.raises(chambers.RankTooLow):
-        chambers.check_maximal_intersections(funcs)
+        chambers.check_maximal_intersections(arrange(funcs))
 
 
 def test_maximal_intersections_t3(t3_action):
     funcs = spectra.lyapunov_functionals(t3_action)
-    rep = chambers.check_maximal_intersections(funcs)
+    rep = chambers.check_maximal_intersections(arrange(funcs))
     assert rep["pass"]
     for entry in rep["spaces"]:
         assert entry["stable_intersection_elements"]

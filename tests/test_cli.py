@@ -278,3 +278,63 @@ def test_moduli_are_exactly_negated_under_inversion(tmp_path):
         lhs = sorted(-c["moduli_log"][g] for c in fwd["result"]["joint_classes"])
         rhs = sorted(c["moduli_log"][g] for c in inv["result"]["joint_classes"])
         assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# Chamber geometry: one grouping, indices into lyapunov_functionals
+# ---------------------------------------------------------------------------
+
+T3_M = [[0, 0, -1], [1, 0, 2], [0, 1, 1]]
+T3_N = [[-2, -1, -1], [0, 0, 1], [1, 1, 1]]      # M^2 - 2I
+
+
+def direct_sum(a, b):
+    n = len(a)
+    return [row + [0] * len(b) for row in a] + [[0] * n + row for row in b]
+
+
+def test_coarse_members_index_lyapunov_functionals(tmp_path):
+    # cat + rotation: the rotation block gives a zero functional between the
+    # cat map's two, so indices into the nonzero list would name it
+    rc, rep = analyze_report(tmp_path, [direct_sum([[2, 1], [1, 1]], [[0, -1], [1, 0]])])
+    funcs = rep["result"]["lyapunov_functionals"]
+    assert [f["coeffs"] != [0.0] for f in funcs] == [True, False, True]
+    spaces = rep["result"]["coarse_spaces"]
+    assert sorted(i for s in spaces for i in s["members"]) == [0, 2]
+    for s in spaces:
+        assert all(any(funcs[i]["coeffs"]) for i in s["members"])
+    assert rep["result"]["neutral_dimension"] == 2
+
+
+def test_blockdiag_t6_fails_with_certificate(tmp_path):
+    # the second block acts through M only, so two functionals are
+    # proportional with an irrational ratio that the exact test cannot decide
+    gens = [direct_sum(T3_M, T3_M), direct_sum(T3_N, T3_M)]
+    rc, rep = analyze_report(tmp_path, gens)
+    assert rc == 2 and rep["verdict"] == "fail"
+    res = rep["result"]
+    for key in ("coarse_spaces", "chambers", "maximal_intersections"):
+        assert res[key]["error"] == "UndecidedProportionality"
+        assert res[key]["detail"]
+    assert res["neutral_dimension"] == 0
+    viols = [v for e in res["rigidity_hypotheses"]["roots_of_unity"]["per_functional"]
+             for v in e["violations"]]
+    assert any(v["element"] in ([1, -1], [-1, 1]) and v["cyclotomic_indices"] == [1]
+               for v in viols)
+
+
+def test_analyze_enumerates_chambers_once(inputs, tmp_path, monkeypatch):
+    from anosovkit import chambers
+
+    calls = []
+    enumerate_chambers = chambers.weyl_chambers
+
+    def counted(grouping):
+        calls.append(grouping)
+        return enumerate_chambers(grouping)
+
+    monkeypatch.setattr(chambers, "weyl_chambers", counted)
+    out = tmp_path / "t3.out.json"
+    assert main(["analyze", "--input", str(inputs / "t3.json"), "--output", str(out)]) == 0
+    assert len(calls) == 1
+    assert json.loads(out.read_text())["result"]["maximal_intersections"]["pass"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
-from anosovkit import intpoly, spectra
+from anosovkit import chambers, intpoly, spectra
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +254,28 @@ def test_rigidity_identity_pair_fails():
     rep = spectra.check_rigidity_hypotheses(ii)
     assert rep["verdict"] == "fail"
     assert not rep["anosov_element"]["found"]
+
+
+def test_rigidity_chamber_fallback(t3_action, monkeypatch):
+    # radius 0 skips the box search, so the Anosov element comes from a chamber
+    rep = spectra.check_rigidity_hypotheses(t3_action, anosov_radius=0)
+    assert rep["anosov_element"]["vector"] == [53, 36]
+    assert rep["anosov_element"]["method"] == "chamber"
+
+    def undecided(grouping):
+        raise spectra.UndecidedSign("enumeration did not certify")
+
+    monkeypatch.setattr(chambers, "weyl_chambers", undecided)
+    rep = spectra.check_rigidity_hypotheses(t3_action, anosov_radius=0)
+    assert not rep["anosov_element"]["found"]
+    assert rep["anosov_element"]["chamber_error"] == "enumeration did not certify"
+
+    def broken(grouping):
+        raise RuntimeError("not an undecided step")
+
+    monkeypatch.setattr(chambers, "weyl_chambers", broken)
+    with pytest.raises(RuntimeError):
+        spectra.check_rigidity_hypotheses(t3_action, anosov_radius=0)
 
 
 def test_rigidity_requires_rank_two(cat_action):
