@@ -157,7 +157,7 @@ def _verify_coord_ratio(vi, ui, c: Fraction) -> bool:
 
 @dataclass(frozen=True)
 class LyapunovHalfspace:
-    normal: tuple               # ray-normalized representative (floats or Fractions)
+    normal: tuple               # bottom functional, first nonzero coordinate +-1
     member_functionals: tuple   # indices into the input functional list
 
 
@@ -177,6 +177,8 @@ class Wall:
 
 @dataclass(frozen=True)
 class FunctionalArrangement:
+    """What ``group_functionals`` found; indices refer to its input list."""
+
     k: int
     coeffs: tuple          # coefficient tuple of every input functional
     walls: tuple           # nonzero functionals grouped up to sign
@@ -185,14 +187,15 @@ class FunctionalArrangement:
 
 
 def _ray_normalize(coeffs):
-    """Scale so the first nonzero coordinate is +1 (exact when rational)."""
+    """Scale so the first nonzero coordinate is +-1, keeping the direction
+    (exact when rational): chi and -chi get opposite normals."""
     if all(_is_exact(x) for x in coeffs):
         i0 = next(i for i, x in enumerate(coeffs) if x != 0)
-        scale = Fraction(1) / Fraction(coeffs[i0])
+        scale = Fraction(1) / abs(Fraction(coeffs[i0]))
         return tuple(Fraction(x) * scale for x in coeffs)
     mids = [_mid(x) for x in coeffs]
     i0 = next(i for i, x in enumerate(mids) if abs(x) > 1e-300)
-    return tuple(x / mids[i0] for x in mids)
+    return tuple(x / abs(mids[i0]) for x in mids)
 
 
 def group_functionals(functionals) -> FunctionalArrangement:

@@ -77,6 +77,17 @@ def test_k1_irrational_coefficient():
     assert len(coeffs) == 2 and float(coeffs[1]) > 1
 
 
+def test_negated_functional_gets_opposite_normal(cat_action):
+    cat_pair = spectra.validate_action([[[2, 1], [1, 1]], [[5, 3], [3, 2]]])
+    rational = [Func([Fraction(1), Fraction(-3)]), Func([Fraction(-1), Fraction(3)])]
+    for funcs in (spectra.lyapunov_functionals(cat_action),
+                  spectra.lyapunov_functionals(cat_pair), rational):
+        spaces = chambers.group_functionals(funcs).coarse_spaces
+        assert len(spaces) == 2
+        a, b = (s.halfspace.normal for s in spaces)
+        assert a == tuple(-x for x in b) and a != b
+
+
 # ---------------------------------------------------------------------------
 # weyl chambers
 # ---------------------------------------------------------------------------
