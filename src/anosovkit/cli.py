@@ -128,6 +128,7 @@ def cmd_analyze(args) -> int:
     except (chambers.UndecidedSign, chambers.UndecidedProportionality) as exc:
         for key in geometry:
             result.setdefault(key, {"error": type(exc).__name__, "detail": str(exc)})
+    # needs no proportionality, so it is reported when the grouping fails too
     result["neutral_dimension"] = sum(f.multiplicity for f in functionals
                                       if f.is_zero_functional())
     verdict = "pass"

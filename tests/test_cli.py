@@ -323,6 +323,16 @@ def test_blockdiag_t6_fails_with_certificate(tmp_path):
                for v in viols)
 
 
+def test_identity_pair_has_no_chamber_geometry(tmp_path):
+    # k = 2 with every functional zero: neutral only, no walls to enumerate
+    rc, rep = analyze_report(tmp_path, [[[1, 0], [0, 1]], [[1, 0], [0, 1]]])
+    assert rc == 2 and rep["verdict"] == "fail"
+    res = rep["result"]
+    assert res["coarse_spaces"] == [] and res["neutral_dimension"] == 2
+    assert "chambers" not in res and "maximal_intersections" not in res
+    assert "no Anosov element found" in res["rigidity_hypotheses"]["failures"]
+
+
 def test_analyze_enumerates_chambers_once(inputs, tmp_path, monkeypatch):
     from anosovkit import chambers
 
