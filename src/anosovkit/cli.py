@@ -81,8 +81,18 @@ def cmd_analyze(args) -> int:
     except (OSError, ValueError, KeyError, spectra.ActionValidationError) as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 1
-    classes = spectra.joint_spectrum(action)
-    functionals = spectra.lyapunov_functionals(action)
+    config = {"tol": args.tol, "radius": args.radius}
+    try:
+        classes = spectra.joint_spectrum(action)
+        functionals = spectra.lyapunov_functionals(action)
+    except (spectra.UndecidedEquality, spectra.UndecidedSign,
+            spectra.EnclosureTooWide) as exc:
+        error = {"kind": type(exc).__name__, "stage": "joint_spectrum",
+                 "detail": str(exc)}
+        report = envelope("analyze", digest, {"error": error}, "inconclusive",
+                          seed=args.seed, config=config)
+        _emit(args, report, [f"error: {exc}"])
+        return _EXIT["inconclusive"]
     result = {
         "dim": action.dim,
         "k": action.k,
@@ -102,19 +112,21 @@ def cmd_analyze(args) -> int:
         "weak_mixing_per_generator": [
             spectra.is_weak_mixing(action.generator(i)) for i in range(action.k)],
     }
-    # coarse spaces, chambers and maximal intersections all read one
-    # grouping; an undecided step reports its error in each field it feeds
+    # coarse spaces, chambers and maximal intersections all read the one
+    # grouping and enumeration of this analysis, which the rigidity check's
+    # chamber fallback reuses; an undecided step reports its error in each
+    # field it feeds
     geometry = ["coarse_spaces", "chambers"] + (["maximal_intersections"]
                                                 if action.k >= 2 else [])
+    analysis = spectra.analyze(action)
     try:
-        grouping = chambers.group_functionals(functionals)
         result["coarse_spaces"] = [
             {"normal": [float(x) for x in s.halfspace.normal],
              "members": list(s.halfspace.member_functionals),
              "coefficients": [c for c in s.coefficients],
-             "dimension": s.dimension} for s in grouping.coarse_spaces]
-        if grouping.walls:
-            arr = chambers.weyl_chambers(grouping)
+             "dimension": s.dimension} for s in analysis.grouping().coarse_spaces]
+        arr = analysis.chamber_arrangement()
+        if arr is not None:
             result["chambers"] = {
                 "walls": len(arr.walls),
                 "count": len(arr.chambers),
@@ -145,7 +157,7 @@ def cmd_analyze(args) -> int:
         if not anosov:
             result["failure_certificate"] = "NotAnosov: generator has a unit-modulus eigenvalue"
     report = envelope("analyze", digest, result, verdict, seed=args.seed,
-                      config={"tol": args.tol, "radius": args.radius})
+                      config=config)
     coarse = result["coarse_spaces"]
     text = [f"dim {action.dim}, rank {action.k}",
             f"functionals: {len(functionals)}",

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import mpmath
 
-from . import intpoly
+from . import chambers, intpoly
 from .algnum import (
     _EPS_SCHEDULE,
     _REAL,
@@ -276,6 +276,7 @@ class _Analysis:
         self.blocks = blocks
         self._classes = None
         self._functionals = None
+        self._geometry = {}
         self._logcache = {}
         self._element_cache = {}
 
@@ -375,6 +376,33 @@ class _Analysis:
         self._functionals = funcs
         assert sum(f.multiplicity for f in funcs) == self.action.dim
         return funcs
+
+    def _geometry_step(self, name, compute):
+        """compute() once; an undecided outcome is kept as well and raised
+        again, as the same exception, on every later call."""
+        if name not in self._geometry:
+            try:
+                self._geometry[name] = (compute(), None)
+            except (UndecidedSign, chambers.UndecidedProportionality,
+                    EnclosureTooWide) as exc:
+                self._geometry[name] = (None, exc)
+        value, exc = self._geometry[name]
+        if exc is not None:
+            raise exc
+        return value
+
+    def grouping(self):
+        """The functionals grouped into walls and coarse spaces."""
+        return self._geometry_step(
+            "grouping", lambda: chambers.group_functionals(self.functionals()))
+
+    def chamber_arrangement(self):
+        """The Weyl chambers of the grouping, or None when it has no walls."""
+        def compute():
+            grouping = self.grouping()
+            return chambers.weyl_chambers(grouping) if grouping.walls else None
+
+        return self._geometry_step("chambers", compute)
 
 
 def _eigenvalue_refiner(croot, q_coeffs, enclose=lambda box: box):
@@ -589,10 +617,8 @@ def check_rigidity_hypotheses(action: ActionSpec, anosov_radius: int = 8,
                 anosov.update(found=True, vector=list(hit), method="box")
                 break
         if not anosov["found"]:
-            from . import chambers
-
             try:
-                arr = chambers.weyl_chambers(chambers.group_functionals(funcs))
+                arr = analyze(action).chamber_arrangement()
                 for ch in arr.chambers:
                     v = chambers.find_regular_element(arr, ch)
                     if is_anosov_element(action, v):

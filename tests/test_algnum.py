@@ -239,19 +239,13 @@ def test_spectral_modules_load_no_sympy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_sympy_is_imported_only_in_intpoly_factor():
+def test_no_module_imports_sympy():
     src = Path(__file__).resolve().parents[1] / "src" / "anosovkit"
     sites = []
     for path in sorted(src.rglob("*.py")):
-        tree = ast.parse(path.read_text())
-        parents = {child: node for node in ast.walk(tree)
-                   for child in ast.iter_child_nodes(node)}
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text())):
             names = ([a.name for a in node.names] if isinstance(node, ast.Import)
                      else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
             if any(n.split(".")[0] == "sympy" for n in names):
-                scope = parents.get(node)
-                while scope is not None and not isinstance(scope, ast.FunctionDef):
-                    scope = parents.get(scope)
-                sites.append((path.name, scope.name if scope else None))
-    assert sites == [("intpoly.py", "factor")]
+                sites.append((path.name, node.lineno))
+    assert sites == []

@@ -49,11 +49,12 @@ def inputs(tmp_path_factory):
 
 
 @pytest.mark.parametrize("args, unloaded", [
+    (["analyze", "--input", "cat.json"], ("sympy", "numpy")),
     (["normalform", "--input", "cubic.json"], ("sympy", "numpy")),
     (["resonances", "--input", "bands.json"], ("sympy", "numpy")),
     (["rootsys", "--type", "D", "--rank", "4"], ("sympy",)),
     (["conjugate", "--preset", "psi-cat", "--grid", "16"], ("sympy",)),
-], ids=["normalform", "resonances", "rootsys", "conjugate"])
+], ids=["analyze", "normalform", "resonances", "rootsys", "conjugate"])
 def test_cli_import_boundary(inputs, tmp_path, args, unloaded):
     """The exact rational paths never load the libraries they do not need."""
     args = [str(inputs / a) if a.endswith(".json") else a for a in args]
@@ -334,17 +335,43 @@ def test_identity_pair_has_no_chamber_geometry(tmp_path):
 
 
 def test_analyze_enumerates_chambers_once(inputs, tmp_path, monkeypatch):
-    from anosovkit import chambers
+    from anosovkit import chambers, spectra
 
-    calls = []
     enumerate_chambers = chambers.weyl_chambers
+    # --radius 0 skips the box search, so the rigidity check's chamber
+    # fallback finds the Anosov element from the same enumeration
+    for extra, method in (([], "box"), (["--radius", "0"], "chamber")):
+        calls = []
 
-    def counted(grouping):
-        calls.append(grouping)
-        return enumerate_chambers(grouping)
+        def counted(grouping):
+            calls.append(grouping)
+            return enumerate_chambers(grouping)
 
-    monkeypatch.setattr(chambers, "weyl_chambers", counted)
+        monkeypatch.setattr(chambers, "weyl_chambers", counted)
+        monkeypatch.setattr(spectra, "_ANALYSES", {})
+        out = tmp_path / "t3.out.json"
+        assert main(["analyze", "--input", str(inputs / "t3.json"),
+                     "--output", str(out)] + extra) == 0
+        assert len(calls) == 1
+        res = json.loads(out.read_text())["result"]
+        assert res["maximal_intersections"]["pass"]
+        assert res["rigidity_hypotheses"]["anosov_element"]["method"] == method
+
+
+@pytest.mark.parametrize("kind", ["UndecidedEquality", "UndecidedSign",
+                                  "EnclosureTooWide"])
+def test_analyze_spectrum_stage_is_inconclusive(inputs, tmp_path, monkeypatch,
+                                                capsys, kind):
+    from anosovkit import spectra
+
+    def undecided(action):
+        raise getattr(spectra, kind)("moduli not separated")
+
+    monkeypatch.setattr(spectra, "joint_spectrum", undecided)
     out = tmp_path / "t3.out.json"
-    assert main(["analyze", "--input", str(inputs / "t3.json"), "--output", str(out)]) == 0
-    assert len(calls) == 1
-    assert json.loads(out.read_text())["result"]["maximal_intersections"]["pass"]
+    assert main(["analyze", "--input", str(inputs / "t3.json"), "--output", str(out)]) == 3
+    rep = json.loads(out.read_text())
+    assert rep["verdict"] == "inconclusive"
+    assert rep["result"] == {"error": {"kind": kind, "stage": "joint_spectrum",
+                                       "detail": "moduli not separated"}}
+    assert "Traceback" not in capsys.readouterr().err

@@ -8,12 +8,14 @@ mpmath root finding at 60 digits is the oracle for the unit-circle test.
 from fractions import Fraction
 
 import mpmath
+import pytest
 import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
 from anosovkit.intpoly import (
     charpoly,
+    composed_product_pair,
     cyclotomic_poly,
     factor,
     has_unit_circle_root,
@@ -56,11 +58,13 @@ def polys(entries, max_size=7):
 @st.composite
 def products(draw):
     """Integer polynomials built from small factors with multiplicities, so
-    that repeated factors and zero roots are common."""
-    p = sympy.Poly(draw(st.sampled_from((1, -1, 2, -3))), X)
-    for _ in range(draw(st.integers(1, 3))):
-        f = sympy.Poly(draw(polys(small_ints, max_size=3)), X)
+    that content, negative and non-unit leading coefficients, powers of x
+    and repeated factors are common."""
+    p = sympy.Poly(draw(st.sampled_from((1, -1, 2, -3, 6, -12))), X)
+    for _ in range(draw(st.integers(1, 4))):
+        f = sympy.Poly(draw(polys(small_ints, max_size=4)), X)
         p = p * f ** draw(st.integers(1, 3))
+    p = p * X ** draw(st.integers(0, 3))
     return tuple(int(c) for c in p.all_coeffs())
 
 
@@ -111,10 +115,36 @@ def test_primitive(p):
     assert normalized(poly(p).clear_denoms()[1]) == out
 
 
+def sympy_factor(p):
+    _, expected = sympy.factor_list(poly(p).as_expr(), X)
+    return tuple((normalized(f), e) for f, e in expected)
+
+
 @given(products())
 def test_factor_against_sympy(p):
-    _, expected = sympy.factor_list(poly(p).as_expr(), X)
-    assert factor(p) == tuple((normalized(f), e) for f, e in expected)
+    assert factor(p) == sympy_factor(p)
+
+
+def _int_coeffs(expr):
+    return tuple(int(c) for c in sympy.Poly(expr, X).all_coeffs())
+
+
+# The Swinnerton-Dyer polynomial S_4, prod (x +- sqrt 2 +- sqrt 3 +- sqrt 5
+# +- sqrt 7), is irreducible of degree 16, but every factor mod p has
+# degree at most 2: recombination must reject every subset.
+SWINNERTON_DYER_4 = _int_coeffs(sympy.minimal_polynomial(
+    sympy.sqrt(2) + sympy.sqrt(3) + sympy.sqrt(5) + sympy.sqrt(7), X))
+X8_X_1 = (1, 0, 0, 0, 0, 0, 0, -1, -1)
+
+
+@pytest.mark.parametrize("p", [
+    SWINNERTON_DYER_4,
+    (1,) + (0,) * 63 + (-1,),
+    _int_coeffs(sympy.cyclotomic_poly(105, X) * sympy.cyclotomic_poly(210, X)),
+    composed_product_pair(X8_X_1, X8_X_1),
+], ids=["swinnerton-dyer-4", "x64-1", "phi105-phi210", "x8-x-1-pair-products"])
+def test_factor_hard_cases_against_sympy(p):
+    assert factor(p) == sympy_factor(p)
 
 
 def test_cyclotomic_against_sympy():

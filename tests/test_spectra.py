@@ -265,7 +265,10 @@ def test_rigidity_chamber_fallback(t3_action, monkeypatch):
     def undecided(grouping):
         raise spectra.UndecidedSign("enumeration did not certify")
 
+    # each analysis enumerates its chambers once, so every variant of the
+    # enumeration needs a fresh analysis
     monkeypatch.setattr(chambers, "weyl_chambers", undecided)
+    monkeypatch.setattr(spectra, "_ANALYSES", {})
     rep = spectra.check_rigidity_hypotheses(t3_action, anosov_radius=0)
     assert not rep["anosov_element"]["found"]
     assert rep["anosov_element"]["chamber_error"] == "enumeration did not certify"
@@ -274,6 +277,7 @@ def test_rigidity_chamber_fallback(t3_action, monkeypatch):
         raise RuntimeError("not an undecided step")
 
     monkeypatch.setattr(chambers, "weyl_chambers", broken)
+    monkeypatch.setattr(spectra, "_ANALYSES", {})
     with pytest.raises(RuntimeError):
         spectra.check_rigidity_hypotheses(t3_action, anosov_radius=0)
 
