@@ -13,7 +13,7 @@ carries an exact handle:
 - ``RealAlgebraic``: a real algebraic number as a real ``Root`` of its
   irreducible minimal polynomial.  Comparisons are decidable.
 - ``LogValue``: (1/2)*log of a positive RealAlgebraic (the squared modulus
-  of an eigenvalue), optionally negated.  Signs, equality and rational
+  of an eigenvalue).  Signs, equality and rational
   proportionality are decided exactly; float enclosures are rigorous
   (directed rounding throughout).
 
@@ -463,7 +463,7 @@ def _log_half(box: RInt, prec: int):
 
 
 class LogValue:
-    """(1/2) * log(modsq) with modsq a positive RealAlgebraic; optionally negated.
+    """(1/2) * log(modsq) with modsq a positive RealAlgebraic.
 
     The exact carrier for log|eigenvalue| entries of Lyapunov functionals:
     ``sign``/``equals``/``is_zero``/``verify_ratio`` are exact decisions,
@@ -471,11 +471,10 @@ class LogValue:
     ``mid`` the double nearest the exact value.
     """
 
-    __slots__ = ("modsq", "neg", "_cached", "_mid")
+    __slots__ = ("modsq", "_cached", "_mid")
 
-    def __init__(self, modsq: RealAlgebraic, neg: bool = False):
+    def __init__(self, modsq: RealAlgebraic):
         self.modsq = modsq
-        self.neg = neg
         self._cached = None
         self._mid = None
 
@@ -483,33 +482,16 @@ class LogValue:
     def zero() -> "LogValue":
         return LogValue(RealAlgebraic.from_fraction(1))
 
-    @staticmethod
-    def from_modsq_fraction(q) -> "LogValue":
-        return LogValue(RealAlgebraic.from_fraction(q))
-
-    def negated(self) -> "LogValue":
-        return LogValue(self.modsq, not self.neg)
-
     def sign(self) -> int:
-        s = self.modsq.cmp_fraction(1)
-        return -s if self.neg else s
+        return self.modsq.cmp_fraction(1)
 
     def is_zero(self) -> bool:
         return self.modsq.key == _ONE_KEY
 
-    def _norm(self) -> RealAlgebraic:
-        """modsq with the negation folded in (inverse when negated)."""
-        return self.modsq.inverse() if self.neg else self.modsq
-
     def equals(self, other: "LogValue") -> bool:
         if self.is_zero() or other.is_zero():
             return self.is_zero() and other.is_zero()
-        if self.neg == other.neg:
-            return self.modsq.cmp(other.modsq) == 0
-        a, b = self.interval(1e-9), other.interval(1e-9)
-        if a[1] < b[0] or b[1] < a[0]:
-            return False
-        return self._norm().cmp(other._norm()) == 0
+        return self.modsq.cmp(other.modsq) == 0
 
     def interval(self, tol: float = 1e-12):
         """Rigorous (lo, hi) floats of width <= tol, refined on demand.
@@ -532,8 +514,6 @@ class LogValue:
             # since no tighter float interval exists
             lo = math.nextafter(libmp.to_float(llo, rnd=libmp.round_floor), -math.inf)
             hi = math.nextafter(libmp.to_float(lhi, rnd=libmp.round_ceiling), math.inf)
-            if self.neg:
-                lo, hi = -hi, -lo
             if hi - lo <= tol or inner <= tol / 4:
                 if self._cached is None or hi - lo < self._cached[1] - self._cached[0]:
                     self._cached = (lo, hi)
@@ -559,15 +539,14 @@ class LogValue:
             lo, hi = (libmp.to_float(x, rnd=libmp.round_nearest)
                       for x in _log_half(box, eps.denominator.bit_length() + 32))
             if lo == hi:
-                return -lo if self.neg else lo
+                return lo
         raise EnclosureTooWide("no enclosure fixed the nearest double")
 
     def mpf(self, dps: int):
         """High-precision value for relation-candidate searches (not a proof)."""
         box = self.modsq.interval(Fraction(1, 10 ** (dps + 10)))
         with mpmath.workdps(dps + 10):
-            val = mpmath.log(mpmath.mpf(box.lo.numerator) / box.lo.denominator) / 2
-            return -val if self.neg else val
+            return mpmath.log(mpmath.mpf(box.lo.numerator) / box.lo.denominator) / 2
 
     def cmp(self, other: "LogValue") -> int:
         if self.equals(other):
@@ -587,12 +566,11 @@ class LogValue:
         if self.is_zero():
             return False
         c = Fraction(c)
-        s_eff = self._norm()
-        o_eff = other._norm() if c > 0 else other._norm().inverse()
+        o_eff = other.modsq if c > 0 else other.modsq.inverse()
         p, q = abs(c.numerator), c.denominator
         if p + q > 200:
             return False
-        return s_eff.pow(q).cmp(o_eff.pow(p)) == 0
+        return self.modsq.pow(q).cmp(o_eff.pow(p)) == 0
 
     def __repr__(self):
         return f"LogValue(~{self.mid():.12g})"
@@ -610,7 +588,7 @@ def combine_logvalues(lvs, a) -> "LogValue":
         ag = int(ag)
         if ag == 0 or lv.is_zero():
             continue
-        m = lv._norm()
+        m = lv.modsq
         part = m.pow(ag) if ag > 0 else m.inverse().pow(-ag)
         acc = part if acc is None else acc.mul(part)
     return LogValue.zero() if acc is None else LogValue(acc)

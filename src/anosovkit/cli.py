@@ -85,8 +85,8 @@ def cmd_analyze(args) -> int:
     try:
         classes = spectra.joint_spectrum(action)
         functionals = spectra.lyapunov_functionals(action)
-    except (spectra.UndecidedEquality, spectra.UndecidedSign,
-            spectra.EnclosureTooWide) as exc:
+    except (spectra.JointSpectrumUnsupported, spectra.UndecidedEquality,
+            spectra.UndecidedSign, spectra.EnclosureTooWide) as exc:
         error = {"kind": type(exc).__name__, "stage": "joint_spectrum",
                  "detail": str(exc)}
         report = envelope("analyze", digest, {"error": error}, "inconclusive",

@@ -178,7 +178,6 @@ def is_semisimple_matrix(a) -> bool:
     The minimal polynomial is squarefree iff the squarefree part of the
     characteristic polynomial annihilates a.
     """
-    a = [[Fraction(x) for x in row] for row in a]
     return not any(x for row in poly_of_matrix(squarefree_part(charpoly(a)), a)
                    for x in row)
 

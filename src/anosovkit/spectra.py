@@ -8,6 +8,13 @@ statements consume: semisimplicity, existence of Anosov elements, weak
 mixing (no root-of-unity eigenvalues), and the kernel-sublattice criterion
 for rank-two rigidity.
 
+The joint spectrum is one primary decomposition: the first combination
+T = sum_g c_g A_g, in a fixed order, on whose kernels ker f(T) (f an
+irreducible factor of charpoly(T)) every generator is a polynomial in T.
+Such a T separates the joint eigenvalues, and a semisimple action always
+has one among a number of candidates bounded by n and k; an action with
+none raises ``JointSpectrumUnsupported``.
+
 All yes/no answers are exact.  Enclosures only ever *separate* values;
 equality and zero decisions escalate to algebraic certificates
 (factorization, power-sum constructions, cyclotomic divisibility).
@@ -16,7 +23,6 @@ equality and zero decisions escalate to algebraic certificates
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,7 +64,8 @@ from .intpoly import (
 
 
 class JointSpectrumUnsupported(Exception):
-    """Commuting structure outside the supported (semisimple-linkable) range."""
+    """No candidate combination separates the joint eigenvalues: the action
+    is not semisimple, and outside the supported range."""
 
 
 class UndecidedEquality(Exception):
@@ -98,33 +105,22 @@ class LyapunovFunctional:
 
 
 class _Block:
-    """Invariant subspace with commuting restrictions and linking data."""
+    """One irreducible factor f of charpoly(T): the generators on K = ker f(T).
 
-    __slots__ = ("basis", "restr", "fT_key", "kcols", "t_k", "croots", "qs",
-                 "class_dim")
+    On K every generator is q_g(T) with deg q_g < deg f, so each root of f
+    is one joint eigenvalue (q_g(root))_g and its class dimension is f's
+    multiplicity in charpoly(T).
+    """
 
-    def __init__(self, basis, restr):
-        self.basis = basis          # ambient-dim x d columns, Fractions
-        self.restr = restr          # per generator, d x d Fraction matrices
-        self.fT_key = None
-        self.kcols = None           # basis columns of K = ker f_T(T)
-        self.t_k = None             # T restricted to K
-        self.croots = None
-        self.qs = None              # per generator, descending Fraction coeffs
-        self.class_dim = None
+    __slots__ = ("fT_key", "t_k", "restr", "qs", "class_dim", "croots")
 
-    @property
-    def dim(self):
-        return len(self.restr[0]) if self.restr else 0
-
-
-def _frac_mat(m):
-    return [[Fraction(x) for x in row] for row in m]
-
-
-def _charpoly_factors(m):
-    """Irreducible factors (as descending int-coeff tuples) with exponents."""
-    return sorted(intpoly.factor(intpoly.charpoly(m)))
+    def __init__(self, fT_key, t_k, restr, qs, class_dim):
+        self.fT_key = fT_key
+        self.t_k = t_k              # T restricted to K
+        self.restr = restr          # per generator, its restriction to K
+        self.qs = qs                # per generator, descending Fraction coeffs
+        self.class_dim = class_dim
+        self.croots = roots(fT_key)
 
 
 def _restrict(cols, m):
@@ -138,82 +134,41 @@ def _columns(basis_vectors):
     return [[basis_vectors[j][i] for j in range(len(basis_vectors))] for i in range(n)]
 
 
-def _try_split(block: _Block, cand):
-    factors = _charpoly_factors(cand)
-    if len(factors) <= 1:
-        return None
-    comps = []
-    for fkey, e in factors:
-        nf = poly_of_matrix(fkey, cand)
-        nfe = nf
-        for _ in range(e - 1):
-            nfe = mat_mul(nfe, nf)
-        kern = nullspace(nfe)
-        cols = _columns(kern)
-        new_basis = mat_mul(block.basis, cols)
-        new_restr = [_restrict(cols, r) for r in block.restr]
-        comps.append(_Block(new_basis, new_restr))
-    return comps
+def _combinations(n: int, k: int):
+    """Coefficients c of the candidates T = sum_g c_g A_g, in the order tried.
 
-
-def _combo_candidates(restr, rng):
-    k = len(restr)
-    d = len(restr[0])
-    combos = []
-    seen = set()
-
-    def add(c):
-        if c not in seen and any(c):
-            seen.add(c)
-            m = [[Fraction(0)] * d for _ in range(d)]
-            for cg, r in zip(c, restr):
-                if cg:
-                    for i in range(d):
-                        for j in range(d):
-                            m[i][j] += cg * r[i][j]
-            combos.append(m)
-
-    for i in range(k):
-        add(tuple(1 if j == i else 0 for j in range(k)))
-    add(tuple([1] * k))
-    add(tuple(range(1, k + 1)))
-    add(tuple(3**i for i in range(k)))
-    add(tuple((-1) ** i for i in range(k)))
-    for _ in range(30):
-        add(tuple(rng.randint(-4, 4) for _ in range(k)))
-    return combos
-
-
-def _link_block(block: _Block, rng):
-    """Choose a cyclic-ish element T and express every restriction as q_g(T).
-
-    Solved on K = ker f_T(T), which every restriction preserves; class
-    dimension is block_dim / deg(f_T).
+    Each generator, (1,...,1), (1,...,k), (3^g), ((-1)^g), then the moment
+    curve (m^g) for m = 2, 3, ...  Two distinct joint eigenvalues agree
+    under T at no more than k - 1 points of the moment curve, and there are
+    at most n(n - 1)/2 pairs, so (k - 1) n(n - 1)/2 + 1 moment points always
+    include a T that separates them all.  Repeats are dropped.
     """
-    best = []
-    for cand in _combo_candidates(block.restr, rng):
-        factors = _charpoly_factors(cand)
-        if len(factors) != 1:
-            continue  # should have been split; skip defensively
-        fkey, _ = factors[0]
-        best.append((len(fkey) - 1, cand, fkey))
-    best.sort(key=lambda b: -b[0])
-    last_err = None
-    for deg, cand, fkey in best:
+    combos = [tuple(int(g == h) for h in range(k)) for g in range(k)]
+    combos += [(1,) * k, tuple(range(1, k + 1)), tuple(3 ** g for g in range(k)),
+               tuple((-1) ** g for g in range(k))]
+    combos += [tuple(m ** g for g in range(k))
+               for m in range(2, (k - 1) * n * (n - 1) // 2 + 3)]
+    return list(dict.fromkeys(combos))
+
+
+def _link(gens, c):
+    """The blocks of T = sum_g c_g A_g, one per irreducible factor of
+    charpoly(T), or None when on some K = ker f(T) a generator is not a
+    polynomial in T (then T does not separate the joint eigenvalues)."""
+    n = len(gens[0])
+    t = [[sum(cg * g[i][j] for cg, g in zip(c, gens)) for j in range(n)]
+         for i in range(n)]
+    parts = []
+    for fkey, e in intpoly.factor(intpoly.charpoly(t)):
+        cols = _columns(nullspace(poly_of_matrix(fkey, t)))
+        t_k = _restrict(cols, t)
+        restr = [_restrict(cols, g) for g in gens]
         try:
-            cols = _columns(nullspace(poly_of_matrix(fkey, cand)))
-            t_k = _restrict(cols, cand)
-            block.qs = [_solve_poly_in(t_k, _restrict(cols, r), deg) for r in block.restr]
-            block.fT_key, block.kcols, block.t_k = fkey, cols, t_k
-            assert block.dim % deg == 0
-            block.class_dim = block.dim // deg
-            block.croots = roots(fkey)
-            return
-        except (ValueError, ZeroDivisionError) as exc:
-            last_err = exc
-            continue
-    raise JointSpectrumUnsupported(
-        f"could not link commuting restrictions on a block: {last_err}")
+            qs = [_solve_poly_in(t_k, r, len(fkey) - 1) for r in restr]
+        except ValueError:
+            return None
+        parts.append((fkey, t_k, restr, qs, e))
+    return [_Block(*part) for part in parts]
 
 
 def _solve_poly_in(t_k, r_k, deg):
@@ -247,32 +202,28 @@ def _element_poly(block: _Block, a):
     r_a = _power_product(block.restr, a)
     if r_a is None:
         return [Fraction(1)]
-    return _solve_poly_in(block.t_k, _restrict(block.kcols, r_a), len(block.fT_key) - 1)
+    return _solve_poly_in(block.t_k, r_a, len(block.fT_key) - 1)
 
 
 class _Analysis:
-    """Joint-spectrum working data for one ActionSpec (cached)."""
+    """Joint-spectrum working data for one ActionSpec (cached).
+
+    The blocks are those of the first candidate of ``_combinations`` that
+    ``_link`` accepts; classes, functionals and the chamber geometry are
+    computed from them on demand and memoized.
+    """
 
     def __init__(self, action: ActionSpec):
         self.action = action
-        rng = random.Random(20260301)
-        n = action.dim
-        gens = [_frac_mat(action.generator(i)) for i in range(action.k)]
-        blocks = [_Block(identity(n), gens)]
-        changed = True
-        while changed:
-            changed = False
-            for idx, block in enumerate(blocks):
-                for cand in _combo_candidates(block.restr, rng):
-                    comps = _try_split(block, cand)
-                    if comps:
-                        blocks[idx:idx + 1] = comps
-                        changed = True
-                        break
-                if changed:
-                    break
-        for block in blocks:
-            _link_block(block, rng)
+        gens = [action.generator(i) for i in range(action.k)]
+        for c in _combinations(action.dim, action.k):
+            blocks = _link(gens, c)
+            if blocks:
+                break
+        else:
+            raise JointSpectrumUnsupported(
+                "no combination of the generators separates the joint "
+                "eigenvalues (the action is not semisimple)")
         self.blocks = blocks
         self._classes = None
         self._functionals = None
@@ -690,11 +641,17 @@ def _torsion_candidates(an: _Analysis, action: ActionSpec,
     """
     if not basis or len(basis) < 2:
         return []
-    b, j = an.locator(func.classes[0])
-    block = an.blocks[b]
+    block = an.blocks[an.locator(func.classes[0])[0]]
+
+    def mpf(q):
+        return mpmath.mpf(q.numerator) / q.denominator
+
     with mpmath.workdps(60):
-        conjugates = mpmath.polyroots([int(c) for c in block.fT_key], maxsteps=200,
-                                      extraprec=120)
+        conjugates = []
+        for croot in block.croots:
+            box = root_box(croot, Fraction(1, 10**70))
+            conjugates.append(mpmath.mpc(mpf((box.re.lo + box.re.hi) / 2),
+                                         mpf((box.im.lo + box.im.hi) / 2)))
         cols = []
         for vec in basis:
             q_a = _element_poly(block, vec)
@@ -702,7 +659,7 @@ def _torsion_candidates(an: _Analysis, action: ActionSpec,
             for rt in conjugates:
                 acc = mpmath.mpc(0)
                 for c in q_a:
-                    acc = acc * rt + mpmath.mpf(c.numerator) / c.denominator
+                    acc = acc * rt + mpf(c)
                 vals.append(mpmath.log(abs(acc)))
             cols.append(vals)
         # the deg x rank matrix of the columns, at the same precision

@@ -358,8 +358,8 @@ def test_analyze_enumerates_chambers_once(inputs, tmp_path, monkeypatch):
         assert res["rigidity_hypotheses"]["anosov_element"]["method"] == method
 
 
-@pytest.mark.parametrize("kind", ["UndecidedEquality", "UndecidedSign",
-                                  "EnclosureTooWide"])
+@pytest.mark.parametrize("kind", ["JointSpectrumUnsupported", "UndecidedEquality",
+                                  "UndecidedSign", "EnclosureTooWide"])
 def test_analyze_spectrum_stage_is_inconclusive(inputs, tmp_path, monkeypatch,
                                                 capsys, kind):
     from anosovkit import spectra
@@ -374,4 +374,20 @@ def test_analyze_spectrum_stage_is_inconclusive(inputs, tmp_path, monkeypatch,
     assert rep["verdict"] == "inconclusive"
     assert rep["result"] == {"error": {"kind": kind, "stage": "joint_spectrum",
                                        "detail": "moduli not separated"}}
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_analyze_unlinkable_action_is_inconclusive(tmp_path, capsys):
+    # I + E12 and I + E13 commute, but on every kernel of T = c1 A1 + c2 A2
+    # some generator keeps a Jordan block, so no T separates the joint
+    # eigenvalues
+    path = tmp_path / "shears.json"
+    path.write_text(json.dumps({"dim": 3, "generators": [[1, 1, 0, 0, 1, 0, 0, 0, 1],
+                                                         [1, 0, 1, 0, 1, 0, 0, 0, 1]]}))
+    out = tmp_path / "shears.out.json"
+    assert main(["analyze", "--input", str(path), "--output", str(out)]) == 3
+    rep = json.loads(out.read_text())
+    assert rep["verdict"] == "inconclusive"
+    error = rep["result"]["error"]
+    assert (error["kind"], error["stage"]) == ("JointSpectrumUnsupported", "joint_spectrum")
     assert "Traceback" not in capsys.readouterr().err

@@ -106,9 +106,27 @@ def test_functionals_sorted_lexicographically(t3_action):
     assert mids == sorted(mids)
 
 
+def _direct_sum(a, b):
+    n, m = len(a), len(b)
+    return ([row + [0] * m for row in a]
+            + [[0] * n + row for row in b])
+
+
 def test_eigensolver_cross_check(cat_action, t3_action):
-    # multiset of chi(n) values matches log-moduli of sigma(n) eigenvalues
-    for action in (cat_action, t3_action):
+    # multiset of chi(n) values matches log-moduli of sigma(n) eigenvalues;
+    # in the last two the first generator does not separate the joint
+    # eigenvalues: (M+M, N+M) after a unimodular base change, and cat plus a
+    # rotation (k = 1, two blocks)
+    m, n = (t3_action.generator(i) for i in range(2))
+    p = np.eye(6, dtype=int)
+    p[0, 3], p[4, 1] = 1, -1
+    p_inv = np.round(np.linalg.inv(p)).astype(int)
+    blockdiag = spectra.validate_action(
+        [(p @ np.array(g) @ p_inv).tolist()
+         for g in (_direct_sum(m, m), _direct_sum(n, m))])
+    cat_rotation = spectra.validate_action([_direct_sum([[2, 1], [1, 1]],
+                                                        [[0, -1], [1, 0]])])
+    for action in (cat_action, t3_action, blockdiag, cat_rotation):
         funcs = spectra.lyapunov_functionals(action)
         box = itertools.product(range(-2, 3), repeat=action.k)
         for n in box:
