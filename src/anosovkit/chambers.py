@@ -34,6 +34,7 @@ from .exact import (
     EnclosureTooWide,
     RInt,
     UndecidedSign,
+    det,
     lcm_denominators,
     primitive_vector,
     simplest_rational_between,
@@ -400,8 +401,8 @@ def _enumerate_proxy(reps, k):
                             for lo, hi in (_interval(c, tol) for c in rep)])
         certified = True
         for subset in itertools.combinations(range(m), k):
-            det_iv = _det([[RInt(*_interval(x, tol)) for x in reps[i]] for i in subset])
-            det_proxy = _det([proxies[i] for i in subset])
+            det_iv = det([[RInt(*_interval(x, tol)) for x in reps[i]] for i in subset])
+            det_proxy = det([proxies[i] for i in subset])
             if det_iv.lo > 0 and det_proxy > 0:
                 continue
             if det_iv.hi < 0 and det_proxy < 0:
@@ -420,18 +421,6 @@ def _enumerate_proxy(reps, k):
         tol *= 1e-8
     raise UndecidedSign(
         "arrangement chirotope could not be certified (possible exact degeneracy)")
-
-
-def _det(rows):
-    """Cofactor expansion along the first row, over RInt or Fraction entries
-    (exact either way)."""
-    if len(rows) == 1:
-        return rows[0][0]
-    acc = rows[0][0] * _det([r[1:] for r in rows[1:]])
-    for j in range(1, len(rows)):
-        term = rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
-        acc = acc - term if j % 2 else acc + term
-    return acc
 
 
 def find_regular_element(arrangement: ChamberArrangement, chamber: Chamber):

@@ -7,7 +7,10 @@ descriptor), ``normalform`` (polynomial map JSON -> normal form),
 intertwining and regularity reports), ``rootsys`` (type/rank -> smoothness
 class).
 
-Exit codes: 0 pass, 1 parse/validation error, 2 fail, 3 inconclusive.
+Exit codes: 0 pass, 1 parse/validation error (argparse usage errors and
+out-of-range option values included), 2 fail, 3 inconclusive: undecided, or
+an error that no stage claims, reported as ``{"error": {"kind", "stage",
+"detail"}}`` in place of a traceback.
 Reports are byte-stable for fixed inputs and seed: keys are sorted, no
 timestamps or timings are embedded, and the input hash is recorded.
 
@@ -78,21 +81,14 @@ def cmd_analyze(args) -> int:
     try:
         obj, digest = _read_input(args.input)
         action = spectra.ActionSpec.from_json(obj)
-    except (OSError, ValueError, KeyError, spectra.ActionValidationError) as exc:
+    except (OSError, ValueError, KeyError, TypeError,
+            spectra.ActionValidationError) as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 1
-    config = {"tol": args.tol, "radius": args.radius}
-    try:
-        classes = spectra.joint_spectrum(action)
-        functionals = spectra.lyapunov_functionals(action)
-    except (spectra.JointSpectrumUnsupported, spectra.UndecidedEquality,
-            spectra.UndecidedSign, spectra.EnclosureTooWide) as exc:
-        error = {"kind": type(exc).__name__, "stage": "joint_spectrum",
-                 "detail": str(exc)}
-        report = envelope("analyze", digest, {"error": error}, "inconclusive",
-                          seed=args.seed, config=config)
-        _emit(args, report, [f"error: {exc}"])
-        return _EXIT["inconclusive"]
+    args.digest, args.config = digest, {"tol": args.tol}
+    args.stage = "joint_spectrum"
+    classes = spectra.joint_spectrum(action)
+    functionals = spectra.lyapunov_functionals(action)
     result = {
         "dim": action.dim,
         "k": action.k,
@@ -108,14 +104,16 @@ def cmd_analyze(args) -> int:
             {"coeffs": [lv.mid() for lv in f.coeffs],
              "multiplicity": f.multiplicity,
              "classes": list(f.classes)} for f in functionals],
-        "semisimple": spectra.is_semisimple(action),
-        "weak_mixing_per_generator": [
-            spectra.is_weak_mixing(action.generator(i)) for i in range(action.k)],
     }
+    args.stage = "semisimple"
+    result["semisimple"] = spectra.is_semisimple(action)
+    args.stage = "weak_mixing"
+    result["weak_mixing_per_generator"] = [
+        spectra.is_weak_mixing(action.generator(i)) for i in range(action.k)]
     # coarse spaces, chambers and maximal intersections all read the one
-    # grouping and enumeration of this analysis, which the rigidity check's
-    # chamber fallback reuses; an undecided step reports its error in each
-    # field it feeds
+    # grouping and enumeration of this analysis; an undecided step reports
+    # its error in each field it feeds
+    args.stage = "chamber_geometry"
     geometry = ["coarse_spaces", "chambers"] + (["maximal_intersections"]
                                                 if action.k >= 2 else [])
     analysis = spectra.analyze(action)
@@ -143,10 +141,9 @@ def cmd_analyze(args) -> int:
     # needs no proportionality, so it is reported when the grouping fails too
     result["neutral_dimension"] = sum(f.multiplicity for f in functionals
                                       if f.is_zero_functional())
-    verdict = "pass"
+    args.stage = "rigidity_hypotheses"
     if action.k >= 2:
-        hyp = spectra.check_rigidity_hypotheses(action,
-                                                anosov_radius=args.radius)
+        hyp = spectra.check_rigidity_hypotheses(action)
         result["rigidity_hypotheses"] = hyp
         verdict = hyp["verdict"]
     else:
@@ -157,7 +154,7 @@ def cmd_analyze(args) -> int:
         if not anosov:
             result["failure_certificate"] = "NotAnosov: generator has a unit-modulus eigenvalue"
     report = envelope("analyze", digest, result, verdict, seed=args.seed,
-                      config=config)
+                      config=args.config)
     coarse = result["coarse_spaces"]
     text = [f"dim {action.dim}, rank {action.k}",
             f"functionals: {len(functionals)}",
@@ -173,9 +170,10 @@ def cmd_resonances(args) -> int:
     try:
         obj, digest = _read_input(args.input)
         bands = resonance.SpectrumBands.from_json(obj)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 1
+    args.digest = digest
     narrow = resonance.is_narrow_band(bands)
     result = {"narrow_band": narrow}
     verdict = "pass"
@@ -199,9 +197,10 @@ def cmd_normalform(args) -> int:
     try:
         obj, digest = _read_input(args.input)
         fmap = normalform.BlockedPolynomialMap.from_json(obj)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 1
+    args.digest, args.config = digest, {"degree": args.degree, "tol": args.tol}
     try:
         res = normalform.normalize_contraction(fmap, degree=args.degree)
     except (normalform.ResonantDenominator, ValueError) as exc:
@@ -216,7 +215,7 @@ def cmd_normalform(args) -> int:
     verdict = "pass" if ok and (res.residual == 0 or float(res.residual) < args.tol) \
         else "fail"
     report = envelope("normalform", digest, result, verdict, seed=args.seed,
-                      config={"degree": args.degree, "tol": args.tol})
+                      config=args.config)
     _emit(args, report, [f"residual: {res.residual}"])
     return _EXIT[verdict]
 
@@ -265,11 +264,15 @@ def cmd_conjugate(args) -> int:
         try:
             obj, digest = _read_input(args.input)
             pert = conjugacy.ToralPerturbation.from_json(obj)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             sys.stderr.write(f"parse error: {exc}\n")
             return 1
     if args.grid & (args.grid - 1):
         sys.stderr.write("parse error: --grid must be a power of two\n")
+        return 1
+    if not 0 <= args.generator < pert.k:
+        sys.stderr.write(f"parse error: --generator {args.generator} is not one of "
+                         f"the {pert.k} generators (0 to {pert.k - 1})\n")
         return 1
     need = args.grid ** pert.dim * pert.dim * 8 * _GRID_WORKING_SET
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -281,6 +284,8 @@ def cmd_conjugate(args) -> int:
     config = {"grid": args.grid, "tol": args.tol, "generator": args.generator,
               "mode": args.mode, "eps": args.eps if args.preset else None,
               "preset": args.preset}
+    args.digest, args.config = digest, config
+    args.stage = "solve"
     try:
         field = conjugacy.solve_conjugacy(
             pert, solving_generator=args.generator, resolution=args.grid,
@@ -302,10 +307,13 @@ def cmd_conjugate(args) -> int:
         "commutativity_defect": pert.commutativity_defect(),
         "c1_norm_bound": pert.c1_norm_bound(),
     }
+    args.stage = "intertwining"
     intertwining = conjugacy.verify_intertwining(field, pert)
     result["intertwining"] = intertwining
     if args.probe:
+        args.stage = "regularity"
         result["regularity"] = conjugacy.regularity_probe(field)
+    args.stage = "report"
     if ground_truth is not None:
         import numpy as np
 
@@ -338,6 +346,7 @@ def cmd_rootsys(args) -> int:
     digest = sha256_hex(stable_dumps(
         {"type": args.type, "rank": args.rank,
          "multiplicities": args.multiplicities}).encode())
+    args.digest = digest
     flow, _spaces = rootsys.weyl_flow_lyapunov_data(system)
     smooth = rootsys.smoothness_class_report(system)
     result = {"system": system.to_json(), "weyl_flow": flow,
@@ -350,8 +359,29 @@ def cmd_rootsys(args) -> int:
     return _EXIT[verdict]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the parse-error code (argparse's own 2 is the
+    fail code here)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _positive(kind):
+    """argparse type: a number of the given kind that is > 0."""
+    def parse(text):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__   # names the type in argparse's messages
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="anosovkit",
         description="Rigidity toolkit for higher-rank abelian Anosov actions")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -363,12 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--seed", type=int, default=0,
                        help="recorded in the report; fixes randomized sub-runs")
-        p.add_argument("--tol", type=float, default=1e-10)
+        p.add_argument("--tol", type=_positive(float), default=1e-10)
 
     p = sub.add_parser("analyze", help="spectral + chamber + rigidity analysis")
     common(p)
-    p.add_argument("--radius", type=int, default=8,
-                   help="max-norm box for the Anosov element search")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("resonances", help="sub-resonance descriptor of bands")
@@ -385,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=sorted(_PRESETS),
                    help="built-in perturbation family instead of --input")
     p.add_argument("--eps", type=float, default=0.01)
-    p.add_argument("--grid", type=int, default=256)
+    p.add_argument("--grid", type=_positive(int), default=256)
     p.add_argument("--generator", type=int, default=0)
     p.add_argument("--max-iter", type=int, default=10000)
     p.add_argument("--mode", choices=("cycle", "transfer"), default="cycle")
@@ -413,7 +441,25 @@ def main(argv=None) -> int:
         parser.error(f"{args.command} requires --input")
     if args.command == "conjugate" and not args.preset and not args.input:
         parser.error("conjugate requires --input or --preset")
-    return args.func(args)
+    # the command records its stage, input hash and config here as it goes,
+    # for the error report below
+    args.stage, args.digest, args.config = args.command, None, None
+    try:
+        return args.func(args)
+    except Exception as exc:
+        # the one boundary for errors that no stage claims: exit 3 with a
+        # structured error in the report, and the raising line on stderr
+        # in place of a traceback
+        import traceback
+
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        sys.stderr.write(f"error in stage {args.stage} at {frame.filename}:"
+                         f"{frame.lineno}: {type(exc).__name__}: {exc}\n")
+        error = {"kind": type(exc).__name__, "stage": args.stage, "detail": str(exc)}
+        report = envelope(args.command, args.digest, {"error": error}, "inconclusive",
+                          seed=args.seed, config=args.config)
+        _emit(args, report, [f"error: {exc}"])
+        return _EXIT["inconclusive"]
 
 
 if __name__ == "__main__":

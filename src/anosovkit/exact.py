@@ -274,6 +274,30 @@ def saturate_lattice(basis, k: int):
     return kernel_lattice(comp)
 
 
+def lattice_intersection(bases, k: int):
+    """Basis of the intersection of saturated sublattices of Z^k.
+
+    Each lattice is given by a basis (an empty one is {0}) and is the kernel
+    of its integer normals, so the intersection is the kernel of all the
+    normals stacked; it is saturated too.
+    """
+    eye = identity(k, 1)
+    normals = [n for basis in bases for n in (kernel_lattice(basis) if basis else eye)]
+    return kernel_lattice(normals) if normals else eye
+
+
+def det(rows):
+    """Cofactor expansion along the first row, over RInt or Fraction entries
+    (exact either way)."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = rows[0][0] * det([r[1:] for r in rows[1:]])
+    for j in range(1, len(rows)):
+        term = rows[0][j] * det([r[:j] + r[j + 1:] for r in rows[1:]])
+        acc = acc - term if j % 2 else acc + term
+    return acc
+
+
 @dataclass(frozen=True)
 class RInt:
     """Closed real interval with exact rational endpoints."""

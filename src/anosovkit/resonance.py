@@ -15,7 +15,6 @@ true equality, not a float coincidence.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -188,23 +187,3 @@ def sr_group_descriptor(bands: SpectrumBands) -> SRGroupDescriptor:
         relations=relations,
         monomial_count=monomial_space_dimension(bands, relations),
     )
-
-
-def brute_force_relations(bands: SpectrumBands, extra_degree: int = 2):
-    """Oracle: scan ALL multi-indices with 1 <= |s| <= degree_bound + extra_degree.
-
-    Used by tests to confirm the degree bound loses nothing; the margin must
-    produce no additional relations.  A plain scan of the whole box
-    {0..bound}^l with the inequality written out, so it shares no helper
-    with ``enumerate_subresonance``.
-    """
-    bound = degree_bound(bands) + extra_degree
-    mus = [mu for _, mu in bands.intervals]
-    out = []
-    for i, (lam_i, _) in enumerate(bands.intervals, start=1):
-        for s in itertools.product(range(bound + 1), repeat=len(mus)):
-            if 1 <= sum(s) <= bound and lam_i <= sum(sj * mu for sj, mu in zip(s, mus)):
-                out.append(SubResonanceRelation(target_block=i, exponents=s,
-                                                trivial=sum(s) == 1))
-    out.sort(key=lambda r: (r.target_block, r.exponents))
-    return out

@@ -15,6 +15,12 @@ Such a T separates the joint eigenvalues, and a semisimple action always
 has one among a number of candidates bounded by n and k; an action with
 none raises ``JointSpectrumUnsupported``.
 
+The rigidity check decides its two searches with finite bounds: an Anosov
+element lies in the box of radius ceil(m/2) for m nonzero functionals, and
+the elements with a root-of-unity eigenvalue form one torsion lattice per
+block, whose rank a nonzero interval minor of the block's log-modulus
+matrix certifies (Kronecker and Dirichlet).
+
 All yes/no answers are exact.  Enclosures only ever *separate* values;
 equality and zero decisions escalate to algebraic certificates
 (factorization, power-sum constructions, cyclotomic divisibility).
@@ -45,7 +51,10 @@ from .algnum import (
 from .exact import (  # noqa: F401  (the action types are re-exported)
     ActionSpec,
     ActionValidationError,
+    RInt,
+    det,
     identity,
+    lattice_intersection,
     mat_mul,
     mat_pow,
     nullspace,
@@ -87,18 +96,12 @@ class JointEigenvalueClass:
     def enclosures(self, tol: float = 1e-12):
         return tuple(lv.interval(tol) for lv in self.moduli_log)
 
-    def moduli_mid(self):
-        return tuple(lv.mid() for lv in self.moduli_log)
-
 
 @dataclass(frozen=True)
 class LyapunovFunctional:
     coeffs: tuple              # one LogValue per generator
     multiplicity: int
     classes: tuple             # merged JointEigenvalueClass indices
-
-    def evaluate_mid(self, a) -> float:
-        return sum(ai * lv.mid() for ai, lv in zip(a, self.coeffs))
 
     def is_zero_functional(self) -> bool:
         return all(lv.is_zero() for lv in self.coeffs)
@@ -454,20 +457,6 @@ def is_weak_mixing(matrix) -> bool:
     return not intpoly.has_root_of_unity(p)
 
 
-def weak_mixing_report(matrix) -> dict:
-    """Factored view of the Parry test, for reports."""
-    rows = [[int(x) for x in row] for row in matrix]
-    p = intpoly.charpoly(rows)
-    fl = [{"coefficients": list(key), "multiplicity": e,
-           "cyclotomic_indices": intpoly.cyclotomic_divisors(key)}
-          for key, e in intpoly.factor(p)]
-    return {
-        "charpoly": list(p),
-        "factors": fl,
-        "weak_mixing": not intpoly.has_root_of_unity(p),
-    }
-
-
 def sigma_of(action: ActionSpec, a):
     """Integer matrix of the action element sigma(a) = prod A_g^{a_g}."""
     acc = _power_product(action.generators, a) or identity(action.dim)
@@ -509,7 +498,12 @@ def functional_kernel_lattice(action: ActionSpec, functional: LyapunovFunctional
                     vals = [sum(mpmath.mpf(r.numerator) / r.denominator
                                 * coeffs[g].mpf(dps) for g, r in enumerate(row) if r)
                             for row in c_rows]
-                    rel = mpmath.pslq(vals, maxcoeff=maxcoeff, maxsteps=int(1e4))
+                    # a row that vanishes to PSLQ's own tolerance is itself
+                    # the candidate relation (PSLQ refuses such input)
+                    tiny = mpmath.mpf(2) ** -(mpmath.mp.prec * 3 // 4)
+                    zero = next((i for i, v in enumerate(vals) if abs(v) < tiny), None)
+                    rel = ([int(i == zero) for i in range(len(vals))] if zero is not None
+                           else mpmath.pslq(vals, maxcoeff=maxcoeff, maxsteps=int(1e4)))
                 if rel is None:
                     continue
                 cand = [sum(Fraction(m) * row[g] for m, row in zip(rel, c_rows))
@@ -535,147 +529,115 @@ def functional_kernel_lattice(action: ActionSpec, functional: LyapunovFunctional
     return basis, meta
 
 
-def check_rigidity_hypotheses(action: ActionSpec, anosov_radius: int = 8,
-                                combo_box: int = 2) -> dict:
+def check_rigidity_hypotheses(action: ActionSpec) -> dict:
     """Decide the rank-two rigidity hypotheses for a toral Z^k action.
 
-    Checks: semisimple linear part; existence of an Anosov element (box
-    search with a chamber-based fallback certificate); and, per Lyapunov
-    functional, that no nonzero element of the kernel sublattice
-    {n : chi(n) = 0} has a root-of-unity eigenvalue (exact cyclotomic
-    divisibility of char(sigma(n))).
+    Checks a semisimple linear part, an Anosov element, and that no nonzero
+    element of a Lyapunov kernel {n : chi(n) = 0} has a root-of-unity
+    eigenvalue.  Every answer is exact or certified; a block whose torsion
+    lattice has no rank certificate makes the verdict inconclusive.
+
+    Anosov element.  sigma(v) is Anosov iff chi(v) != 0 for every
+    functional.  A nonzero chi vanishes on at most (2r + 1)^(k-1) points of
+    the box of radius r, so m nonzero functionals cannot cover it once
+    2r + 1 > m: the sorted max-norm shells r = 1 ... ceil(m/2) are walked
+    with the exact ``is_anosov_element`` and the first hit is kept.  A zero
+    functional means there is none.
+
+    Roots of unity, per block b (one irreducible factor f of charpoly(T),
+    with roots tau_j).  On it sigma(n) has the eigenvalues
+    lambda_b(n)(tau_j) = prod_g q_g(tau_j)^(n_g), units of Q(tau).  By
+    Kronecker lambda_b(n) is a root of unity iff all of them have modulus 1,
+    so the bad n form T_b = ker_Z L_b with L_b[g][j] = log|q_g(tau_j)|.  T_b
+    lies in the kernel of every class of b, so a violation exists iff some
+    T_b != {0}.  S_b, the intersection of the verified kernel lattices of
+    b's classes, is a saturated sublattice of T_b, and
+    rank T_b <= k - rank_R L_b (with equality by Dirichlet's unit theorem).
+    So a (k - rank S_b)-minor of L_b whose interval determinant excludes 0
+    certifies S_b = T_b.
     """
     if action.k < 2:
         raise ValueError("the rigidity hypotheses require k >= 2")
-    report: dict = {"k": action.k, "dim": action.dim}
+    an = analyze(action)
+    k = action.k
+    report: dict = {"k": k, "dim": action.dim}
     report["semisimple"] = is_semisimple(action)
-    funcs = lyapunov_functionals(action)
+    funcs = an.functionals()
 
-    anosov = {"found": False, "vector": None, "method": None,
-              "searched_radius": anosov_radius}
-    if any(f.is_zero_functional() for f in funcs):
-        anosov["method"] = "zero-functional"
-    else:
-        for radius in range(1, anosov_radius + 1):
-            shell = [v for v in itertools.product(range(-radius, radius + 1),
-                                                  repeat=action.k)
-                     if max(abs(x) for x in v) == radius]
-            shell.sort()
-            hit = next((v for v in shell
-                        if all(f.evaluate_mid(v) != 0 for f in funcs)
-                        and is_anosov_element(action, v)), None)
-            if hit is not None:
-                anosov.update(found=True, vector=list(hit), method="box")
-                break
-        if not anosov["found"]:
-            try:
-                arr = analyze(action).chamber_arrangement()
-                for ch in arr.chambers:
-                    v = chambers.find_regular_element(arr, ch)
-                    if is_anosov_element(action, v):
-                        anosov.update(found=True, vector=list(v), method="chamber")
-                        break
-            except (UndecidedSign, chambers.UndecidedProportionality,
-                    EnclosureTooWide) as exc:
-                anosov["chamber_error"] = str(exc)
+    anosov = {"found": False, "vector": None, "method": "zero-functional"}
+    if not any(f.is_zero_functional() for f in funcs):
+        bound = (len(funcs) + 1) // 2
+        shells = (v for r in range(1, bound + 1)
+                  for v in sorted(itertools.product(range(-r, r + 1), repeat=k))
+                  if max(abs(x) for x in v) == r)
+        hit = next((v for v in shells if is_anosov_element(action, v)), None)
+        if hit is None:
+            raise RuntimeError(f"{len(funcs)} nonzero functionals cover the box "
+                               f"of radius {bound}")
+        anosov = {"found": True, "vector": list(hit), "method": "box"}
     report["anosov_element"] = anosov
 
     per_functional = []
-    violations_total = []
-    inconclusive = False
+    owner = {}
     for fi, func in enumerate(funcs):
         basis, meta = functional_kernel_lattice(action, func)
-        if meta["unverified"]:
-            inconclusive = True
-        entry = {"functional_index": fi, "kernel_rank": len(basis),
-                 "kernel_basis": [list(v) for v in basis],
-                 "relation_search": meta, "violations": []}
-        if basis:
-            tested = set()
-            combos = (primitive_vector([sum(c * basis[r][g] for r, c in enumerate(combo))
-                                        for g in range(action.k)])
-                      for combo in itertools.product(range(-combo_box, combo_box + 1),
-                                                     repeat=len(basis))
-                      if any(combo))
-            torsion = _torsion_candidates(analyze(action), action, func, basis)
-            for n in itertools.chain(combos, torsion):
-                n = tuple(n)
-                if n in tested or tuple(-x for x in n) in tested:
-                    continue
-                tested.add(n)
-                p = intpoly.charpoly(sigma_of(action, n))
-                cyc = intpoly.cyclotomic_divisors(p)
-                if cyc:
-                    entry["violations"].append({"element": list(n),
-                                                "cyclotomic_indices": cyc})
-        violations_total.extend(entry["violations"])
-        per_functional.append(entry)
+        owner.update((c, basis) for c in func.classes)
+        per_functional.append({"functional_index": fi, "kernel_rank": len(basis),
+                               "kernel_basis": [list(v) for v in basis],
+                               "relation_search": meta})
+    per_block = []
+    violations = {}
+    for b in range(len(an.blocks)):
+        classes = [c for c in range(len(an.classes())) if an.locator(c)[0] == b]
+        torsion = lattice_intersection([owner[c] for c in classes], k)
+        per_block.append({"classes": classes, "torsion_rank": len(torsion),
+                          "torsion_basis": torsion,
+                          "rank_certificate": _rank_certificate(an, classes,
+                                                                k - len(torsion))})
+        for n in torsion:
+            if tuple(n) in violations or tuple(-x for x in n) in violations:
+                continue
+            cyc = intpoly.cyclotomic_divisors(intpoly.charpoly(sigma_of(action, n)))
+            if not cyc:
+                raise RuntimeError(f"torsion element {n} of block {b} has no "
+                                   "root-of-unity eigenvalue")
+            violations[tuple(n)] = {"element": n, "cyclotomic_indices": cyc}
     report["roots_of_unity"] = {"per_functional": per_functional,
-                                "pass": not violations_total}
+                                "per_block": per_block,
+                                "violations": list(violations.values()),
+                                "pass": not violations}
 
     failures = []
     if not report["semisimple"]["overall"]:
         failures.append("linear part not semisimple")
     if not anosov["found"]:
         failures.append("no Anosov element found")
-    if violations_total:
+    if violations:
         failures.append("kernel-lattice element with root-of-unity eigenvalue")
     report["failures"] = failures
     if failures:
         report["verdict"] = "fail"
-    elif inconclusive:
+    elif any(e["rank_certificate"] is None for e in per_block):
         report["verdict"] = "inconclusive"
     else:
         report["verdict"] = "pass"
     return report
 
 
-def _torsion_candidates(an: _Analysis, action: ActionSpec,
-                        func: LyapunovFunctional, basis):
-    """Numeric candidates n in the kernel lattice with Lambda(n) possibly torsion.
-
-    Looks at the full conjugate-modulus log vectors of the basis units; an
-    integer null combination would make all conjugates unimodular (hence a
-    root of unity, by Kronecker).  Candidates are verified exactly by the
-    caller; this routine only proposes.
-    """
-    if not basis or len(basis) < 2:
-        return []
-    block = an.blocks[an.locator(func.classes[0])[0]]
-
-    def mpf(q):
-        return mpmath.mpf(q.numerator) / q.denominator
-
-    with mpmath.workdps(60):
-        conjugates = []
-        for croot in block.croots:
-            box = root_box(croot, Fraction(1, 10**70))
-            conjugates.append(mpmath.mpc(mpf((box.re.lo + box.re.hi) / 2),
-                                         mpf((box.im.lo + box.im.hi) / 2)))
-        cols = []
-        for vec in basis:
-            q_a = _element_poly(block, vec)
-            vals = []
-            for rt in conjugates:
-                acc = mpmath.mpc(0)
-                for c in q_a:
-                    acc = acc * rt + mpf(c)
-                vals.append(mpmath.log(abs(acc)))
-            cols.append(vals)
-        # the deg x rank matrix of the columns, at the same precision
-        _, s, vt = mpmath.svd_r(mpmath.matrix(cols).T, full_matrices=True)
-    cands = []
-    if s[len(s) - 1] < 1e-12 * max(1.0, s[0]):
-        null = [vt[vt.rows - 1, i] for i in range(vt.cols)]
-        top = max(abs(x) for x in null)
-        approx = [Fraction(float(x / top)).limit_denominator(1000) for x in null]
-        from math import lcm
-
-        mult = lcm(*[f.denominator for f in approx])
-        m = [int(f * mult) for f in approx]
-        if any(m):
-            n = [sum(mi * basis[r][g] for r, mi in enumerate(m))
-                 for g in range(action.k)]
-            if any(n):
-                cands.append(primitive_vector(n))
-    return cands
+def _rank_certificate(an: _Analysis, classes, size: int):
+    """A size x size minor of L_b (rows: generators, columns: the block's
+    classes, entries log|q_g| at the class's root) whose interval
+    determinant excludes 0, which proves rank_R L_b >= size; None if no
+    minor is certified at the finest tolerance."""
+    if size == 0:
+        return {"size": 0, "generators": [], "classes": []}
+    minors = [(rows, cols)
+              for rows in itertools.combinations(range(an.action.k), size)
+              for cols in itertools.combinations(classes, size)]
+    for tol in (1e-12, 1e-30, 1e-60):
+        for rows, cols in minors:
+            d = det([[RInt(*(Fraction(x) for x in an.logvalue(*an.locator(c), g)
+                             .interval(tol))) for c in cols] for g in rows])
+            if d.lo > 0 or d.hi < 0:
+                return {"size": size, "generators": list(rows), "classes": list(cols)}
+    return None

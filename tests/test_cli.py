@@ -2,10 +2,13 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
 from anosovkit.cli import main
 from anosovkit.exact import mat_inv
@@ -318,8 +321,7 @@ def test_blockdiag_t6_fails_with_certificate(tmp_path):
         assert res[key]["error"] == "UndecidedProportionality"
         assert res[key]["detail"]
     assert res["neutral_dimension"] == 0
-    viols = [v for e in res["rigidity_hypotheses"]["roots_of_unity"]["per_functional"]
-             for v in e["violations"]]
+    viols = res["rigidity_hypotheses"]["roots_of_unity"]["violations"]
     assert any(v["element"] in ([1, -1], [-1, 1]) and v["cyclotomic_indices"] == [1]
                for v in viols)
 
@@ -338,24 +340,21 @@ def test_analyze_enumerates_chambers_once(inputs, tmp_path, monkeypatch):
     from anosovkit import chambers, spectra
 
     enumerate_chambers = chambers.weyl_chambers
-    # --radius 0 skips the box search, so the rigidity check's chamber
-    # fallback finds the Anosov element from the same enumeration
-    for extra, method in (([], "box"), (["--radius", "0"], "chamber")):
-        calls = []
+    calls = []
 
-        def counted(grouping):
-            calls.append(grouping)
-            return enumerate_chambers(grouping)
+    def counted(grouping):
+        calls.append(grouping)
+        return enumerate_chambers(grouping)
 
-        monkeypatch.setattr(chambers, "weyl_chambers", counted)
-        monkeypatch.setattr(spectra, "_ANALYSES", {})
-        out = tmp_path / "t3.out.json"
-        assert main(["analyze", "--input", str(inputs / "t3.json"),
-                     "--output", str(out)] + extra) == 0
-        assert len(calls) == 1
-        res = json.loads(out.read_text())["result"]
-        assert res["maximal_intersections"]["pass"]
-        assert res["rigidity_hypotheses"]["anosov_element"]["method"] == method
+    monkeypatch.setattr(chambers, "weyl_chambers", counted)
+    monkeypatch.setattr(spectra, "_ANALYSES", {})
+    out = tmp_path / "t3.out.json"
+    assert main(["analyze", "--input", str(inputs / "t3.json"),
+                 "--output", str(out)]) == 0
+    assert len(calls) == 1
+    res = json.loads(out.read_text())["result"]
+    assert res["maximal_intersections"]["pass"]
+    assert res["rigidity_hypotheses"]["anosov_element"]["method"] == "box"
 
 
 @pytest.mark.parametrize("kind", ["JointSpectrumUnsupported", "UndecidedEquality",
@@ -391,3 +390,190 @@ def test_analyze_unlinkable_action_is_inconclusive(tmp_path, capsys):
     error = rep["result"]["error"]
     assert (error["kind"], error["stage"]) == ("JointSpectrumUnsupported", "joint_spectrum")
     assert "Traceback" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Exit-code contract: 1 parse error only, 2 fail, 3 undecided or internal
+# ---------------------------------------------------------------------------
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:      # argparse usage errors
+        return exc.code
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(inputs):
+    d = inputs
+    (d / "wide.json").write_text(json.dumps(
+        {"intervals": [["-1", "-1/2"], ["-2/5", "-1/4"]], "block_dims": [1, 1]}))
+    (d / "jordan.json").write_text(json.dumps(
+        {"bands": {"intervals": [["-1386294/1000000", "-1386294/1000000"],
+                                 ["-693147/1000000", "-693147/1000000"]],
+                   "block_dims": [2, 1]},
+         "degree": 3,
+         "terms": [{"coord": 0, "exponents": [1, 0, 0], "value": "1/4"},
+                   {"coord": 0, "exponents": [0, 1, 0], "value": "1"},
+                   {"coord": 1, "exponents": [0, 1, 0], "value": "1/4"},
+                   {"coord": 2, "exponents": [0, 0, 1], "value": "1/2"},
+                   {"coord": 0, "exponents": [0, 0, 3], "value": "1"}]}))
+    (d / "shears.json").write_text(json.dumps(
+        {"dim": 3, "generators": [[1, 1, 0, 0, 1, 0, 0, 0, 1],
+                                  [1, 0, 1, 0, 1, 0, 0, 0, 1]]}))
+    return d
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["analyze"], 1),                                   # no --input
+    (["analyze", "--input", "t3.json", "--tol", "0"], 1),
+    (["analyze", "--input", "t3.json", "--tol", "-1"], 1),
+    (["analyze", "--input", "t3.json", "--radius", "8"], 1),   # removed option
+    (["analyze", "--input", "ident.json"], 2),
+    (["analyze", "--input", "shears.json"], 3),
+    (["resonances", "--input", "bands.json", "--bogus"], 1),
+    (["resonances", "--input", "badbands.json"], 1),
+    (["resonances", "--input", "wide.json"], 2),
+    (["normalform", "--input", "cubic.json", "--degree", "x"], 1),
+    (["normalform", "--input", "jordan.json"], 2),
+    (["conjugate", "--preset", "cat-sin", "--grid", "0"], 1),
+    (["conjugate", "--preset", "cat-sin", "--grid", "16", "--generator", "5"], 1),
+    (["conjugate", "--preset", "cat-sin", "--grid", "16", "--generator", "-1"], 1),
+    (["conjugate", "--preset", "cat-sin", "--grid", "16", "--tol", "0"], 1),
+    (["conjugate", "--preset", "cat-sin", "--eps", "0.5", "--grid", "32"], 2),
+    (["rootsys", "--rank", "2"], 1),                    # no --type
+    (["rootsys", "--type", "Z", "--rank", "2"], 1),
+])
+def test_exit_code_matrix(contract_inputs, tmp_path, capsys, argv, code):
+    argv = [str(contract_inputs / a) if a.endswith(".json") else a for a in argv]
+    assert exit_code(argv + ["--output", str(tmp_path / "out.json")]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    if code != 1:
+        rep = json.loads((tmp_path / "out.json").read_text())
+        assert rep["verdict"] == {2: "fail", 3: "inconclusive"}[code]
+
+
+@pytest.mark.parametrize("argv, module, name, stage", [
+    (["analyze", "--input", "t3.json"], "spectra", "is_weak_mixing", "weak_mixing"),
+    (["analyze", "--input", "t3.json"], "spectra", "check_rigidity_hypotheses",
+     "rigidity_hypotheses"),
+    (["resonances", "--input", "bands.json"], "resonance", "sr_group_descriptor",
+     "resonances"),
+    (["normalform", "--input", "cubic.json"], "normalform", "is_subresonance_type",
+     "normalform"),
+    (["conjugate", "--preset", "cat-sin", "--grid", "16"], "conjugacy",
+     "verify_intertwining", "intertwining"),
+    (["rootsys", "--type", "A", "--rank", "2"], "rootsys", "smoothness_class_report",
+     "rootsys"),
+], ids=["analyze-weak-mixing", "analyze-rigidity", "resonances", "normalform",
+        "conjugate", "rootsys"])
+def test_unclaimed_error_is_structured(contract_inputs, tmp_path, monkeypatch,
+                                       capsys, argv, module, name, stage):
+    import importlib
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(importlib.import_module(f"anosovkit.{module}"), name, broken)
+    argv = [str(contract_inputs / a) if a.endswith(".json") else a for a in argv]
+    out = tmp_path / "out.json"
+    assert exit_code(argv + ["--output", str(out)]) == 3
+    rep = json.loads(out.read_text())
+    assert rep["verdict"] == "inconclusive" and rep["command"] == argv[0]
+    assert rep["result"] == {"error": {"kind": "RuntimeError", "stage": stage,
+                                       "detail": "injected"}}
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and f"error in stage {stage}" in err
+
+
+def cat_power_blocks(exponents):
+    """Generator g acts on 2 x 2 block i as C^(exponents[i][g]), C the cat map."""
+    cat, inv = [[2, 1], [1, 1]], [[1, -1], [-1, 2]]
+
+    def power(e):
+        m = [[1, 0], [0, 1]]
+        for _ in range(abs(e)):
+            m = [[sum(a * b for a, b in zip(row, col)) for col in zip(*(cat if e > 0 else inv))]
+                 for row in m]
+        return m
+
+    n = 2 * len(exponents)
+    gens = []
+    for g in range(len(exponents[0])):
+        m = [[0] * n for _ in range(n)]
+        for i, e in enumerate(exponents):
+            for r, row in enumerate(power(e[g])):
+                m[2 * i + r][2 * i:2 * i + 2] = row
+        gens.append(m)
+    return gens
+
+
+def test_three_block_action_fails_fast(tmp_path):
+    # after the relation (-2, 1, -1) the PSLQ row reduction leaves a row
+    # whose value vanishes: it is itself the next relation.  Each block's
+    # torsion lattice has rank 2 and lies outside the [-2, 2] box.
+    gens = cat_power_blocks([(1, 0, 0), (1, 3, -7), (2, 5, 1)])
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps({"dim": 6, "generators": [[x for row in g for x in row]
+                                                         for g in gens]}))
+    t0 = time.perf_counter()
+    out = run_cli(["analyze", "--input", str(path)])
+    assert time.perf_counter() - t0 < 2
+    assert out.returncode == 2, out.stderr
+    rig = json.loads(out.stdout)["result"]["rigidity_hypotheses"]
+    assert rig["failures"] == ["kernel-lattice element with root-of-unity eigenvalue"]
+    blocks = rig["roots_of_unity"]["per_block"]
+    assert [b["torsion_rank"] for b in blocks] == [2, 2, 2]
+    assert all(b["rank_certificate"]["size"] == 1 for b in blocks)
+    elements = [v["element"] for v in rig["roots_of_unity"]["violations"]]
+    assert [-3, 1, 0] in elements and [7, 0, 1] in elements
+
+
+def mp_eigenvalues(m):
+    digits = max(len(str(abs(x))) for row in m for x in row)
+    with mpmath.workdps(60 + digits):
+        return mpmath.eig(mpmath.matrix(m), left=False, right=False)
+
+
+def near_root_of_unity(z, dim):
+    # a root of unity of degree <= dim has order q with phi(q) <= dim, so
+    # q <= 2 dim^2
+    return any(abs(z ** q - 1) < 1e-30 for q in range(1, 2 * dim * dim + 1))
+
+
+@st.composite
+def cat_power_sums(draw):
+    k = draw(st.sampled_from([2, 3]))
+    blocks = draw(st.integers(2, 3))
+    return [tuple(draw(st.integers(-3, 3)) for _ in range(k)) for _ in range(blocks)]
+
+
+@given(cat_power_sums())
+def test_cat_power_sums_fail_with_verified_certificates(exponents):
+    # each functional of such a sum is (e_i . n) log(lambda), so some n != 0
+    # with e_i . n = 0 gives sigma(n) the eigenvalue 1: every draw fails
+    gens = cat_power_blocks(exponents)
+    dim = len(gens[0])
+    with tempfile.TemporaryDirectory() as d:
+        src, out = Path(d) / "action.json", Path(d) / "out.json"
+        src.write_text(json.dumps({"dim": dim, "generators": [
+            [x for row in g for x in row] for g in gens]}))
+        t0 = time.perf_counter()
+        assert main(["analyze", "--input", str(src), "--output", str(out)]) == 2
+        assert time.perf_counter() - t0 < 5
+        rig = json.loads(out.read_text())["result"]["rigidity_hypotheses"]
+    assert rig["roots_of_unity"]["violations"]
+
+    def sigma(n):
+        return cat_power_blocks([(sum(e * x for e, x in zip(ei, n)),)
+                                 for ei in exponents])[0]
+
+    for v in rig["roots_of_unity"]["violations"]:
+        assert any(near_root_of_unity(z, dim) for z in mp_eigenvalues(sigma(v["element"])))
+    witness = rig["anosov_element"]
+    if witness["found"]:
+        assert all(abs(abs(z) - 1) > 1e-30 for z in mp_eigenvalues(sigma(witness["vector"])))
+    else:
+        assert witness["method"] == "zero-functional"
+        assert any(not any(e) for e in exponents)

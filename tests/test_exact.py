@@ -5,6 +5,8 @@ have, and its nullspace basis (built from its own rref) must equal ours
 entry for entry.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,8 @@ from hypothesis import strategies as st
 
 from anosovkit.exact import (
     identity,
+    kernel_lattice,
+    lattice_intersection,
     mat_inv,
     mat_mul,
     mat_vec,
@@ -198,3 +202,23 @@ def test_semisimple_examples():
     assert not is_semisimple_matrix([[1, 1], [0, 1]])
     assert is_semisimple_matrix([[0, -1], [1, 0]])   # eigenvalues +-i
     assert not is_semisimple_matrix([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+
+
+
+@given(st.lists(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+                         max_size=2), min_size=1, max_size=3))
+def test_lattice_intersection_is_the_saturated_kernel(normal_sets):
+    # each lattice is the kernel of its normals (no normals: all of Z^3), so
+    # the intersection is the kernel of every normal: a basis of it is
+    # orthogonal to them all, has rank 3 - rank(normals), and is saturated,
+    # i.e. the gcd of its maximal minors is 1
+    bases = [kernel_lattice(normals) if any(map(any, normals)) else identity(3, 1)
+             for normals in normal_sets]
+    basis = lattice_intersection(bases, 3)
+    every = [n for normals in normal_sets for n in normals]
+    assert all(sum(a * b for a, b in zip(n, v)) == 0 for n in every for v in basis)
+    assert len(basis) == 3 - (sym(every).rank() if every else 0)
+    if basis:
+        minors = [sym(basis).extract(list(range(len(basis))), list(cols)).det()
+                  for cols in itertools.combinations(range(3), len(basis))]
+        assert math.gcd(*map(int, minors)) == 1

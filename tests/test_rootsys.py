@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from anosovkit import rootsys
+from oracles import reflection_closure_oracle
 
 
 def test_counts():
@@ -33,7 +34,7 @@ def test_invalid_type():
 def test_reflection_closure_oracle(tl, rmin):
     for rank in range(rmin, 5):
         built = set(rootsys.build_root_system(tl, rank).roots)
-        oracle = set(rootsys.reflection_closure_oracle(tl, rank))
+        oracle = set(reflection_closure_oracle(tl, rank))
         assert built == oracle
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
-from anosovkit import chambers, intpoly, spectra
+from anosovkit import intpoly, spectra
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +56,7 @@ def test_json_roundtrip(t3_action):
 def test_cat_spectrum(cat_action):
     classes = spectra.joint_spectrum(cat_action)
     assert len(classes) == 2
-    mids = sorted(c.moduli_mid()[0] for c in classes)
+    mids = sorted(c.moduli_log[0].mid() for c in classes)
     assert mids[0] == pytest.approx(-0.9624236501192069, abs=1e-12)
     assert mids[1] == pytest.approx(0.9624236501192069, abs=1e-12)
     assert all(c.dimension == 1 for c in classes)
@@ -136,7 +136,8 @@ def test_eigensolver_cross_check(cat_action, t3_action):
             eig = sorted(np.log(np.abs(np.linalg.eigvals(sigma))))
             chis = []
             for f in funcs:
-                chis.extend([f.evaluate_mid(n)] * f.multiplicity)
+                chi = sum(ni * lv.mid() for ni, lv in zip(n, f.coeffs))
+                chis.extend([chi] * f.multiplicity)
             assert np.allclose(sorted(chis), eig, atol=1e-8)
 
 
@@ -212,10 +213,12 @@ def test_weak_mixing_requires_unimodular():
 
 
 def test_weak_mixing_report_structure():
-    rep = spectra.weak_mixing_report([[2, 1], [1, 1]])
-    assert rep["weak_mixing"]
-    assert rep["factors"][0]["coefficients"] == [1, -3, 1]
-    assert rep["factors"][0]["cyclotomic_indices"] == []
+    # the factored view of the Parry test
+    p = intpoly.charpoly([[2, 1], [1, 1]])
+    assert not intpoly.has_root_of_unity(p)
+    (key, _), = intpoly.factor(p)
+    assert list(key) == [1, -3, 1]
+    assert intpoly.cyclotomic_divisors(key) == []
 
 
 def _det_power_oracle(m):
@@ -254,17 +257,34 @@ def test_rigidity_t3_passes(t3_action):
     assert rep["anosov_element"]["found"]
     assert all(e["kernel_rank"] == 0
                for e in rep["roots_of_unity"]["per_functional"])
+    # one cubic block: its 2 x 3 log-modulus matrix has a nonzero 2-minor,
+    # so its torsion lattice is certified to be {0}
+    (block,) = rep["roots_of_unity"]["per_block"]
+    assert block["classes"] == [0, 1, 2] and block["torsion_rank"] == 0
+    assert block["rank_certificate"]["size"] == 2
 
 
 def test_rigidity_inverse_pair_fails(cat_action):
     pair = spectra.validate_action([[[2, 1], [1, 1]], [[1, -1], [-1, 2]]])
     rep = spectra.check_rigidity_hypotheses(pair)
     assert rep["verdict"] == "fail"
-    viols = [v for e in rep["roots_of_unity"]["per_functional"]
-             for v in e["violations"]]
+    viols = rep["roots_of_unity"]["violations"]
     assert any(abs(v["element"][0]) == 1 and v["element"][0] == v["element"][1]
                for v in viols)
     assert any(1 in v["cyclotomic_indices"] for v in viols)
+
+
+def test_rigidity_missed_relation_is_inconclusive(monkeypatch):
+    # with the relation n = (1, 1) withheld, the kernel lattices are {0} but
+    # the 2 x 2 log-modulus matrix of the block has rank 1 < k, so no minor
+    # certifies that its torsion lattice is {0}: inconclusive, never pass
+    pair = spectra.validate_action([[[2, 1], [1, 1]], [[1, -1], [-1, 2]]])
+    monkeypatch.setattr(spectra, "functional_kernel_lattice",
+                        lambda action, func: ([], {"method": "none"}))
+    rep = spectra.check_rigidity_hypotheses(pair)
+    assert rep["verdict"] == "inconclusive"
+    (block,) = rep["roots_of_unity"]["per_block"]
+    assert block["torsion_rank"] == 0 and block["rank_certificate"] is None
 
 
 def test_rigidity_identity_pair_fails():
@@ -274,30 +294,26 @@ def test_rigidity_identity_pair_fails():
     assert not rep["anosov_element"]["found"]
 
 
-def test_rigidity_chamber_fallback(t3_action, monkeypatch):
-    # radius 0 skips the box search, so the Anosov element comes from a chamber
-    rep = spectra.check_rigidity_hypotheses(t3_action, anosov_radius=0)
-    assert rep["anosov_element"]["vector"] == [53, 36]
-    assert rep["anosov_element"]["method"] == "chamber"
+def test_rigidity_anosov_search_bound(t3_action, monkeypatch):
+    # the first Anosov element in sorted shell order
+    rep = spectra.check_rigidity_hypotheses(t3_action)
+    assert rep["anosov_element"] == {"found": True, "vector": [-1, -1],
+                                     "method": "box"}
+    # three nonzero functionals cannot cover the box of radius
+    # ceil(3/2) = 2, so when every candidate is refused the search has tried
+    # all of that box, nothing past it, and reports an internal error
+    tried = []
 
-    def undecided(grouping):
-        raise spectra.UndecidedSign("enumeration did not certify")
+    def refuse(action, v):
+        tried.append(tuple(v))
+        return False
 
-    # each analysis enumerates its chambers once, so every variant of the
-    # enumeration needs a fresh analysis
-    monkeypatch.setattr(chambers, "weyl_chambers", undecided)
-    monkeypatch.setattr(spectra, "_ANALYSES", {})
-    rep = spectra.check_rigidity_hypotheses(t3_action, anosov_radius=0)
-    assert not rep["anosov_element"]["found"]
-    assert rep["anosov_element"]["chamber_error"] == "enumeration did not certify"
-
-    def broken(grouping):
-        raise RuntimeError("not an undecided step")
-
-    monkeypatch.setattr(chambers, "weyl_chambers", broken)
-    monkeypatch.setattr(spectra, "_ANALYSES", {})
-    with pytest.raises(RuntimeError):
-        spectra.check_rigidity_hypotheses(t3_action, anosov_radius=0)
+    monkeypatch.setattr(spectra, "is_anosov_element", refuse)
+    with pytest.raises(RuntimeError, match="radius 2"):
+        spectra.check_rigidity_hypotheses(t3_action)
+    box = sorted(v for v in itertools.product(range(-2, 3), repeat=2) if any(v))
+    assert sorted(tried) == box
+    assert [max(map(abs, v)) for v in tried] == sorted(max(map(abs, v)) for v in tried)
 
 
 def test_rigidity_requires_rank_two(cat_action):
