@@ -213,7 +213,7 @@ def _isolate(key: tuple, prec: int) -> tuple:
             try:
                 approx = mpmath.polyroots(key, maxsteps=50 + 4 * n, extraprec=prec,
                                           roots_init=init)
-            except mpmath.NoConvergence:
+            except libmp.NoConvergence:
                 approx = ()
         init = approx or None     # the next, more precise try starts here
         real, upper = [], []

@@ -5,8 +5,8 @@ run of ``proportionality_coefficient`` over the functional list sorts the
 nonzero functionals into walls (proportional up to sign, each member with
 its signed coefficient) and sets the zero functionals aside as the neutral
 part.  From that pass come the coarse Lyapunov spaces (the positive and
-negative half of each wall), Weyl chamber enumeration with rational
-interior witnesses (``weyl_chambers``, run only when asked), regular
+negative half of each wall), Weyl chambers in the coordinates of the walls'
+kernel lattices with small integer witnesses (``weyl_chambers``), regular
 (Anosov-candidate) element extraction, and the combinatorial part of the
 rank>=2 hypothesis: every coarse space is a maximal intersection of stable
 sets, certified by explicit elements.
@@ -26,15 +26,17 @@ UndecidedProportionality rather than merging on noise.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
-    EnclosureTooWide,
     RInt,
     UndecidedSign,
     det,
+    hnf_rows,
+    kernel_lattice,
+    lattice_intersection,
+    lattice_normals,
     lcm_denominators,
     primitive_vector,
     simplest_rational_between,
@@ -261,7 +263,7 @@ def _coarse_space(coeffs, mults, half) -> CoarseLyapunovSpace:
 @dataclass(frozen=True)
 class Chamber:
     signs: tuple             # +-1 per wall
-    witness: tuple           # rational interior point
+    witness: tuple           # interior point, a small primitive integer one when found
 
 
 @dataclass(frozen=True)
@@ -302,137 +304,129 @@ def exact_sign_at(coeffs, point) -> int:
     return combine_logvalues(list(coeffs), ipt).sign()
 
 
-def weyl_chambers(grouping: FunctionalArrangement) -> ChamberArrangement:
-    """Enumerate the chambers of the kernel arrangement with exact witnesses.
+def weyl_chambers(grouping: FunctionalArrangement, kernels=None) -> ChamberArrangement:
+    """Enumerate the chambers of the wall arrangement, with exact witnesses.
 
-    Rational functionals: incremental insertion with exact rational LP.
-    Algebraic (log) functionals: exact in rank 1 and 2 (ray separation is
-    decidable); rank >= 3 goes through a chirotope-certified rational proxy
-    and every witness is re-certified against the true normals.  A
-    degeneracy that resists certification raises UndecidedSign.
+    ``kernels[w]`` spans integer vectors on which wall w provably vanishes
+    ({0} if not given; computed for a rational wall).  One path for every k:
+    the walls vanish on L, the intersection of the kernels, and the rows B of
+    the unimodular U of the HNF of L's normals complete L to Z^k, so the
+    chambers are those of the quotient normals chi(B_i), pulled back.  A
+    rational wall, and a wall whose kernel has rank k - 1 (chi is then a
+    positive multiple of chi(nu) nu, nu the kernel's normal), is its own
+    exact proxy; the others are rounded, and certified when every r-subset
+    with one (r the quotient rank) has an interval determinant of certain
+    sign, the proxies' (the chirotope fixes the chambers: Bjorner et al.,
+    *Oriented Matroids*, 1993); fewer walls than r leave it uncertified.
+    Each proxy chamber's LP witness is lifted by B, certified exactly, and
+    replaced by the first primitive round(D a / |a|_inf), D = 1, 2, 4, ...,
+    2^20, with the chamber's signs.  Failures refine the rounding, and
+    UndecidedSign follows the finest.  A missed kernel relation only makes
+    L smaller, which can cause that, never a wrong chamber.
     """
     if not grouping.walls:
         raise ValueError("no nonzero functionals")
-    k = grouping.k
-    wall_reps = [wall.normal for wall in grouping.walls]
-    if all(all(_is_exact(x) for x in rep) for rep in wall_reps):
-        chambers = _enumerate_exact([list(map(Fraction, r)) for r in wall_reps], k)
-    elif k == 1:
-        signs = tuple(_sign(rep[0]) for rep in wall_reps)
-        chambers = (Chamber(signs=signs, witness=(Fraction(1),)),
-                    Chamber(signs=tuple(-s for s in signs), witness=(Fraction(-1),)))
-    elif k == 2:
-        chambers = _enumerate_rank2(wall_reps)
-    else:
-        chambers = _enumerate_proxy(wall_reps, k)
-    return ChamberArrangement(grouping=grouping, chambers=tuple(chambers))
-
-
-def _enumerate_exact(reps, k):
-    m = len(reps)
-    chambers = [Chamber(signs=(), witness=None)]
-    inserted = []
-    for w in range(m):
-        inserted.append(reps[w])
-        new = []
-        for ch in chambers:
-            for s in (1, -1):
-                signs = list(ch.signs) + [s]
-                witness = strict_sign_witness(
-                    inserted, [signs[i] for i in range(len(inserted))])
-                if witness is not None:
-                    new.append(Chamber(signs=tuple(signs), witness=tuple(witness)))
-        chambers = new
-    return chambers
-
-
-def _enumerate_rank2(reps):
-    # sort kernel rays by angle; chambers are the sectors in between
-    m = len(reps)
-    angles = []
-    for i, rep in enumerate(reps):
-        tol = 1e-12
-        (alo, ahi), (blo, bhi) = _interval(rep[0], tol), _interval(rep[1], tol)
-        # kernel direction of (a, b) is (-b, a); fold to [0, pi)
-        theta = math.atan2(float((alo + ahi) / 2), -float((blo + bhi) / 2)) % math.pi
-        angles.append((theta, i))
-    angles.sort()
-    order = [i for _, i in angles]
-    thetas = [t for t, _ in angles]
-    chambers = []
-    for s in range(m):
-        t0 = thetas[s]
-        t1 = thetas[(s + 1) % m] + (math.pi if s == m - 1 else 0.0)
-        phi = (t0 + t1) / 2
-        chambers.extend(_certified_sector_chambers(reps, phi))
-    dedup = {}
-    for ch in chambers:
-        dedup.setdefault(ch.signs, ch)
-    result = list(dedup.values())
-    if len(result) != 2 * m:
-        raise UndecidedSign(
-            f"rank-2 enumeration found {len(result)} chambers, expected {2 * m}")
-    return sorted(result, key=lambda c: c.signs)
-
-
-def _certified_sector_chambers(reps, phi):
-    out = []
-    for direction in (phi, phi + math.pi):
-        for denom in (64, 512, 4096, 1 << 16):
-            a = (Fraction(round(math.cos(direction) * denom), denom),
-                 Fraction(round(math.sin(direction) * denom), denom))
-            try:
-                signs = tuple(exact_sign_at(rep, a) for rep in reps)
-            except EnclosureTooWide:
+    k, m = grouping.k, len(grouping.walls)
+    normals, lattices, exact = [wall.normal for wall in grouping.walls], [], []
+    for w, n in enumerate(normals):
+        if all(_is_exact(x) for x in n):
+            lattices.append(kernel_lattice([n]))
+            exact.append([Fraction(x) for x in n])
+            continue
+        lattices.append(list(kernels[w]) if kernels else [])
+        (nu, *rest) = lattice_normals(lattices[-1], k)
+        exact.append(None if rest else [exact_sign_at(n, nu) * x for x in nu])
+    h, u = hnf_rows(list(zip(*lattice_normals(lattice_intersection(lattices, k), k))))
+    basis = [row for row, hrow in zip(u, h) if any(hrow)]
+    r = len(basis)
+    walls = [(e or n, lattice_normals(lattice, k))
+             for n, e, lattice in zip(normals, exact, lattices)]
+    for den, tol in ((10**3, 1e-12), (10**6, 1e-20), (10**9, 1e-28), (10**12, 1e-36)):
+        proxies, rows = [], {}
+        for w, (n, e) in enumerate(zip(normals, exact)):
+            if e is not None:
+                proxies.append(primitive_vector([_dot(e, b) for b in basis]))
                 continue
-            if all(s != 0 for s in signs):
-                out.append(Chamber(signs=signs, witness=a))
-                break
-    return out
-
-
-def _enumerate_proxy(reps, k):
-    m = len(reps)
-    tol = 1e-12
-    for _round, max_den in enumerate((10**3, 10**6, 10**9, 10**12)):
-        proxies = []
-        for rep in reps:
-            proxies.append([Fraction(float(lo + hi) / 2).limit_denominator(max_den)
-                            for lo, hi in (_interval(c, tol) for c in rep)])
-        certified = True
-        for subset in itertools.combinations(range(m), k):
-            det_iv = det([[RInt(*_interval(x, tol)) for x in reps[i]] for i in subset])
-            det_proxy = det([proxies[i] for i in subset])
-            if det_iv.lo > 0 and det_proxy > 0:
-                continue
-            if det_iv.hi < 0 and det_proxy < 0:
-                continue
-            certified = False
+            rows[w] = [sum((RInt(*_interval(c, tol)) * RInt.point(bg)
+                            for c, bg in zip(n, b) if bg), RInt.point(0)) for b in basis]
+            mids = [(x.lo + x.hi) / 2 for x in rows[w]]
+            top = max(abs(x) for x in mids) or 1
+            proxies.append([round(den * x / top) for x in mids])
+        if m >= r and _chirotope_agrees(proxies, rows, r):
+            found = []
+            for ch in _enumerate_exact(proxies):
+                a = tuple(sum(c * b[g] for c, b in zip(ch.witness, basis)) for g in range(k))
+                if tuple(_wall_sign(w, a) for w in walls) != ch.signs:
+                    break
+                found.append(Chamber(signs=ch.signs, witness=_small_witness(walls, ch.signs, a)))
+            else:
+                return ChamberArrangement(grouping=grouping, chambers=tuple(found))
+        if not rows:
             break
-        if certified:
-            chambers = _enumerate_exact(proxies, k)
-            out = []
-            for ch in chambers:
-                signs = tuple(exact_sign_at(rep, ch.witness) for rep in reps)
-                if any(s == 0 for s in signs) or signs != ch.signs:
-                    raise UndecidedSign("proxy witness failed exact certification")
-                out.append(Chamber(signs=signs, witness=ch.witness))
-            return out
-        tol *= 1e-8
     raise UndecidedSign(
         "arrangement chirotope could not be certified (possible exact degeneracy)")
 
 
-def find_regular_element(arrangement: ChamberArrangement, chamber: Chamber):
-    """Integer vector strictly inside the chamber, certified exactly."""
-    witness = chamber.witness
-    scale = lcm_denominators(witness)
-    a = [int(Fraction(x) * scale) for x in witness]
-    a = primitive_vector(a)
-    for wall, s in zip(arrangement.walls, chamber.signs):
-        if exact_sign_at(wall.normal, a) != s:
-            raise UndecidedSign(f"integer witness {a} lost certification")
+def _dot(u, v):
+    return sum(Fraction(x) * y for x, y in zip(u, v))
+
+
+def _chirotope_agrees(proxies, rows, r) -> bool:
+    """Each r-subset of walls with a rounded proxy (``rows``: its interval
+    normal) has a determinant of certain sign, that of the proxies."""
+    for subset in itertools.combinations(range(len(proxies)), r):
+        if not any(w in rows for w in subset):
+            continue
+        d = det([rows[w] if w in rows else [RInt.point(x) for x in proxies[w]]
+                 for w in subset])
+        p = det([proxies[w] for w in subset])
+        if not ((d.lo > 0 and p > 0) or (d.hi < 0 and p < 0)):
+            return False
+    return True
+
+
+def _wall_sign(wall, point) -> int:
+    """Exact sign of a wall (coefficients, normals of its kernel) at a point;
+    a point of the kernel lattice gives 0 without an exact evaluation."""
+    coeffs, kernel_normals = wall
+    if not any(_dot(nu, point) for nu in kernel_normals):
+        return 0
+    return exact_sign_at(coeffs, point)
+
+
+def _small_witness(walls, signs, a):
+    """The first primitive round(D a / |a|_inf), D = 1, 2, 4, ..., 2^20, with
+    exactly the signs ``signs``; ``a`` itself when none has them."""
+    top = max(abs(x) for x in a)
+    for e in range(21):
+        p = primitive_vector([round((1 << e) * x / top) for x in a])
+        if any(p) and all(_wall_sign(w, p) == s for w, s in zip(walls, signs)):
+            return tuple(Fraction(x) for x in p)
     return a
+
+
+def _enumerate_exact(reps):
+    """Chambers of rational normals by insertion: a chamber keeps its witness
+    on the side of the new wall that the witness lies on, and the rational LP
+    decides the other side."""
+    chambers = [Chamber(signs=(), witness=None)]
+    for w, rep in enumerate(reps):
+        new = []
+        for ch in chambers:
+            side = _dot(rep, ch.witness) if ch.witness else 0
+            for s in (1, -1):
+                witness = (ch.witness if s * side > 0 else
+                           strict_sign_witness(reps[:w + 1], ch.signs + (s,)))
+                if witness is not None:
+                    new.append(Chamber(signs=ch.signs + (s,), witness=tuple(witness)))
+        chambers = new
+    return chambers
+
+
+def find_regular_element(arrangement: ChamberArrangement, chamber: Chamber):
+    """Primitive integer vector strictly inside the chamber: its witness,
+    whose signs are certified, scaled."""
+    return primitive_vector(chamber.witness)
 
 
 # ---------------------------------------------------------------------------

@@ -253,37 +253,25 @@ def kernel_lattice(mat):
     rows = [r for r in rows if r is not None]
     k = len(mat[0]) if mat else 0
     if not rows:
-        return [[int(i == j) for j in range(k)] for i in range(k)]
+        return identity(k, 1)
     trans = [[rows[j][i] for j in range(len(rows))] for i in range(k)]
     h, u = hnf_rows(trans)
     basis = [u[i] for i in range(k) if all(x == 0 for x in h[i])]
     return basis
 
 
-def saturate_lattice(basis, k: int):
-    """Saturation of the lattice spanned by integer rows inside Z^k.
-
-    Double integer-orthogonal-complement; the saturation is the largest
-    sublattice with the same rational span.
-    """
-    if not basis:
-        return []
-    comp = kernel_lattice(basis)
-    if not comp:
-        return [[int(i == j) for j in range(k)] for i in range(k)]
-    return kernel_lattice(comp)
+def lattice_normals(basis, k: int):
+    """Integer normals of the lattice spanned by integer rows inside Z^k (an
+    empty basis spans {0}): their common kernel is its saturation."""
+    return kernel_lattice(basis) if basis else identity(k, 1)
 
 
 def lattice_intersection(bases, k: int):
-    """Basis of the intersection of saturated sublattices of Z^k.
-
-    Each lattice is given by a basis (an empty one is {0}) and is the kernel
-    of its integer normals, so the intersection is the kernel of all the
-    normals stacked; it is saturated too.
-    """
-    eye = identity(k, 1)
-    normals = [n for basis in bases for n in (kernel_lattice(basis) if basis else eye)]
-    return kernel_lattice(normals) if normals else eye
+    """Basis of the intersection of the saturations of lattices in Z^k (of
+    one lattice: its saturation, the largest sublattice with the same
+    rational span): the kernel of all their normals stacked."""
+    normals = [n for basis in bases for n in lattice_normals(basis, k)]
+    return kernel_lattice(normals) if normals else identity(k, 1)
 
 
 def det(rows):

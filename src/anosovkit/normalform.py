@@ -16,6 +16,7 @@ change of coordinates.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -357,10 +358,10 @@ def _check_block_moduli(f: BlockedPolynomialMap, lin, band_tol: float):
     Band endpoints are user-supplied decimals, so membership is tested with
     a tolerance; exact solvability of each homological equation is checked
     separately during the solve.  A zero eigenvalue is decided exactly (zero
-    constant term of the characteristic polynomial); the moduli are roots of
-    its squarefree part, whose roots are simple.
+    constant term of the characteristic polynomial); the moduli are those of
+    the certified roots of its squarefree part.
     """
-    import mpmath
+    from .algnum import roots
 
     offset = 0
     for i, d in enumerate(f.bands.block_dims):
@@ -370,8 +371,8 @@ def _check_block_moduli(f: BlockedPolynomialMap, lin, band_tol: float):
         if p[-1] == 0:
             raise SingularLinearPart("zero eigenvalue in a block")
         lam, mu = (float(f.bands.intervals[i][0]), float(f.bands.intervals[i][1]))
-        for ev in mpmath.polyroots(squarefree_part(p), maxsteps=200, extraprec=60):
-            lg = float(mpmath.log(abs(ev)))
+        for root in roots(squarefree_part(p)):
+            lg = math.log(math.hypot(root.disk[0], root.disk[1]))
             if not (lam - band_tol <= lg <= mu + band_tol):
                 # rounded first so that a tiny negative value prints as 0.000000
                 raise ValueError(

@@ -14,10 +14,7 @@ from fractions import Fraction
 
 def strict_sign_witness(normals, signs):
     """Rational a with signs[i] * <normals[i], a> >= 1 for all i, or None."""
-    m = len(normals)
-    if m == 0:
-        return [Fraction(0)]
-    k = len(normals[0])
+    m, k = len(normals), len(normals[0])
     rows = [[Fraction(signs[i]) * Fraction(x) for x in normals[i]] for i in range(m)]
     # variables: a+ (k), a- (k), surplus (m), artificial (m)
     ncols = 2 * k + 2 * m

@@ -59,7 +59,6 @@ from .exact import (  # noqa: F401  (the action types are re-exported)
     mat_pow,
     nullspace,
     primitive_vector,
-    saturate_lattice,
     solve_linear,
     validate_action,
 )
@@ -230,6 +229,7 @@ class _Analysis:
         self.blocks = blocks
         self._classes = None
         self._functionals = None
+        self._kernels = {}
         self._geometry = {}
         self._logcache = {}
         self._element_cache = {}
@@ -331,6 +331,14 @@ class _Analysis:
         assert sum(f.multiplicity for f in funcs) == self.action.dim
         return funcs
 
+    def kernel(self, index: int):
+        """``functional_kernel_lattice`` of functional ``index``, computed
+        once: the chambers and the rigidity check both read it."""
+        if index not in self._kernels:
+            self._kernels[index] = functional_kernel_lattice(
+                self.action, self.functionals()[index])
+        return self._kernels[index]
+
     def _geometry_step(self, name, compute):
         """compute() once; an undecided outcome is kept as well and raised
         again, as the same exception, on every later call."""
@@ -354,7 +362,10 @@ class _Analysis:
         """The Weyl chambers of the grouping, or None when it has no walls."""
         def compute():
             grouping = self.grouping()
-            return chambers.weyl_chambers(grouping) if grouping.walls else None
+            if not grouping.walls:
+                return None
+            return chambers.weyl_chambers(
+                grouping, [self.kernel(wall.members[0][0])[0] for wall in grouping.walls])
 
         return self._geometry_step("chambers", compute)
 
@@ -522,7 +533,7 @@ def functional_kernel_lattice(action: ActionSpec, functional: LyapunovFunctional
             pv = Fraction(rel[pivot])
             c_rows = [[row[g] - Fraction(rel[i]) / pv * piv_row[g] for g in range(k)]
                       for i, row in enumerate(c_rows) if i != pivot]
-    basis = saturate_lattice(rels, k) if rels else []
+    basis = lattice_intersection([rels], k)
     for vec in basis:
         if not chi_is_zero(vec):
             raise UndecidedSign(f"saturated kernel vector {vec} failed verification")
@@ -580,7 +591,7 @@ def check_rigidity_hypotheses(action: ActionSpec) -> dict:
     per_functional = []
     owner = {}
     for fi, func in enumerate(funcs):
-        basis, meta = functional_kernel_lattice(action, func)
+        basis, meta = an.kernel(fi)
         owner.update((c, basis) for c in func.classes)
         per_functional.append({"functional_index": fi, "kernel_rank": len(basis),
                                "kernel_basis": [list(v) for v in basis],

@@ -87,3 +87,29 @@ def brute_force_relations(bands: SpectrumBands, extra_degree: int = 2):
                                                 trivial=sum(s) == 1))
     out.sort(key=lambda r: (r.target_block, r.exponents))
     return out
+
+
+def svd_rank(rows) -> int:
+    """Numerical rank of float rows: the singular values above 1e-9."""
+    import numpy as np
+
+    return int((np.linalg.svd(np.array(rows, dtype=float), compute_uv=False) > 1e-9).sum())
+
+
+def zaslavsky_region_count(normals, rank=svd_rank) -> int:
+    """Regions of the central arrangement of the hyperplanes with these
+    nonzero normals (repeats allowed), by Zaslavsky's theorem: the sum over
+    subsets S of (-1)^(|S| - rank S).  A plain subset scan that shares no
+    helper with the chamber enumeration."""
+    total = 0
+    for size in range(len(normals) + 1):
+        for subset in itertools.combinations(normals, size):
+            total += (-1) ** (size - (rank(subset) if subset else 0))
+    return total
+
+
+def report_region_count(result: dict) -> int:
+    """``zaslavsky_region_count`` of the nonzero functionals of an ``analyze``
+    report, from their float coefficients."""
+    return zaslavsky_region_count([f["coeffs"] for f in result["lyapunov_functionals"]
+                                   if any(f["coeffs"])])

@@ -215,6 +215,20 @@ def test_rational_and_gaussian_roots_are_exact_points():
     assert not lo_i.is_real
 
 
+def test_polyroots_without_convergence_retries_at_higher_precision():
+    # a quadratic unit of height 1.5e55: polyroots does not converge at the
+    # first precision, and the isolation doubles it instead of failing
+    trace = 14884595127390181165365526562827679328180552065249537282
+    key = (1, -trace, 1)
+    found = roots.__wrapped__(key)
+    assert len(found) == 2 and all(r.is_real for r in found)
+    with mpmath.workdps(2 * DPS):       # 1e-65 absolute at 1.5e55
+        for root, z in zip(found, sorted(mpmath.polyroots(key, extraprec=400))):
+            assert in_disk(z, root.iso)
+            root_box(root, Fraction(1, 10**80))
+            assert in_disk(z, root.disk)
+
+
 @pytest.mark.parametrize("key", [(1, 0, -1, -1), (1, -1, -1, -1, 1), (1, 0, 0, 0, -1, -1)])
 def test_order_real_ascending_then_non_real(key):
     found = roots(key)

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -6,6 +5,7 @@ import pytest
 
 from anosovkit import chambers, spectra
 from conftest import Func
+from oracles import zaslavsky_region_count
 
 
 def a2_functionals():
@@ -118,22 +118,10 @@ def test_t3_chambers(t3_action):
     assert len(arr.chambers) == 6
 
 
-def _zaslavsky_region_count(normals, k):
-    """Independent oracle: regions = sum over subsets of (-1)^(|S| - rank S).
-
-    Whitney's theorem applied to a central arrangement; exact ranks over Q.
-    """
+def exact_rank(rows) -> int:
     import sympy
 
-    total = 0
-    for r in range(len(normals) + 1):
-        for subset in itertools.combinations(range(len(normals)), r):
-            if not subset:
-                total += 1
-                continue
-            mat = sympy.Matrix([list(normals[i]) for i in subset])
-            total += (-1) ** (len(subset) - mat.rank())
-    return total
+    return sympy.Matrix([list(r) for r in rows]).rank()
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -152,7 +140,7 @@ def test_chamber_count_against_whitney_oracle(seed):
             continue
         normals.append(v)
     arr = arrange([Func(list(v)) for v in normals])
-    expected = _zaslavsky_region_count(normals, k)
+    expected = zaslavsky_region_count(normals, rank=exact_rank)
     assert len(arr.chambers) == expected
 
 

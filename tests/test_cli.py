@@ -1,5 +1,6 @@
 import json
 import math
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -10,8 +11,10 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
+from anosovkit import spectra
 from anosovkit.cli import main
 from anosovkit.exact import mat_inv
+from oracles import report_region_count
 
 
 def run_cli(args, **kw):
@@ -238,10 +241,13 @@ def offcircle_units(n):
             for s in (0, -1, 1)]
 
 
+def action_json(gens):
+    return {"dim": len(gens[0]), "generators": [[x for row in g for x in row] for g in gens]}
+
+
 def analyze_report(tmp_path, gens, name="action"):
     src, out = tmp_path / f"{name}.json", tmp_path / f"{name}.out.json"
-    src.write_text(json.dumps({"dim": len(gens[0]),
-                               "generators": [[x for row in g for x in row] for g in gens]}))
+    src.write_text(json.dumps(action_json(gens)))
     rc = main(["analyze", "--input", str(src), "--output", str(out)])
     return rc, json.loads(out.read_text())
 
@@ -337,21 +343,29 @@ def test_identity_pair_has_no_chamber_geometry(tmp_path):
 
 
 def test_analyze_enumerates_chambers_once(inputs, tmp_path, monkeypatch):
+    # one enumeration, and one kernel-lattice search per functional, which
+    # the chambers and the rigidity check share
     from anosovkit import chambers, spectra
 
-    enumerate_chambers = chambers.weyl_chambers
-    calls = []
+    enumerate_chambers, kernel_lattice = chambers.weyl_chambers, spectra.functional_kernel_lattice
+    calls, kernel_calls = [], []
 
-    def counted(grouping):
+    def counted(grouping, kernels):
         calls.append(grouping)
-        return enumerate_chambers(grouping)
+        return enumerate_chambers(grouping, kernels)
+
+    def counted_kernel(action, functional):
+        kernel_calls.append(functional)
+        return kernel_lattice(action, functional)
 
     monkeypatch.setattr(chambers, "weyl_chambers", counted)
+    monkeypatch.setattr(spectra, "functional_kernel_lattice", counted_kernel)
     monkeypatch.setattr(spectra, "_ANALYSES", {})
     out = tmp_path / "t3.out.json"
     assert main(["analyze", "--input", str(inputs / "t3.json"),
                  "--output", str(out)]) == 0
     assert len(calls) == 1
+    assert len(kernel_calls) == 3 and len(set(map(id, kernel_calls))) == 3
     res = json.loads(out.read_text())["result"]
     assert res["maximal_intersections"]["pass"]
     assert res["rigidity_hypotheses"]["anosov_element"]["method"] == "box"
@@ -530,6 +544,65 @@ def test_three_block_action_fails_fast(tmp_path):
     assert [-3, 1, 0] in elements and [7, 0, 1] in elements
 
 
+def bench_spectral_op(op_id, seed=1):
+    """The input of a ``spectral`` benchmark op, from ``bench/corpus.py``."""
+    corpus = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "corpus.py"),
+                            run_name="bench_corpus")
+    return next(op for op in corpus["build"]("spectral", seed) if op.id == op_id).files[op_id]
+
+
+def assert_witnesses_in_their_chambers(result, obj):
+    """At each integer witness the nonzero functionals, from the report's
+    coefficients, are clear of 0 with the signs of the witness's chamber
+    (``obj``: the analyzed input); the chambers differ, and Zaslavsky's count
+    says none is missing."""
+    arr = spectra.analyze(spectra.ActionSpec.from_json(obj)).chamber_arrangement()
+    funcs = result["lyapunov_functionals"]
+    seen = set()
+    for ch, w in zip(arr.chambers, result["chambers"]["integer_witnesses"]):
+        signs = {i: s * (1 if c > 0 else -1)
+                 for wall, s in zip(arr.walls, ch.signs) for i, c in wall.members}
+        for i, s in signs.items():
+            value = sum(c * x for c, x in zip(funcs[i]["coeffs"], w))
+            assert value * s > 1e-9, (w, i, value)
+        seen.add(tuple(sorted(signs.items())))
+    assert len(seen) == result["chambers"]["count"] == report_region_count(result)
+    assert "error" not in result["maximal_intersections"]
+
+
+@pytest.mark.parametrize("op_id", ["real-d3-k3", "offcircle-n4-k3", "offcircle-n5-k3"])
+def test_walls_with_a_common_kernel_are_decided(tmp_path, op_id):
+    # three units of unit rank 2: every functional vanishes on one rank-1
+    # lattice, and in its quotient the three walls give 6 chambers
+    obj = bench_spectral_op(op_id)
+    (tmp_path / "op.json").write_text(json.dumps(obj))
+    rc = main(["analyze", "--input", str(tmp_path / "op.json"),
+               "--output", str(tmp_path / "out.json")])
+    assert rc == {"pass": 0, "fail": 2}[EXPECTED[op_id]["verdict"]]
+    res = json.loads((tmp_path / "out.json").read_text())["result"]
+    assert res["chambers"]["count"] == 6
+    assert_witnesses_in_their_chambers(res, obj)
+
+
+@pytest.mark.parametrize("exponents, count", [
+    ([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], 12),
+    ([(1, 0, 0), (1, 3, -7), (2, 5, 1)], 8),
+], ids=["four-block", "three-block"])
+def test_rational_walls_give_small_witnesses(tmp_path, exponents, count):
+    # each wall is a rational multiple of log(lambda), its own exact proxy;
+    # in the four-block action three of them are dependent, which no rounded
+    # chirotope certifies
+    gens = cat_power_blocks(exponents)
+    rc, rep = analyze_report(tmp_path, gens)
+    res = rep["result"]
+    assert res["chambers"]["count"] == count
+    assert_witnesses_in_their_chambers(res, action_json(gens))
+    elements = res["chambers"]["integer_witnesses"] + [
+        b for s in res["maximal_intersections"]["spaces"]
+        for b in s["stable_intersection_elements"]]
+    assert max(abs(x) for b in elements for x in b) <= 10
+
+
 def mp_eigenvalues(m):
     digits = max(len(str(abs(x))) for row in m for x in row)
     with mpmath.workdps(60 + digits):
@@ -557,12 +630,12 @@ def test_cat_power_sums_fail_with_verified_certificates(exponents):
     dim = len(gens[0])
     with tempfile.TemporaryDirectory() as d:
         src, out = Path(d) / "action.json", Path(d) / "out.json"
-        src.write_text(json.dumps({"dim": dim, "generators": [
-            [x for row in g for x in row] for g in gens]}))
+        src.write_text(json.dumps(action_json(gens)))
         t0 = time.perf_counter()
         assert main(["analyze", "--input", str(src), "--output", str(out)]) == 2
         assert time.perf_counter() - t0 < 5
-        rig = json.loads(out.read_text())["result"]["rigidity_hypotheses"]
+        res = json.loads(out.read_text())["result"]
+    rig = res["rigidity_hypotheses"]
     assert rig["roots_of_unity"]["violations"]
 
     def sigma(n):
@@ -577,3 +650,22 @@ def test_cat_power_sums_fail_with_verified_certificates(exponents):
     else:
         assert witness["method"] == "zero-functional"
         assert any(not any(e) for e in exponents)
+
+    # the geometry is decided, and at each chamber's integer witness the
+    # functionals take the mpmath log-moduli of sigma(witness), block by block
+    assert not any("error" in res.get(key, ())
+                   for key in ("coarse_spaces", "chambers", "maximal_intersections"))
+    if "chambers" not in res:
+        assert not any(any(e) for e in exponents)
+        return
+    assert_witnesses_in_their_chambers(res, action_json(gens))
+    for w in res["chambers"]["integer_witnesses"]:
+        assert max(abs(x) for x in w) <= 64
+        values = sorted(sum(c * x for c, x in zip(f["coeffs"], w))
+                        for f in res["lyapunov_functionals"] for _ in range(f["multiplicity"]))
+        blocks = cat_power_blocks([(sum(e * x for e, x in zip(ei, w)),) for ei in exponents])
+        moduli = sorted(float(mpmath.log(abs(z)))
+                        for i in range(len(exponents))
+                        for z in mp_eigenvalues([row[2 * i:2 * i + 2]
+                                                 for row in blocks[0][2 * i:2 * i + 2]]))
+        assert all(abs(a - b) <= 1e-9 * max(1, abs(b)) for a, b in zip(values, moduli))

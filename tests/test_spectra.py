@@ -279,6 +279,7 @@ def test_rigidity_missed_relation_is_inconclusive(monkeypatch):
     # the 2 x 2 log-modulus matrix of the block has rank 1 < k, so no minor
     # certifies that its torsion lattice is {0}: inconclusive, never pass
     pair = spectra.validate_action([[[2, 1], [1, 1]], [[1, -1], [-1, 2]]])
+    monkeypatch.setattr(spectra, "_ANALYSES", {})     # no memoized kernels
     monkeypatch.setattr(spectra, "functional_kernel_lattice",
                         lambda action, func: ([], {"method": "none"}))
     rep = spectra.check_rigidity_hypotheses(pair)
