@@ -16,6 +16,28 @@ Two solve modes:
   forward, unstable pulled back); linear convergence at the spectral-gap
   rate.  Kept as a cross-check and reference implementation.
 
+The linear step works in the eigen-coordinates w = V^-1 u, where the
+frozen equation reads w_e(Ax) = lam_e w_e(x) + q_e(x) with q = V^-1 P:
+
+- The components are split once into a stable side (|lam| < 1) and an
+  unstable side, which runs backward as w = w(A .)/lam - q/lam.  Each
+  iteration does one matmul P W_side^T per side and sums
+  u = sum w_side V_side^T.
+- When every eigenvalue of A is real (the cat map, the T^3 pair), lam, V
+  and V^-1 are real and the step runs in float64; a complex pair makes the
+  same code run in complex128.  The dtype follows V^-1.
+- ``cycle`` builds one plan per solve: the cycles in position-major order
+  for each cycle length, so row t of a length group holds x_t of every
+  orbit and each recursion step reads and writes one contiguous row.  Each
+  side is gathered into that order with one ``np.take`` and back with
+  another; ``np.take`` along axis 0 is several times faster than fancy
+  indexing of (M, n) rows.
+- The points x + u at which p is evaluated stay in grid order.  numpy's
+  cos and sin take about 16 ns per element on the smooth arguments of the
+  grid against about 28 ns in cycle order (64^3 grid, 2-vCPU Xeon), so
+  relabelling the whole grid into cycle order would slow the trig
+  evaluation by more than the gathers it saves.
+
 The stable/unstable splitting comes from the eigendata of the base
 matrix, not from the perturbed map; whether the base is hyperbolic and
 semisimple is decided exactly, in integer arithmetic (``intpoly``).
@@ -93,6 +115,16 @@ def _permutation(matrix: np.ndarray, size: int) -> np.ndarray:
     return np.ravel_multi_index(img, (size,) * n)
 
 
+def _defect_sup(u: np.ndarray, p_val: np.ndarray, a_float: np.ndarray,
+                perm: np.ndarray) -> float:
+    """sup over the grid of |A u(x) + p(x + u(x)) - u(Ax)|, with p_val the
+    values of p at x + u and perm the grid permutation of A."""
+    defect = u @ a_float.T
+    defect += p_val
+    defect -= np.take(u, perm, axis=0)
+    return float(np.max(np.abs(defect, out=defect)))
+
+
 def _orbit_groups(perm: np.ndarray):
     """Cycle decomposition of the grid permutation ``perm``, grouped by length.
 
@@ -125,42 +157,62 @@ def _orbit_groups(perm: np.ndarray):
     return groups
 
 
-def _cycle_solve(groups, lam: complex, q: np.ndarray) -> np.ndarray:
-    """Solve w(Ax) = lam*w(x) + q(x) along the permutation cycles.
+def _cycle_plan(perm: np.ndarray):
+    """Position-major cycle order of the grid permutation ``perm``.
 
-    |lam| < 1: forward geometric sums; |lam| > 1: backward with 1/lam.
-    Exact solution of the discrete linear system per cycle (two passes).
+    Returns (order, inverse, segments), with inverse[order] = arange.  Each
+    length group of ``_orbit_groups`` (G orbits of length L) is one segment
+    (start, L, G): rows start .. start + L*G of ``order`` read as an (L, G)
+    block whose row t holds x_t of every orbit, so a recursion along the
+    cycles reads and writes one contiguous row per step.
     """
-    w = np.empty_like(q)
-    stable = abs(lam) < 1.0
-    inv = 1.0 / lam
-    for length, idxmat in groups:
-        qm = q[idxmat]  # (G, L)
-        g = qm.shape[0]
-        if stable:
-            acc = np.zeros(g, dtype=q.dtype)
-            for t in range(length):
-                acc = lam * acc + qm[:, t]
-            alpha = lam ** length
-            w0 = acc / (1.0 - alpha)
-            wm = np.empty_like(qm)
-            wm[:, 0] = w0
-            for t in range(length - 1):
-                wm[:, t + 1] = lam * wm[:, t] + qm[:, t]
-        else:
-            acc = np.zeros(g, dtype=q.dtype)
-            for t in range(length - 1, -1, -1):
-                acc = inv * (acc - qm[:, t])
-            alpha = inv ** length
-            w_last_plus = acc / (1.0 - alpha)  # value at position 0
-            wm = np.empty_like(qm)
-            wm[:, 0] = w_last_plus
-            for t in range(length - 1, -1, -1):
-                nxt = wm[:, (t + 1) % length]
-                wm[:, t] = inv * (nxt - qm[:, t])
-            # position 0 recomputed consistently; keep the refreshed value
-        w[idxmat] = wm
-    return w
+    groups = _orbit_groups(perm)
+    order = np.concatenate([idx.T.ravel() for _, idx in groups])
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.shape[0])
+    segments, start = [], 0
+    for length, idx in groups:
+        segments.append((start, length, idx.shape[0]))
+        start += idx.size
+    return order, inverse, segments
+
+
+def _sweep(block: np.ndarray, kappa: np.ndarray, lagged: bool):
+    """Solve w_t = kappa w_{t-1} + d_t (``lagged``: + d_{t-1}) in place.
+
+    Row t of ``block`` (L, R) holds d_t for R cycle-component pairs, each
+    with its factor in ``kappa`` (R,), |kappa| < 1; indices run mod L.
+    Horner's pass gives w_{L-1} (lagged: w_0) as acc / (1 - kappa^L), and
+    a second pass runs the recursion from there: the exact solution of
+    each cycle's linear system.
+    """
+    length = block.shape[0]
+    acc = np.zeros_like(block[0])
+    for row in block:
+        acc *= kappa
+        acc += row
+    cur = acc / (1.0 - kappa ** length)
+    for row in block:
+        nxt = kappa * cur
+        nxt += row
+        row[...] = cur if lagged else nxt
+        cur = nxt
+
+
+def _cycle_solve(plan, kappa: np.ndarray, d: np.ndarray, stable: bool) -> np.ndarray:
+    """Solve one side of the frozen linear system along the cycles.
+
+    ``d`` (M, s) is in grid order, and so is the result.  Stable side
+    (kappa = lam): w(x_{t+1}) = kappa w(x_t) + d(x_t), swept forward.
+    Unstable side (kappa = 1/lam, d = -q/lam): w(x_t) = kappa w(x_{t+1}) +
+    d(x_t), swept backward.
+    """
+    order, inverse, segments = plan
+    w = np.take(d, order, axis=0)
+    for start, length, count in segments:
+        block = w[start:start + length * count].reshape(length, -1)
+        _sweep(block if stable else block[::-1], np.tile(kappa, count), lagged=stable)
+    return np.take(w, inverse, axis=0)
 
 
 @dataclass(frozen=True)
@@ -268,22 +320,34 @@ def solve_conjugacy(pert: ToralPerturbation, solving_generator: int = 0,
             f"perturbation too large for the smallness gate: sup bound "
             f"{sup_p:.3g}, derivative bound {deriv_p:.3g}, contraction rate "
             f"{rate:.3g} (refusing upfront rather than diverging)")
+    if mode not in ("cycle", "transfer"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if not lam.imag.any():
+        lam, v_mat, w_mat = lam.real, v_mat.real, w_mat.real
+    # (stable, kappa, drive, W rows, V columns) per side; the unstable side
+    # runs backward, w = kappa w o A + d with kappa = 1/lam and d = -q/lam
+    sides = []
+    for stable in (True, False):
+        mask = (np.abs(lam) < 1.0) == stable
+        kappa = lam[mask] if stable else 1.0 / lam[mask]
+        drive = w_mat[mask] if stable else -kappa[:, None] * w_mat[mask]
+        sides.append((stable, kappa, drive, w_mat[mask], v_mat[:, mask]))
     a_int = np.array(rows, dtype=np.int64)
     a_float = a_int.astype(np.float64)
     x = _grid_points(n, resolution)
-    m_pts = x.shape[0]
     perm = _permutation(a_int, resolution)
-    groups = _orbit_groups(perm) if mode == "cycle" else None
+    if mode == "cycle":
+        plan = _cycle_plan(perm)
+    else:
+        inv_perm = np.empty_like(perm)
+        inv_perm[perm] = np.arange(perm.shape[0])
     u = np.zeros_like(x)
     history = []
     iterations = 0
-    stable_mask = np.abs(lam) < 1.0
-    inv_perm = np.empty_like(perm)
-    inv_perm[perm] = np.arange(m_pts)
     for it in range(1, max_iter + 1):
         iterations = it
         p_val = pert.p_eval(gen, x + u)
-        residual = float(np.max(np.abs(u @ a_float.T + p_val - u[perm])))
+        residual = _defect_sup(u, p_val, a_float, perm)
         history.append(residual)
         if residual < tol:
             break
@@ -295,26 +359,19 @@ def solve_conjugacy(pert: ToralPerturbation, solving_generator: int = 0,
                     f"{tail:.3g}; increase the grid")
             raise Diverged(f"residual stopped decreasing at {residual:.3g} "
                            f"after {it} iterations")
-        if mode == "cycle":
-            q_all = p_val.astype(np.complex128) @ w_mat.T
-            w_new = np.empty_like(q_all)
-            for e in range(n):
-                w_new[:, e] = _cycle_solve(groups, complex(lam[e]), q_all[:, e])
-            u = np.ascontiguousarray((w_new @ v_mat.T).real)
-        elif mode == "transfer":
-            w_cur = u.astype(np.complex128) @ w_mat.T
-            q_all = p_val.astype(np.complex128) @ w_mat.T
-            w_next = np.empty_like(w_cur)
-            for e in range(n):
-                if stable_mask[e]:
-                    # w(x) = lam*w(A^{-1}x) + q(A^{-1}x)
-                    w_next[:, e] = lam[e] * w_cur[inv_perm, e] + q_all[inv_perm, e]
-                else:
-                    # w(x) = (w(Ax) - q(x)) / lam
-                    w_next[:, e] = (w_cur[perm, e] - q_all[:, e]) / lam[e]
-            u = np.ascontiguousarray((w_next @ v_mat.T).real)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+        u_next = np.zeros(u.shape, dtype=v_mat.dtype)
+        for stable, kappa, drive, w_rows, v_cols in sides:
+            d = p_val @ drive.T
+            if mode == "cycle":
+                w = _cycle_solve(plan, kappa, d, stable)
+            elif stable:
+                # w(x) = lam w(A^-1 x) + q(A^-1 x)
+                w = np.take(kappa * (u @ w_rows.T) + d, inv_perm, axis=0)
+            else:
+                # w(x) = (w(Ax) - q(x)) / lam
+                w = kappa * np.take(u @ w_rows.T, perm, axis=0) + d
+            u_next += w @ v_cols.T
+        u = np.ascontiguousarray(u_next.real)
     field_obj = ConjugacyField(
         base=base, generator=gen, resolution=resolution,
         u=u, residual=history[-1], iterations=iterations,

@@ -113,3 +113,77 @@ def report_region_count(result: dict) -> int:
     report, from their float coefficients."""
     return zaslavsky_region_count([f["coeffs"] for f in result["lyapunov_functionals"]
                                    if any(f["coeffs"])])
+
+
+def reference_cycle_conjugacy(pert, generator: int, resolution: int, tol: float,
+                              max_iter: int = 100):
+    """Displacement u of the grid conjugacy by the complex per-eigencomponent
+    cycle solve the solver used to run.
+
+    Each outer step freezes P = p(x + u), maps it to the eigen-coordinates of
+    A in complex128, and solves w_e(Ax) = lam_e w_e(x) + q_e(x) one component
+    at a time along every permutation cycle (Horner's sum for the start
+    value, then the recursion: forward for |lam| < 1, backward for
+    |lam| > 1).  The grid, the permutation, the cycles and the eigendata are
+    rebuilt here from numpy primitives and a plain Python cycle walk.
+    """
+    import numpy as np
+
+    a_int = np.array(pert.base.generator(generator), dtype=np.int64)
+    n = a_int.shape[0]
+    idx = np.indices((resolution,) * n).reshape(n, -1)
+    x = (idx.T / resolution).astype(np.float64)
+    perm = np.ravel_multi_index((a_int @ idx) % resolution, (resolution,) * n)
+    lam, v_mat = np.linalg.eig(a_int.astype(np.float64))
+    v_mat = v_mat.astype(np.complex128)
+    w_mat = np.linalg.inv(v_mat)
+    cycles = []
+    seen = np.zeros(perm.shape[0], dtype=bool)
+    for s in range(perm.shape[0]):
+        cyc = []
+        j = s
+        while not seen[j]:
+            seen[j] = True
+            cyc.append(j)
+            j = perm[j]
+        if cyc:
+            cycles.append(cyc)
+    groups = {}
+    for cyc in cycles:
+        groups.setdefault(len(cyc), []).append(cyc)
+    groups = [np.array(rows, dtype=np.int64) for _, rows in sorted(groups.items())]
+
+    def cycle_solve(lam_e, q):
+        w = np.empty_like(q)
+        for idxmat in groups:
+            qm = q[idxmat]
+            length = qm.shape[1]
+            acc = np.zeros(qm.shape[0], dtype=q.dtype)
+            wm = np.empty_like(qm)
+            if abs(lam_e) < 1.0:
+                for t in range(length):
+                    acc = lam_e * acc + qm[:, t]
+                wm[:, 0] = acc / (1.0 - lam_e ** length)
+                for t in range(length - 1):
+                    wm[:, t + 1] = lam_e * wm[:, t] + qm[:, t]
+            else:
+                inv = 1.0 / lam_e
+                for t in range(length - 1, -1, -1):
+                    acc = inv * (acc - qm[:, t])
+                wm[:, 0] = acc / (1.0 - inv ** length)
+                for t in range(length - 1, -1, -1):
+                    wm[:, t] = inv * (wm[:, (t + 1) % length] - qm[:, t])
+            w[idxmat] = wm
+        return w
+
+    u = np.zeros_like(x)
+    for _ in range(max_iter):
+        p_val = pert.p_eval(generator, x + u)
+        if np.max(np.abs(u @ a_int.T.astype(np.float64) + p_val - u[perm])) < tol:
+            return u
+        q_all = p_val.astype(np.complex128) @ w_mat.T
+        w_new = np.empty_like(q_all)
+        for e in range(n):
+            w_new[:, e] = cycle_solve(complex(lam[e]), q_all[:, e])
+        u = np.ascontiguousarray((w_new @ v_mat.T).real)
+    raise RuntimeError(f"reference solve did not reach {tol} in {max_iter} steps")

@@ -20,6 +20,7 @@ from anosovkit.conjugacy import (
     solve_conjugacy,
     verify_intertwining,
 )
+from oracles import reference_cycle_conjugacy
 
 
 def small_cat_pert(eps=0.01):
@@ -60,6 +61,42 @@ def test_modes_agree():
     f2 = solve_conjugacy(small_cat_pert(), resolution=64, tol=1e-11,
                          mode="transfer")
     assert np.max(np.abs(f1.u - f2.u)) < 1e-9
+
+
+# companion of x^3 - x - 1: eigenvalues 1.3247 and -0.662 +- 0.562i
+X3_X_1 = [[0, 0, 1], [1, 0, 1], [0, 1, 0]]
+# the T^3 pair M, N = M^2 - 2I of the t3_action fixture
+T3_PAIR = [[[0, 0, -1], [1, 0, 2], [0, 1, 1]], [[-2, -1, -1], [0, 0, 1], [1, 1, 1]]]
+
+
+def three_term_pert(generators, eps):
+    """The action with these generators, each perturbed by the same
+    three-term trig polynomial with coefficients of size eps."""
+    base = spectra.validate_action(generators)
+    n = base.dim
+    e1, en, ones = np.eye(n, dtype=int)[0], np.eye(n, dtype=int)[-1], np.ones(n, dtype=int)
+    p = TrigPolynomial([(e1, eps * np.r_[1.0, 0.5, np.zeros(n - 2)], 0.3 * eps * ones),
+                        (en, np.zeros(n), eps * np.r_[1.0, np.full(n - 1, 0.2)]),
+                        (ones - 2 * en, 0.4 * eps * e1, 0.6 * eps * np.eye(n)[1])], n)
+    return ToralPerturbation(base=base, perturbations=[p] * base.k)
+
+
+@pytest.mark.parametrize("generators, gen, size", [
+    ([X3_X_1], 0, 16),
+    ([[[2, 1], [1, 1]]], 0, 32),
+    (T3_PAIR, 0, 16),
+    (T3_PAIR, 1, 16),
+], ids=["x3-x-1", "cat", "t3-M", "t3-N"])
+def test_solver_matches_complex_cycle_reference(generators, gen, size):
+    # the real (or batched complex) two-sided step against the per-component
+    # complex cycle solve it replaced, both driven to a 1e-17 residual
+    pert = three_term_pert(generators, 1e-3)
+    want = reference_cycle_conjugacy(pert, gen, size, tol=1e-17)
+    assert np.max(np.abs(want)) > 1e-3
+    for mode in ("cycle", "transfer"):
+        field = solve_conjugacy(pert, solving_generator=gen, resolution=size,
+                                tol=1e-17, mode=mode)
+        assert np.max(np.abs(field.u - want)) <= 1e-15, mode
 
 
 def test_contraction_certificate():
@@ -170,7 +207,7 @@ def test_intertwining_k1_matches_solver_residual():
     pert = small_cat_pert()
     field = solve_conjugacy(pert, resolution=64, tol=1e-11)
     rep = verify_intertwining(field, pert)
-    assert rep["residuals"][0] == pytest.approx(field.residual, rel=1e-6)
+    assert rep["residuals"][0] == field.residual
 
 
 def test_intertwining_commuting_t3(t3_action):
