@@ -270,6 +270,7 @@ class Chamber:
 class ChamberArrangement:
     grouping: FunctionalArrangement
     chambers: tuple
+    kernels: tuple           # per wall, integer vectors on which it vanishes
 
     @property
     def walls(self):
@@ -360,7 +361,8 @@ def weyl_chambers(grouping: FunctionalArrangement, kernels=None) -> ChamberArran
                     break
                 found.append(Chamber(signs=ch.signs, witness=_small_witness(walls, ch.signs, a)))
             else:
-                return ChamberArrangement(grouping=grouping, chambers=tuple(found))
+                return ChamberArrangement(grouping=grouping, chambers=tuple(found),
+                                          kernels=tuple(lattices))
         if not rows:
             break
     raise UndecidedSign(
@@ -437,11 +439,11 @@ def find_regular_element(arrangement: ChamberArrangement, chamber: Chamber):
 def check_maximal_intersections(arrangement: ChamberArrangement) -> dict:
     """Certify the maximal-intersection hypothesis for each coarse space.
 
-    For each coarse space E_H: exhibit a nonzero wall element (built from
-    the bottom functional's own coefficients, hence annihilated identically),
-    and integer elements b_1..b_r whose negative-sign functional sets
-    intersect exactly in the members of H (verified sign by sign).  The
-    ergodicity clause is explicitly NOT verified here; reports say so.
+    For each coarse space E_H: exhibit a nonzero wall element
+    (``_wall_element``), and integer elements b_1..b_r whose negative-sign
+    functional sets intersect exactly in the members of H (verified sign by
+    sign).  The ergodicity clause is explicitly NOT verified here; reports
+    say so.
     """
     grouping = arrangement.grouping
     if grouping.k < 2:
@@ -456,10 +458,11 @@ def check_maximal_intersections(arrangement: ChamberArrangement) -> dict:
                                    "weak-mixing certificate or assert it"}
     for space in grouping.coarse_spaces:
         members = set(space.halfspace.member_functionals)
-        wall_elt, wall_exact = _wall_element(coeffs[space.bottom])
+        w_bot, o_bot = wall_of[space.bottom]
+        wall_elt, wall_exact = _wall_element(coeffs[space.bottom],
+                                             arrangement.kernels[w_bot])
         b_set = []
         covered = set(members)
-        w_bot, o_bot = wall_of[space.bottom]
         for phi in nonzero_idx:
             if phi in covered:
                 continue
@@ -495,13 +498,15 @@ def check_maximal_intersections(arrangement: ChamberArrangement) -> dict:
     return report
 
 
-def _wall_element(bottom_coeffs):
-    """Nonzero element of ker(chi) built from chi's own coefficients.
+def _wall_element(bottom_coeffs, kernel):
+    """Nonzero element of ker(chi), exact whenever one is known.
 
     If some coordinate of chi vanishes (exactly), the corresponding basis
     vector works and is an exact integer certificate.  Otherwise the pair
     vector (chi_j, -chi_i) in coordinates (i, j) is annihilated identically;
-    it is rational exactly when chi is.
+    it is rational exactly when chi is.  An irrational chi with a nonzero
+    verified kernel (``kernel``, its wall's) gives the kernel's first basis
+    vector instead, an exact integer element.
     """
     k = len(bottom_coeffs)
     for j in range(k):
@@ -513,6 +518,8 @@ def _wall_element(bottom_coeffs):
         vec = [Fraction(0)] * k
         vec[i], vec[j] = Fraction(cj), -Fraction(ci)
         return vec, True
+    if kernel:
+        return list(kernel[0]), True
     vec = [0.0] * k
     vec[i], vec[j] = _mid(cj), -_mid(ci)
     return vec, False

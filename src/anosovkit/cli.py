@@ -87,8 +87,9 @@ def cmd_analyze(args) -> int:
         return 1
     args.digest, args.config = digest, {"tol": args.tol}
     args.stage = "joint_spectrum"
-    classes = spectra.joint_spectrum(action)
-    functionals = spectra.lyapunov_functionals(action)
+    analysis = spectra.analyze(action)
+    classes = analysis.classes()
+    functionals = analysis.functionals()
     result = {
         "dim": action.dim,
         "k": action.k,
@@ -116,14 +117,13 @@ def cmd_analyze(args) -> int:
     args.stage = "chamber_geometry"
     geometry = ["coarse_spaces", "chambers"] + (["maximal_intersections"]
                                                 if action.k >= 2 else [])
-    analysis = spectra.analyze(action)
     try:
         result["coarse_spaces"] = [
             {"normal": [float(x) for x in s.halfspace.normal],
              "members": list(s.halfspace.member_functionals),
              "coefficients": [c for c in s.coefficients],
-             "dimension": s.dimension} for s in analysis.grouping().coarse_spaces]
-        arr = analysis.chamber_arrangement()
+             "dimension": s.dimension} for s in analysis.grouping.coarse_spaces]
+        arr = analysis.chamber_arrangement
         if arr is not None:
             result["chambers"] = {
                 "walls": len(arr.walls),
@@ -143,7 +143,7 @@ def cmd_analyze(args) -> int:
                                       if f.is_zero_functional())
     args.stage = "rigidity_hypotheses"
     if action.k >= 2:
-        hyp = spectra.check_rigidity_hypotheses(action)
+        hyp = spectra.check_rigidity_hypotheses(analysis)
         result["rigidity_hypotheses"] = hyp
         verdict = hyp["verdict"]
     else:
@@ -285,13 +285,14 @@ def cmd_conjugate(args) -> int:
               "mode": args.mode, "eps": args.eps if args.preset else None,
               "preset": args.preset}
     args.digest, args.config = digest, config
+    # NotAnosov is an exact certificate; a refusal (Diverged,
+    # ResolutionInsufficient) is none and reaches main's boundary: exit 3
     args.stage = "solve"
     try:
         field = conjugacy.solve_conjugacy(
             pert, solving_generator=args.generator, resolution=args.grid,
             tol=args.tol, max_iter=args.max_iter, mode=args.mode)
-    except (conjugacy.NotAnosov, conjugacy.Diverged,
-            conjugacy.ResolutionInsufficient) as exc:
+    except conjugacy.NotAnosov as exc:
         report = envelope("conjugate", digest,
                           {"error": type(exc).__name__, "detail": str(exc)},
                           "fail", seed=args.seed, config=config)

@@ -28,6 +28,7 @@ equality and zero decisions escalate to algebraic certificates
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -208,11 +209,12 @@ def _element_poly(block: _Block, a):
 
 
 class _Analysis:
-    """Joint-spectrum working data for one ActionSpec (cached).
+    """Joint-spectrum working data for one ActionSpec, for one run.
 
     The blocks are those of the first candidate of ``_combinations`` that
-    ``_link`` accepts; classes, functionals and the chamber geometry are
-    computed from them on demand and memoized.
+    ``_link`` accepts; classes, functionals, kernel lattices and the chamber
+    geometry are computed from them on demand and kept on this object, so
+    they live exactly as long as it does.
     """
 
     def __init__(self, action: ActionSpec):
@@ -230,7 +232,6 @@ class _Analysis:
         self._classes = None
         self._functionals = None
         self._kernels = {}
-        self._geometry = {}
         self._logcache = {}
         self._element_cache = {}
 
@@ -265,6 +266,8 @@ class _Analysis:
     # -- public products ----------------------------------------------------
 
     def classes(self):
+        """Simultaneous eigenvalue classes with rigorous log-modulus
+        enclosures: the joint spectrum."""
         if self._classes is not None:
             return self._classes
         entries = []
@@ -291,6 +294,7 @@ class _Analysis:
         return self._class_locator[class_index]
 
     def functionals(self):
+        """Classes merged by proven-equal log-modulus vectors, sorted lex."""
         if self._functionals is not None:
             return self._functionals
         classes = self.classes()
@@ -317,8 +321,6 @@ class _Analysis:
                                     classes=tuple(sorted(c.index for c in grp)))
                  for grp in groups]
 
-        import functools
-
         def cmp(f1, f2):
             for a, b in zip(f1.coeffs, f2.coeffs):
                 c = a.cmp(b)
@@ -336,38 +338,22 @@ class _Analysis:
         once: the chambers and the rigidity check both read it."""
         if index not in self._kernels:
             self._kernels[index] = functional_kernel_lattice(
-                self.action, self.functionals()[index])
+                self, self.functionals()[index])
         return self._kernels[index]
 
-    def _geometry_step(self, name, compute):
-        """compute() once; an undecided outcome is kept as well and raised
-        again, as the same exception, on every later call."""
-        if name not in self._geometry:
-            try:
-                self._geometry[name] = (compute(), None)
-            except (UndecidedSign, chambers.UndecidedProportionality,
-                    EnclosureTooWide) as exc:
-                self._geometry[name] = (None, exc)
-        value, exc = self._geometry[name]
-        if exc is not None:
-            raise exc
-        return value
-
+    @functools.cached_property
     def grouping(self):
         """The functionals grouped into walls and coarse spaces."""
-        return self._geometry_step(
-            "grouping", lambda: chambers.group_functionals(self.functionals()))
+        return chambers.group_functionals(self.functionals())
 
+    @functools.cached_property
     def chamber_arrangement(self):
         """The Weyl chambers of the grouping, or None when it has no walls."""
-        def compute():
-            grouping = self.grouping()
-            if not grouping.walls:
-                return None
-            return chambers.weyl_chambers(
-                grouping, [self.kernel(wall.members[0][0])[0] for wall in grouping.walls])
-
-        return self._geometry_step("chambers", compute)
+        grouping = self.grouping
+        if not grouping.walls:
+            return None
+        return chambers.weyl_chambers(
+            grouping, [self.kernel(wall.members[0][0])[0] for wall in grouping.walls])
 
 
 def _eigenvalue_refiner(croot, q_coeffs, enclose=lambda box: box):
@@ -403,28 +389,16 @@ def _first_gen_minpoly(block: _Block, j: int) -> tuple:
                          _eigenvalue_refiner(block.croots[j], q1)).key
 
 
-_ANALYSES: dict = {}
-
-
-def analyze(action: ActionSpec) -> _Analysis:
-    if action not in _ANALYSES:
-        _ANALYSES[action] = _Analysis(action)
-    return _ANALYSES[action]
-
-
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
 
 
-def joint_spectrum(action: ActionSpec):
-    """Simultaneous eigenvalue classes with rigorous log-modulus enclosures."""
-    return analyze(action).classes()
-
-
-def lyapunov_functionals(action: ActionSpec):
-    """Classes merged by proven-equal log-modulus vectors, sorted lex."""
-    return analyze(action).functionals()
+def analyze(action: ActionSpec) -> _Analysis:
+    """A fresh analysis of the action, for one run: its ``classes()`` and
+    ``functionals()``, and the functions below that take it, read one joint
+    spectrum."""
+    return _Analysis(action)
 
 
 def is_semisimple(action: ActionSpec):
@@ -474,7 +448,7 @@ def sigma_of(action: ActionSpec, a):
     return [[int(x) for x in row] for row in acc]
 
 
-def functional_kernel_lattice(action: ActionSpec, functional: LyapunovFunctional,
+def functional_kernel_lattice(an: _Analysis, functional: LyapunovFunctional,
                               dps_schedule=(50, 120, 250), maxcoeff=10**8):
     """Saturated basis of {n in Z^k : chi(n) = 0}, with search metadata.
 
@@ -483,8 +457,7 @@ def functional_kernel_lattice(action: ActionSpec, functional: LyapunovFunctional
     has squared modulus exactly 1) before being admitted, and the verified
     set is saturated.  An unverifiable candidate is reported, not used.
     """
-    an = analyze(action)
-    k = action.k
+    k = an.action.k
     b, j = an.locator(functional.classes[0])
     coeffs = functional.coeffs
 
@@ -540,8 +513,9 @@ def functional_kernel_lattice(action: ActionSpec, functional: LyapunovFunctional
     return basis, meta
 
 
-def check_rigidity_hypotheses(action: ActionSpec) -> dict:
-    """Decide the rank-two rigidity hypotheses for a toral Z^k action.
+def check_rigidity_hypotheses(an: _Analysis) -> dict:
+    """Decide the rank-two rigidity hypotheses for the toral Z^k action of
+    the analysis ``an``.
 
     Checks a semisimple linear part, an Anosov element, and that no nonzero
     element of a Lyapunov kernel {n : chi(n) = 0} has a root-of-unity
@@ -567,9 +541,9 @@ def check_rigidity_hypotheses(action: ActionSpec) -> dict:
     So a (k - rank S_b)-minor of L_b whose interval determinant excludes 0
     certifies S_b = T_b.
     """
+    action = an.action
     if action.k < 2:
         raise ValueError("the rigidity hypotheses require k >= 2")
-    an = analyze(action)
     k = action.k
     report: dict = {"k": k, "dim": action.dim}
     report["semisimple"] = is_semisimple(action)

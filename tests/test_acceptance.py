@@ -265,7 +265,7 @@ def test_criterion_6_coarse_partition(cat_action, t3_action, phi3_action,
                   spectra.validate_action(
                       [[[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, -1], [0, 0, -1, 2]]])]
         for action in corpus:
-            funcs = spectra.lyapunov_functionals(action)
+            funcs = spectra.analyze(action).functionals()
             grouping = chambers.group_functionals(funcs)
             spaces, neutral = grouping.coarse_spaces, grouping.neutral
             assert sum(s.dimension for s in spaces) + neutral == action.dim

@@ -23,7 +23,7 @@ def arrange(funcs):
 
 
 def test_cat_coarse(cat_action):
-    funcs = spectra.lyapunov_functionals(cat_action)
+    funcs = spectra.analyze(cat_action).functionals()
     spaces = chambers.group_functionals(funcs).coarse_spaces
     assert len(spaces) == 2
     assert all(s.dimension == 1 for s in spaces)
@@ -58,7 +58,7 @@ def test_partition_property(cat_action, t3_action, identity_action, phi3_action)
     corpus = [cat_action, t3_action, identity_action, phi3_action,
               spectra.validate_action([[[1, 1], [0, 1]]])]
     for action in corpus:
-        funcs = spectra.lyapunov_functionals(action)
+        funcs = spectra.analyze(action).functionals()
         grouping = chambers.group_functionals(funcs)
         spaces, neutral = grouping.coarse_spaces, grouping.neutral
         assert sum(s.dimension for s in spaces) + neutral == action.dim
@@ -68,7 +68,7 @@ def test_k1_irrational_coefficient():
     # two stable rates on T^4: one halfspace, irrational ratio coefficient
     m4 = [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 3, 2], [0, 0, 1, 1]]
     action = spectra.validate_action([m4])
-    funcs = spectra.lyapunov_functionals(action)
+    funcs = spectra.analyze(action).functionals()
     negatives = [f for f in funcs if f.coeffs[0].sign() < 0]
     spaces = chambers.group_functionals(negatives).coarse_spaces
     assert len(spaces) == 1
@@ -80,8 +80,8 @@ def test_k1_irrational_coefficient():
 def test_negated_functional_gets_opposite_normal(cat_action):
     cat_pair = spectra.validate_action([[[2, 1], [1, 1]], [[5, 3], [3, 2]]])
     rational = [Func([Fraction(1), Fraction(-3)]), Func([Fraction(-1), Fraction(3)])]
-    for funcs in (spectra.lyapunov_functionals(cat_action),
-                  spectra.lyapunov_functionals(cat_pair), rational):
+    for funcs in (spectra.analyze(cat_action).functionals(),
+                  spectra.analyze(cat_pair).functionals(), rational):
         spaces = chambers.group_functionals(funcs).coarse_spaces
         assert len(spaces) == 2
         a, b = (s.halfspace.normal for s in spaces)
@@ -112,7 +112,7 @@ def test_shared_wall_two_chambers():
 
 
 def test_t3_chambers(t3_action):
-    funcs = spectra.lyapunov_functionals(t3_action)
+    funcs = spectra.analyze(t3_action).functionals()
     arr = arrange(funcs)
     assert len(arr.walls) == 3
     assert len(arr.chambers) == 6
@@ -153,7 +153,7 @@ def test_find_regular_element_exact_signs():
 
 
 def test_find_regular_element_is_anosov(t3_action):
-    funcs = spectra.lyapunov_functionals(t3_action)
+    funcs = spectra.analyze(t3_action).functionals()
     arr = arrange(funcs)
     a = chambers.find_regular_element(arr, arr.chambers[0])
     assert spectra.is_anosov_element(t3_action, a)
@@ -173,13 +173,13 @@ def test_maximal_intersections_a2_passes():
 
 
 def test_maximal_intersections_rank_one_fails(cat_action):
-    funcs = spectra.lyapunov_functionals(cat_action)
+    funcs = spectra.analyze(cat_action).functionals()
     with pytest.raises(chambers.RankTooLow):
         chambers.check_maximal_intersections(arrange(funcs))
 
 
 def test_maximal_intersections_t3(t3_action):
-    funcs = spectra.lyapunov_functionals(t3_action)
+    funcs = spectra.analyze(t3_action).functionals()
     rep = chambers.check_maximal_intersections(arrange(funcs))
     assert rep["pass"]
     for entry in rep["spaces"]:
@@ -193,7 +193,7 @@ def test_proportionality_certified_negative():
 
 
 def test_proportionality_log_values(t3_action):
-    funcs = spectra.lyapunov_functionals(t3_action)
+    funcs = spectra.analyze(t3_action).functionals()
     # distinct functionals of the rank-2 action are non-proportional
     for i in range(len(funcs)):
         for j in range(i + 1, len(funcs)):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import runpy
@@ -13,7 +14,8 @@ from hypothesis import given, strategies as st
 
 from anosovkit import spectra
 from anosovkit.cli import main
-from anosovkit.exact import mat_inv
+from anosovkit.exact import mat_inv, mat_mul
+from anosovkit.jsonio import stable_dumps
 from oracles import report_region_count
 
 
@@ -150,12 +152,21 @@ def test_conjugate_psi_preset_recovery():
     assert rep["result"]["ground_truth_recovery_error"] < 1e-8
 
 
-def test_conjugate_oversized_eps_exit2():
-    out = run_cli(["conjugate", "--preset", "cat-sin", "--eps", "0.5",
-                   "--grid", "32"])
-    assert out.returncode == 2
+@pytest.mark.parametrize("preset, eps, grid", [
+    ("cat-sin", "0.5", "32"),
+    # psi conjugates this action by construction; the a-priori smallness
+    # gate refuses it all the same
+    ("psi-cat", "0.05", "128"),
+], ids=["cat-sin-eps0.5", "psi-cat-eps0.05"])
+def test_conjugate_refusal_exit3(preset, eps, grid):
+    # a refusal carries no certificate: undecided (3), never fail (2)
+    out = run_cli(["conjugate", "--preset", preset, "--eps", eps, "--grid", grid])
+    assert out.returncode == 3
     rep = json.loads(out.stdout)
-    assert rep["result"]["error"] == "Diverged"
+    assert rep["verdict"] == "inconclusive"
+    error = rep["result"]["error"]
+    assert (error["kind"], error["stage"]) == ("Diverged", "solve") and error["detail"]
+    assert "Traceback" not in out.stderr
 
 
 def test_conjugate_grid_power_of_two():
@@ -354,18 +365,18 @@ def test_analyze_enumerates_chambers_once(inputs, tmp_path, monkeypatch):
         calls.append(grouping)
         return enumerate_chambers(grouping, kernels)
 
-    def counted_kernel(action, functional):
-        kernel_calls.append(functional)
-        return kernel_lattice(action, functional)
+    def counted_kernel(an, functional):
+        kernel_calls.append((an, functional))
+        return kernel_lattice(an, functional)
 
     monkeypatch.setattr(chambers, "weyl_chambers", counted)
     monkeypatch.setattr(spectra, "functional_kernel_lattice", counted_kernel)
-    monkeypatch.setattr(spectra, "_ANALYSES", {})
     out = tmp_path / "t3.out.json"
     assert main(["analyze", "--input", str(inputs / "t3.json"),
                  "--output", str(out)]) == 0
     assert len(calls) == 1
-    assert len(kernel_calls) == 3 and len(set(map(id, kernel_calls))) == 3
+    assert len(kernel_calls) == 3 and len({id(f) for _, f in kernel_calls}) == 3
+    assert len({id(an) for an, _ in kernel_calls}) == 1
     res = json.loads(out.read_text())["result"]
     assert res["maximal_intersections"]["pass"]
     assert res["rigidity_hypotheses"]["anosov_element"]["method"] == "box"
@@ -380,7 +391,7 @@ def test_analyze_spectrum_stage_is_inconclusive(inputs, tmp_path, monkeypatch,
     def undecided(action):
         raise getattr(spectra, kind)("moduli not separated")
 
-    monkeypatch.setattr(spectra, "joint_spectrum", undecided)
+    monkeypatch.setattr(spectra, "analyze", undecided)
     out = tmp_path / "t3.out.json"
     assert main(["analyze", "--input", str(inputs / "t3.json"), "--output", str(out)]) == 3
     rep = json.loads(out.read_text())
@@ -455,7 +466,7 @@ def contract_inputs(inputs):
     (["conjugate", "--preset", "cat-sin", "--grid", "16", "--generator", "5"], 1),
     (["conjugate", "--preset", "cat-sin", "--grid", "16", "--generator", "-1"], 1),
     (["conjugate", "--preset", "cat-sin", "--grid", "16", "--tol", "0"], 1),
-    (["conjugate", "--preset", "cat-sin", "--eps", "0.5", "--grid", "32"], 2),
+    (["conjugate", "--preset", "cat-sin", "--eps", "0.5", "--grid", "32"], 3),  # refused
     (["rootsys", "--rank", "2"], 1),                    # no --type
     (["rootsys", "--type", "Z", "--rank", "2"], 1),
 ])
@@ -544,11 +555,16 @@ def test_three_block_action_fails_fast(tmp_path):
     assert [-3, 1, 0] in elements and [7, 0, 1] in elements
 
 
-def bench_spectral_op(op_id, seed=1):
-    """The input of a ``spectral`` benchmark op, from ``bench/corpus.py``."""
+def spectral_corpus(seed=1):
+    """The ``spectral`` benchmark ops, from ``bench/corpus.py``."""
     corpus = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "corpus.py"),
                             run_name="bench_corpus")
-    return next(op for op in corpus["build"]("spectral", seed) if op.id == op_id).files[op_id]
+    return corpus["build"]("spectral", seed)
+
+
+def bench_spectral_op(op_id, seed=1):
+    """The input of a ``spectral`` benchmark op."""
+    return next(op for op in spectral_corpus(seed) if op.id == op_id).files[op_id]
 
 
 def assert_witnesses_in_their_chambers(result, obj):
@@ -556,7 +572,7 @@ def assert_witnesses_in_their_chambers(result, obj):
     coefficients, are clear of 0 with the signs of the witness's chamber
     (``obj``: the analyzed input); the chambers differ, and Zaslavsky's count
     says none is missing."""
-    arr = spectra.analyze(spectra.ActionSpec.from_json(obj)).chamber_arrangement()
+    arr = spectra.analyze(spectra.ActionSpec.from_json(obj)).chamber_arrangement
     funcs = result["lyapunov_functionals"]
     seen = set()
     for ch, w in zip(arr.chambers, result["chambers"]["integer_witnesses"]):
@@ -582,6 +598,75 @@ def test_walls_with_a_common_kernel_are_decided(tmp_path, op_id):
     res = json.loads((tmp_path / "out.json").read_text())["result"]
     assert res["chambers"]["count"] == 6
     assert_witnesses_in_their_chambers(res, obj)
+
+
+@pytest.mark.parametrize("op_id", ["real-d3-k3", "cat-dependent"])
+def test_wall_elements_lie_in_the_verified_kernel(tmp_path, op_id):
+    # irrational bottom functionals with a nonzero verified kernel: each wall
+    # element is an exact integer vector of the kernel the report lists
+    import sympy
+
+    (tmp_path / "op.json").write_text(json.dumps(bench_spectral_op(op_id)))
+    main(["analyze", "--input", str(tmp_path / "op.json"),
+          "--output", str(tmp_path / "out.json")])
+    res = json.loads((tmp_path / "out.json").read_text())["result"]
+    kernels = {e["functional_index"]: e["kernel_basis"]
+               for e in res["rigidity_hypotheses"]["roots_of_unity"]["per_functional"]}
+    for space in res["maximal_intersections"]["spaces"]:
+        basis, elt = kernels[space["bottom"]], space["wall_element"]
+        assert space["wall_element_exact"] and basis
+        assert any(elt) and all(x == int(x) for x in elt)
+        assert sympy.Matrix(basis + [[int(x) for x in elt]]).rank() == len(basis)
+
+
+def test_analyze_leaves_no_state_behind(tmp_path):
+    # every module-level dict, list and set of the package is unchanged by
+    # runs, and a repeated run reproduces its report byte for byte
+    import copy
+    import importlib
+    import pkgutil
+
+    import anosovkit
+
+    modules = [importlib.import_module(m.name)
+               for m in pkgutil.walk_packages(anosovkit.__path__, "anosovkit.")]
+
+    def containers():
+        return {(mod.__name__, name): value for mod in modules
+                for name, value in vars(mod).items()
+                if not name.startswith("__") and isinstance(value, (dict, list, set))}
+
+    before = copy.deepcopy(containers())
+    # actions no other test analyzes: a unit and its inverse, and the T^3
+    # pair in another basis
+    pair = [[[3, 2], [1, 1]], [[1, -2], [-1, 3]]]
+    p, p_inv = [[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, -1, 0], [0, 1, 0], [0, 0, 1]]
+    t3 = [mat_mul(mat_mul(p, g), p_inv) for g in (T3_M, T3_N)]
+    for name, gens in (("first", pair), ("second", t3), ("again", pair)):
+        analyze_report(tmp_path, gens, name)
+    after = containers()
+    assert [key for key in before.keys() | after.keys()
+            if before.get(key) != after.get(key)] == []
+    assert ((tmp_path / "first.out.json").read_bytes()
+            == (tmp_path / "again.out.json").read_bytes())
+
+
+def test_spectral_corpus_reports_are_unchanged(tmp_path):
+    # the corpus reports are the contract: a change that alters their bytes
+    # updates spectral_corpus_digests.json and says why
+    got = {}
+    for op in spectral_corpus():
+        for name, obj in op.files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        out = tmp_path / f"{op.id}.out.json"
+        args = [a.replace("{dir}", str(tmp_path)) for a in op.args]
+        code = main([op.command, *args, "--seed", "1", "--output", str(out)])
+        result = stable_dumps(json.loads(out.read_text())["result"])
+        got[op.id] = {"exit": code, "sha256": hashlib.sha256(result.encode()).hexdigest()}
+    expected = json.loads(Path(__file__).with_name("spectral_corpus_digests.json")
+                          .read_text())
+    assert sorted(got) == sorted(expected)
+    assert [op for op in got if got[op] != expected[op]] == []
 
 
 @pytest.mark.parametrize("exponents, count", [

@@ -49,12 +49,12 @@ def test_json_roundtrip(t3_action):
 
 
 # ---------------------------------------------------------------------------
-# joint_spectrum / lyapunov_functionals
+# joint spectrum (classes) / Lyapunov functionals
 # ---------------------------------------------------------------------------
 
 
 def test_cat_spectrum(cat_action):
-    classes = spectra.joint_spectrum(cat_action)
+    classes = spectra.analyze(cat_action).classes()
     assert len(classes) == 2
     mids = sorted(c.moduli_log[0].mid() for c in classes)
     assert mids[0] == pytest.approx(-0.9624236501192069, abs=1e-12)
@@ -64,25 +64,25 @@ def test_cat_spectrum(cat_action):
 
 
 def test_enclosures_tight(cat_action):
-    classes = spectra.joint_spectrum(cat_action)
+    classes = spectra.analyze(cat_action).classes()
     for c in classes:
         for lo, hi in c.enclosures(1e-12):
             assert hi - lo <= 1e-12
 
 
 def test_identity_spectrum(identity_action):
-    classes = spectra.joint_spectrum(identity_action)
+    classes = spectra.analyze(identity_action).classes()
     assert len(classes) == 1
     assert classes[0].dimension == 2
     assert classes[0].moduli_log[0].is_zero()
 
 
 def test_phi3_spectrum(phi3_action):
-    classes = spectra.joint_spectrum(phi3_action)
+    classes = spectra.analyze(phi3_action).classes()
     assert len(classes) == 2
     assert all(c.moduli_log[0].is_zero() for c in classes)
     assert all(c.minimal_polynomial == (1, 1, 1) for c in classes)
-    funcs = spectra.lyapunov_functionals(phi3_action)
+    funcs = spectra.analyze(phi3_action).functionals()
     assert len(funcs) == 1 and funcs[0].multiplicity == 2
 
 
@@ -90,18 +90,18 @@ def test_functional_merge_across_blocks():
     # diag(A, A^{-1}) has each eigenvalue with a 2-dim joint eigenspace
     m4 = [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, -1], [0, 0, -1, 2]]
     action = spectra.validate_action([m4])
-    funcs = spectra.lyapunov_functionals(action)
+    funcs = spectra.analyze(action).functionals()
     assert sorted(f.multiplicity for f in funcs) == [2, 2]
 
 
 def test_duplicated_generator_symmetry(cat_action):
     action = spectra.validate_action([[[2, 1], [1, 1]], [[2, 1], [1, 1]]])
-    for f in spectra.lyapunov_functionals(action):
+    for f in spectra.analyze(action).functionals():
         assert f.coeffs[0].equals(f.coeffs[1])
 
 
 def test_functionals_sorted_lexicographically(t3_action):
-    funcs = spectra.lyapunov_functionals(t3_action)
+    funcs = spectra.analyze(t3_action).functionals()
     mids = [[lv.mid() for lv in f.coeffs] for f in funcs]
     assert mids == sorted(mids)
 
@@ -127,7 +127,7 @@ def test_eigensolver_cross_check(cat_action, t3_action):
     cat_rotation = spectra.validate_action([_direct_sum([[2, 1], [1, 1]],
                                                         [[0, -1], [1, 0]])])
     for action in (cat_action, t3_action, blockdiag, cat_rotation):
-        funcs = spectra.lyapunov_functionals(action)
+        funcs = spectra.analyze(action).functionals()
         box = itertools.product(range(-2, 3), repeat=action.k)
         for n in box:
             if not any(n):
@@ -252,7 +252,7 @@ def test_weak_mixing_against_det_oracle_sample():
 
 
 def test_rigidity_t3_passes(t3_action):
-    rep = spectra.check_rigidity_hypotheses(t3_action)
+    rep = spectra.check_rigidity_hypotheses(spectra.analyze(t3_action))
     assert rep["verdict"] == "pass"
     assert rep["anosov_element"]["found"]
     assert all(e["kernel_rank"] == 0
@@ -266,7 +266,7 @@ def test_rigidity_t3_passes(t3_action):
 
 def test_rigidity_inverse_pair_fails(cat_action):
     pair = spectra.validate_action([[[2, 1], [1, 1]], [[1, -1], [-1, 2]]])
-    rep = spectra.check_rigidity_hypotheses(pair)
+    rep = spectra.check_rigidity_hypotheses(spectra.analyze(pair))
     assert rep["verdict"] == "fail"
     viols = rep["roots_of_unity"]["violations"]
     assert any(abs(v["element"][0]) == 1 and v["element"][0] == v["element"][1]
@@ -279,10 +279,9 @@ def test_rigidity_missed_relation_is_inconclusive(monkeypatch):
     # the 2 x 2 log-modulus matrix of the block has rank 1 < k, so no minor
     # certifies that its torsion lattice is {0}: inconclusive, never pass
     pair = spectra.validate_action([[[2, 1], [1, 1]], [[1, -1], [-1, 2]]])
-    monkeypatch.setattr(spectra, "_ANALYSES", {})     # no memoized kernels
     monkeypatch.setattr(spectra, "functional_kernel_lattice",
-                        lambda action, func: ([], {"method": "none"}))
-    rep = spectra.check_rigidity_hypotheses(pair)
+                        lambda an, func: ([], {"method": "none"}))
+    rep = spectra.check_rigidity_hypotheses(spectra.analyze(pair))
     assert rep["verdict"] == "inconclusive"
     (block,) = rep["roots_of_unity"]["per_block"]
     assert block["torsion_rank"] == 0 and block["rank_certificate"] is None
@@ -290,14 +289,14 @@ def test_rigidity_missed_relation_is_inconclusive(monkeypatch):
 
 def test_rigidity_identity_pair_fails():
     ii = spectra.validate_action([[[1, 0], [0, 1]], [[1, 0], [0, 1]]])
-    rep = spectra.check_rigidity_hypotheses(ii)
+    rep = spectra.check_rigidity_hypotheses(spectra.analyze(ii))
     assert rep["verdict"] == "fail"
     assert not rep["anosov_element"]["found"]
 
 
 def test_rigidity_anosov_search_bound(t3_action, monkeypatch):
     # the first Anosov element in sorted shell order
-    rep = spectra.check_rigidity_hypotheses(t3_action)
+    rep = spectra.check_rigidity_hypotheses(spectra.analyze(t3_action))
     assert rep["anosov_element"] == {"found": True, "vector": [-1, -1],
                                      "method": "box"}
     # three nonzero functionals cannot cover the box of radius
@@ -311,7 +310,7 @@ def test_rigidity_anosov_search_bound(t3_action, monkeypatch):
 
     monkeypatch.setattr(spectra, "is_anosov_element", refuse)
     with pytest.raises(RuntimeError, match="radius 2"):
-        spectra.check_rigidity_hypotheses(t3_action)
+        spectra.check_rigidity_hypotheses(spectra.analyze(t3_action))
     box = sorted(v for v in itertools.product(range(-2, 3), repeat=2) if any(v))
     assert sorted(tried) == box
     assert [max(map(abs, v)) for v in tried] == sorted(max(map(abs, v)) for v in tried)
@@ -319,13 +318,13 @@ def test_rigidity_anosov_search_bound(t3_action, monkeypatch):
 
 def test_rigidity_requires_rank_two(cat_action):
     with pytest.raises(ValueError):
-        spectra.check_rigidity_hypotheses(cat_action)
+        spectra.check_rigidity_hypotheses(spectra.analyze(cat_action))
 
 
 def test_kernel_lattice_of_inverse_pair():
     pair = spectra.validate_action([[[2, 1], [1, 1]], [[1, -1], [-1, 2]]])
-    funcs = spectra.lyapunov_functionals(pair)
-    basis, meta = spectra.functional_kernel_lattice(pair, funcs[0])
+    an = spectra.analyze(pair)
+    basis, meta = spectra.functional_kernel_lattice(an, an.functionals()[0])
     assert len(basis) == 1
     assert [abs(x) for x in basis[0]] == [1, 1]
     assert not meta["unverified"]
