@@ -2,7 +2,7 @@
 
 The joint-spectrum analysis needs to decide, with proof, questions like
 "is this eigenvalue modulus equal to 1", "are these two log-moduli equal",
-or "is log|a| a rational multiple of log|b|".  Floating enclosures can
+or "is log|a| a rational multiple of log|b|".  Enclosures can
 separate unequal values but never settle equality, so every scalar here
 carries an exact handle:
 
@@ -14,8 +14,8 @@ carries an exact handle:
   irreducible minimal polynomial.  Comparisons are decidable.
 - ``LogValue``: (1/2)*log of a positive RealAlgebraic (the squared modulus
   of an eigenvalue).  Signs, equality and rational
-  proportionality are decided exactly; float enclosures are rigorous
-  (directed rounding throughout).
+  proportionality are decided exactly; enclosures are exact dyadic ``RInt``s
+  from directed rounding, refined along the one ``_EPS_SCHEDULE``.
 
 Roots are found with mpmath ``polyroots``, started from double-precision
 Durand-Kerner approximations, and certified with inclusion disks (Rump, J. Comput. Appl. Math. 156, 2003): for any z, some root of a
@@ -42,13 +42,12 @@ from mpmath import libmp
 
 from . import intpoly
 from .exact import (  # noqa: F401  (re-exported for existing importers)
+    _EPS_SCHEDULE,
     EnclosureTooWide,
     RInt,
     UndecidedSign,
     simplest_rational_between,
 )
-
-_EPS_SCHEDULE = [Fraction(1, 10**m) for m in (12, 24, 48, 96, 192, 384)]
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +160,8 @@ def _inside(disk, outer) -> bool:
 
 
 def _dyadic(x) -> Fraction:
-    """The exact value of an mpf."""
-    sign, man, exp, _ = x._mpf_
+    """The exact value of a finite raw mpf tuple."""
+    sign, man, exp, _ = x
     man = -man if sign else man
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
@@ -218,7 +217,7 @@ def _isolate(key: tuple, prec: int) -> tuple:
         init = approx or None     # the next, more precise try starts here
         real, upper = [], []
         for z in approx:
-            re, im = _dyadic(z.real), abs(_dyadic(z.imag))
+            re, im = _dyadic(z.real._mpf_), abs(_dyadic(z.imag._mpf_))
             got = _newton(key, re, im, 2 * prec)
             if got is not None and im > got[0][2]:
                 if z.imag > 0:
@@ -467,15 +466,15 @@ class LogValue:
 
     The exact carrier for log|eigenvalue| entries of Lyapunov functionals:
     ``sign``/``equals``/``is_zero``/``verify_ratio`` are exact decisions,
-    ``interval`` returns rigorous float enclosures of requested width and
+    ``interval`` returns rigorous dyadic enclosures of requested width and
     ``mid`` the double nearest the exact value.
     """
 
-    __slots__ = ("modsq", "_cached", "_mid")
+    __slots__ = ("modsq", "_box", "_mid")
 
     def __init__(self, modsq: RealAlgebraic):
         self.modsq = modsq
-        self._cached = None
+        self._box = None
         self._mid = None
 
     @staticmethod
@@ -493,54 +492,44 @@ class LogValue:
             return self.is_zero() and other.is_zero()
         return self.modsq.cmp(other.modsq) == 0
 
-    def interval(self, tol: float = 1e-12):
-        """Rigorous (lo, hi) floats of width <= tol, refined on demand.
+    def interval(self, eps: Fraction) -> RInt:
+        """Rigorous enclosure of width <= eps with dyadic ends, refined on
+        demand.
 
-        When tol is below a few ulps of the value no tighter float pair
-        exists; the tightest representable outward-rounded enclosure is
-        returned once the internal high-precision enclosure beats tol.
+        log(x)/2 varies by at most w/(2 lo) over [lo, lo + w], so modsq is
+        enclosed to a width of at most eps*lo/2 (lo from a coarser
+        enclosure, eps capped at 1), and the log of its ends is rounded
+        outward.
         """
-        if self._cached is not None and self._cached[1] - self._cached[0] <= tol:
-            return self._cached
-        prec = max(64, int(-math.log2(tol)) + 50)
-        for eps in _EPS_SCHEDULE:
-            box = self.modsq.interval(eps)
-            if box.lo <= 0:
-                continue
-            llo, lhi = _log_half(box, prec)
-            inner = libmp.to_float(libmp.mpf_sub(lhi, llo, prec, libmp.round_ceiling),
-                                   rnd=libmp.round_ceiling)
-            # the float pair may be a few ulps wider than the mpf enclosure,
-            # since no tighter float interval exists
-            lo = math.nextafter(libmp.to_float(llo, rnd=libmp.round_floor), -math.inf)
-            hi = math.nextafter(libmp.to_float(lhi, rnd=libmp.round_ceiling), math.inf)
-            if hi - lo <= tol or inner <= tol / 4:
-                if self._cached is None or hi - lo < self._cached[1] - self._cached[0]:
-                    self._cached = (lo, hi)
-                return self._cached
-        raise EnclosureTooWide(f"log enclosure did not reach width {tol}")
+        if self._box is None or self._box.width > eps:
+            sq = next(box for e in _EPS_SCHEDULE if (box := self.modsq.interval(e)).lo > 0)
+            e = min(eps, 1)
+            sq = self.modsq.interval(e * sq.lo / 4)
+            prec = e.denominator.bit_length() - e.numerator.bit_length() + 24
+            while True:
+                box = RInt(*(_dyadic(x) for x in _log_half(sq, prec)))
+                if box.width <= eps:
+                    break
+                prec *= 2
+            self._box = box
+        return self._box
 
     def mid(self) -> float:
-        """The double nearest the exact value.
+        """The double nearest the exact value: the common rounding of both
+        ends of the first enclosure on the schedule whose ends round alike.
 
-        The enclosure is refined until the nearest roundings of both its ends
-        agree.  That terminates: a nonzero log of an algebraic number is
+        That terminates: a nonzero log of an algebraic number is
         transcendental (Lindemann), so it is never a tie between two doubles.
         """
         if self._mid is None:
-            self._mid = 0.0 if self.is_zero() else self._nearest()
+            for eps in _EPS_SCHEDULE:
+                box = self.interval(eps)
+                if float(box.lo) == float(box.hi):
+                    self._mid = float(box.lo)
+                    break
+            else:
+                raise EnclosureTooWide("no enclosure fixed the nearest double")
         return self._mid
-
-    def _nearest(self) -> float:
-        for eps in _EPS_SCHEDULE:
-            box = self.modsq.interval(eps)
-            if box.lo <= 0:
-                continue
-            lo, hi = (libmp.to_float(x, rnd=libmp.round_nearest)
-                      for x in _log_half(box, eps.denominator.bit_length() + 32))
-            if lo == hi:
-                return lo
-        raise EnclosureTooWide("no enclosure fixed the nearest double")
 
     def mpf(self, dps: int):
         """High-precision value for relation-candidate searches (not a proof)."""
@@ -551,11 +540,11 @@ class LogValue:
     def cmp(self, other: "LogValue") -> int:
         if self.equals(other):
             return 0
-        for tol in (1e-9, 1e-15, 1e-30, 1e-60):
-            a, b = self.interval(tol), other.interval(tol)
-            if a[0] > b[1]:
+        for eps in _EPS_SCHEDULE:
+            a, b = self.interval(eps), other.interval(eps)
+            if a.lo > b.hi:
                 return 1
-            if b[0] > a[1]:
+            if b.lo > a.hi:
                 return -1
         raise EnclosureTooWide("LogValue comparison did not separate")
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
+    _EPS_SCHEDULE,
     RInt,
     UndecidedSign,
     det,
@@ -67,11 +68,8 @@ def _sign(x) -> int:
     return x.sign()
 
 
-def _interval(x, tol: float):
-    if _is_exact(x):
-        return (Fraction(x), Fraction(x))
-    lo, hi = x.interval(tol)
-    return (Fraction(lo), Fraction(hi))
+def _interval(x, eps: Fraction) -> RInt:
+    return RInt.point(x) if _is_exact(x) else x.interval(eps)
 
 
 def _mid(x) -> float:
@@ -82,7 +80,7 @@ def _functional_is_zero(coeffs) -> bool:
     return all(_sign(c) == 0 for c in coeffs)
 
 
-def proportionality_coefficient(u, v, budget: int = 4):
+def proportionality_coefficient(u, v):
     """c with v == c*u (c != 0), or None when certified non-proportional.
 
     Exact for rational vectors.  For log vectors, interval minors certify
@@ -107,41 +105,29 @@ def proportionality_coefficient(u, v, budget: int = 4):
         c = Fraction(v[i0]) / Fraction(u[i0])
         return c if all(Fraction(v[i]) == c * Fraction(u[i]) for i in range(k)) else None
     if k == 1:
-        c_iv = _ratio_interval(v[0], u[0], 1e-12)
-        cand = simplest_rational_between(c_iv[0], c_iv[1])
+        cand = simplest_rational_between(*_ratio_interval(v[0], u[0], _EPS_SCHEDULE[0]))
         if cand != 0 and v[0].verify_ratio(u[0], cand):
             return cand
         return _mid(v[0]) / _mid(u[0])
-    tol = 1e-9
-    for _ in range(budget):
-        separated = False
+    i0 = max((i for i in range(k) if su[i] != 0), key=lambda i: abs(_mid(u[i])))
+    for eps in _EPS_SCHEDULE:
         for i, j in itertools.combinations(range(k), 2):
-            ui, uj = _interval(u[i], tol), _interval(u[j], tol)
-            vi, vj = _interval(v[i], tol), _interval(v[j], tol)
-            minor = RInt(*ui) * RInt(*vj) - RInt(*uj) * RInt(*vi)
+            minor = (_interval(u[i], eps) * _interval(v[j], eps)
+                     - _interval(u[j], eps) * _interval(v[i], eps))
             if minor.lo > 0 or minor.hi < 0:
                 return None
-            if minor.width > Fraction(1, 10**6):
-                separated = True
-        i0 = max((i for i in range(k) if su[i] != 0),
-                 key=lambda i: abs(_mid(u[i])))
-        c_iv = _ratio_interval(v[i0], u[i0], tol)
-        cand = simplest_rational_between(c_iv[0], c_iv[1])
+        cand = simplest_rational_between(*_ratio_interval(v[i0], u[i0], eps))
         if cand != 0 and all(_verify_coord_ratio(v[i], u[i], cand) for i in range(k)):
             return cand
-        tol *= 1e-6
-        if not separated and tol < 1e-40:
-            break
     raise UndecidedProportionality(
         "could not separate nor prove proportionality of functionals")
 
 
-def _ratio_interval(num, den, tol):
-    nlo, nhi = _interval(num, tol)
-    dlo, dhi = _interval(den, tol)
-    if dlo <= 0 <= dhi:
+def _ratio_interval(num, den, eps):
+    n, d = _interval(num, eps), _interval(den, eps)
+    if d.lo <= 0 <= d.hi:
         raise UndecidedSign("denominator interval straddles zero")
-    corners = [Fraction(a) / Fraction(b) for a in (nlo, nhi) for b in (dlo, dhi)]
+    corners = [a / b for a in (n.lo, n.hi) for b in (d.lo, d.hi)]
     return (min(corners), max(corners))
 
 
@@ -289,13 +275,11 @@ def exact_sign_at(coeffs, point) -> int:
         return (val > 0) - (val < 0)
     scale = lcm_denominators(point)
     ipt = [int(p * scale) for p in point]
-    for tol in (1e-9, 1e-15, 1e-30, 1e-60):
-        total = RInt(Fraction(0), Fraction(0))
+    for eps in _EPS_SCHEDULE:
+        total = RInt.point(0)
         for c, a in zip(coeffs, ipt):
-            if a == 0:
-                continue
-            lo, hi = _interval(c, tol)
-            total = total + RInt(lo, hi) * RInt.point(a)
+            if a:
+                total = total + _interval(c, eps) * RInt.point(a)
         if total.lo > 0:
             return 1
         if total.hi < 0:
@@ -342,14 +326,14 @@ def weyl_chambers(grouping: FunctionalArrangement, kernels=None) -> ChamberArran
     r = len(basis)
     walls = [(e or n, lattice_normals(lattice, k))
              for n, e, lattice in zip(normals, exact, lattices)]
-    for den, tol in ((10**3, 1e-12), (10**6, 1e-20), (10**9, 1e-28), (10**12, 1e-36)):
+    for den, eps in zip((10**3, 10**6, 10**9, 10**12), _EPS_SCHEDULE):
         proxies, rows = [], {}
         for w, (n, e) in enumerate(zip(normals, exact)):
             if e is not None:
                 proxies.append(primitive_vector([_dot(e, b) for b in basis]))
                 continue
-            rows[w] = [sum((RInt(*_interval(c, tol)) * RInt.point(bg)
-                            for c, bg in zip(n, b) if bg), RInt.point(0)) for b in basis]
+            rows[w] = [sum((_interval(c, eps) * RInt.point(bg) for c, bg in zip(n, b) if bg),
+                           RInt.point(0)) for b in basis]
             mids = [(x.lo + x.hi) / 2 for x in rows[w]]
             top = max(abs(x) for x in mids) or 1
             proxies.append([round(den * x / top) for x in mids])

@@ -97,7 +97,7 @@ def cmd_analyze(args) -> int:
         "joint_classes": [
             {"index": c.index,
              "moduli_log": [lv.mid() for lv in c.moduli_log],
-             "enclosure_widths": [float(iv[1] - iv[0]) for iv in c.enclosures(args.tol)],
+             "enclosure_widths": [float(iv.width) for iv in c.enclosures(args.tol)],
              "dimension": c.dimension,
              "minimal_polynomial": list(c.minimal_polynomial)}
             for c in classes],

@@ -270,13 +270,17 @@ class ConjugacyField:
 
         Modes are sorted by magnitude rounded to 12 significant digits, then
         by flat index, so the equal-magnitude +-f pairs of a real field
-        come out in the same order whatever the roundoff.
+        come out in the same order whatever the roundoff.  Only the modes at
+        or above the top-th rounded magnitude, ties included, are sorted.
         """
         n, size = self.dim, self.resolution
         co = self.fourier
         freqs = np.fft.fftfreq(size, d=1.0 / size).astype(int)
         mags = np.abs(co).sum(axis=-1).ravel()
-        order = np.argsort(-_round_sig(mags), kind="stable")[:top]
+        keys = -_round_sig(mags)
+        cut = np.partition(keys, min(top, keys.size) - 1)[min(top, keys.size) - 1]
+        kept = np.flatnonzero(keys <= cut)
+        order = kept[np.argsort(keys[kept], kind="stable")][:top]
         out = []
         for flat in order:
             if mags[flat] < 1e-15:

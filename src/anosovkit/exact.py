@@ -329,6 +329,9 @@ class RInt:
         return RInt(q, q)
 
 
+_EPS_SCHEDULE = [Fraction(1, 10**m) for m in (12, 24, 48, 96, 192, 384)]
+
+
 def simplest_rational_between(lo, hi) -> Fraction:
     """The rational with smallest denominator in [lo, hi] (Stern-Brocot)."""
     a, b = Fraction(lo), Fraction(hi)

@@ -52,7 +52,6 @@ from .algnum import (
 from .exact import (  # noqa: F401  (the action types are re-exported)
     ActionSpec,
     ActionValidationError,
-    RInt,
     det,
     identity,
     lattice_intersection,
@@ -94,7 +93,7 @@ class JointEigenvalueClass:
     minimal_polynomial: tuple  # descending integer coeffs, first generator's eigenvalue
 
     def enclosures(self, tol: float = 1e-12):
-        return tuple(lv.interval(tol) for lv in self.moduli_log)
+        return tuple(lv.interval(Fraction(tol)) for lv in self.moduli_log)
 
 
 @dataclass(frozen=True)
@@ -275,7 +274,7 @@ class _Analysis:
             block = self.blocks[b]
             lvs = tuple(self.logvalue(b, j, g) for g in range(self.action.k))
             minpoly = _first_gen_minpoly(block, j)
-            sort_key = (tuple(lv.interval(1e-12)[0] for lv in lvs), minpoly, j, b)
+            sort_key = (tuple(lv.interval(_EPS_SCHEDULE[0]).lo for lv in lvs), minpoly, j, b)
             entries.append((sort_key, b, j, lvs, block.class_dim, minpoly))
         entries.sort(key=lambda e: e[0])
         classes = []
@@ -613,16 +612,16 @@ def _rank_certificate(an: _Analysis, classes, size: int):
     """A size x size minor of L_b (rows: generators, columns: the block's
     classes, entries log|q_g| at the class's root) whose interval
     determinant excludes 0, which proves rank_R L_b >= size; None if no
-    minor is certified at the finest tolerance."""
+    minor is certified at the finest width of the schedule."""
     if size == 0:
         return {"size": 0, "generators": [], "classes": []}
     minors = [(rows, cols)
               for rows in itertools.combinations(range(an.action.k), size)
               for cols in itertools.combinations(classes, size)]
-    for tol in (1e-12, 1e-30, 1e-60):
+    for eps in _EPS_SCHEDULE:
         for rows, cols in minors:
-            d = det([[RInt(*(Fraction(x) for x in an.logvalue(*an.locator(c), g)
-                             .interval(tol))) for c in cols] for g in rows])
+            d = det([[an.logvalue(*an.locator(c), g).interval(eps) for c in cols]
+                     for g in rows])
             if d.lo > 0 or d.hi < 0:
                 return {"size": size, "generators": list(rows), "classes": list(cols)}
     return None

@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anosovkit import intpoly
-from anosovkit.algnum import RealAlgebraic, root_box, roots
+from anosovkit.algnum import LogValue, RealAlgebraic, root_box, roots
+from anosovkit.exact import _EPS_SCHEDULE
 from anosovkit.intpoly import (
     _sturm_count,
     composed_product_pair,
@@ -154,6 +155,30 @@ def test_real_algebraic_inverse(xs, data):
     x, vx = data.draw(st.sampled_from(xs))
     with mpmath.workdps(DPS):
         assert_encloses(x.inverse(), 1 / vx)
+
+
+# ---------------------------------------------------------------------------
+# Log-modulus enclosures
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("modsq_key, exact", [
+    # the cat map's contracting eigenvalue (3 - sqrt 5)/2, squared
+    ((1, -7, 1), lambda: mpmath.log((3 - mpmath.sqrt(5)) / 2)),
+    # the real root of x^3 - x - 1 as a squared modulus
+    ((1, 0, -1, -1), lambda: mpmath.log(mpmath.findroot(lambda x: x**3 - x - 1, 1.3)) / 2),
+], ids=["cat-negative", "cubic-positive"])
+def test_log_enclosures_reach_every_width(modsq_key, exact):
+    # the smallest real root: a fresh one, refined from its isolating disk
+    lv = LogValue(RealAlgebraic(roots.__wrapped__(modsq_key)[0]))
+    with mpmath.workdps(450):
+        value, slack = exact(), mpmath.mpf(10) ** -440
+        for eps in _EPS_SCHEDULE:
+            box = lv.interval(eps)
+            assert box.width <= eps
+            assert mpmath.mpf(box.lo.numerator) / box.lo.denominator - slack <= value
+            assert value <= mpmath.mpf(box.hi.numerator) / box.hi.denominator + slack
+        assert lv.mid() == mpmath.libmp.to_float(value._mpf_, rnd="n")
 
 
 # ---------------------------------------------------------------------------

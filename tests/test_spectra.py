@@ -66,8 +66,8 @@ def test_cat_spectrum(cat_action):
 def test_enclosures_tight(cat_action):
     classes = spectra.analyze(cat_action).classes()
     for c in classes:
-        for lo, hi in c.enclosures(1e-12):
-            assert hi - lo <= 1e-12
+        for iv in c.enclosures(1e-12):
+            assert iv.width <= 1e-12
 
 
 def test_identity_spectrum(identity_action):
