@@ -42,7 +42,6 @@ from .exact import (
     primitive_vector,
     simplest_rational_between,
 )
-from .ratlp import strict_sign_witness
 
 
 class UndecidedProportionality(Exception):
@@ -110,14 +109,22 @@ def proportionality_coefficient(u, v):
             return cand
         return _mid(v[0]) / _mid(u[0])
     i0 = max((i for i in range(k) if su[i] != 0), key=lambda i: abs(_mid(u[i])))
+    propose = True
     for eps in _EPS_SCHEDULE:
         for i, j in itertools.combinations(range(k), 2):
             minor = (_interval(u[i], eps) * _interval(v[j], eps)
                      - _interval(u[j], eps) * _interval(v[i], eps))
             if minor.lo > 0 or minor.hi < 0:
                 return None
+        if not propose:
+            continue
         cand = simplest_rational_between(*_ratio_interval(v[i0], u[i0], eps))
-        if cand != 0 and all(_verify_coord_ratio(v[i], u[i], cand) for i in range(k)):
+        # every enclosure holds the true ratio, and the simplest rational has
+        # the least numerator and denominator in it: past verify_ratio's cap
+        # p + q <= 200 no later candidate can verify, so only minors refine
+        propose = abs(cand.numerator) + cand.denominator <= 200
+        if propose and cand != 0 and all(_verify_coord_ratio(v[i], u[i], cand)
+                                         for i in range(k)):
             return cand
     raise UndecidedProportionality(
         "could not separate nor prove proportionality of functionals")
@@ -303,11 +310,12 @@ def weyl_chambers(grouping: FunctionalArrangement, kernels=None) -> ChamberArran
     with one (r the quotient rank) has an interval determinant of certain
     sign, the proxies' (the chirotope fixes the chambers: Bjorner et al.,
     *Oriented Matroids*, 1993); fewer walls than r leave it uncertified.
-    Each proxy chamber's LP witness is lifted by B, certified exactly, and
-    replaced by the first primitive round(D a / |a|_inf), D = 1, 2, 4, ...,
-    2^20, with the chamber's signs.  Failures refine the rounding, and
-    UndecidedSign follows the finest.  A missed kernel relation only makes
-    L smaller, which can cause that, never a wrong chamber.
+    The proxies' chambers come by deletion-restriction (``_enumerate_exact``);
+    each witness is lifted by B, certified exactly, and replaced by the
+    first primitive round(D a / |a|_inf), D = 1, 2, 4, ..., 2^20, with the
+    chamber's signs.  Failures refine the rounding, and UndecidedSign
+    follows the finest.  A missed kernel relation only makes L smaller,
+    which can cause that, never a wrong chamber.
     """
     if not grouping.walls:
         raise ValueError("no nonzero functionals")
@@ -339,7 +347,7 @@ def weyl_chambers(grouping: FunctionalArrangement, kernels=None) -> ChamberArran
             proxies.append([round(den * x / top) for x in mids])
         if m >= r and _chirotope_agrees(proxies, rows, r):
             found = []
-            for ch in _enumerate_exact(proxies):
+            for ch in _enumerate_exact(proxies, r):
                 a = tuple(sum(c * b[g] for c, b in zip(ch.witness, basis)) for g in range(k))
                 if tuple(_wall_sign(w, a) for w in walls) != ch.signs:
                     break
@@ -391,22 +399,56 @@ def _small_witness(walls, signs, a):
     return a
 
 
-def _enumerate_exact(reps):
-    """Chambers of rational normals by insertion: a chamber keeps its witness
-    on the side of the new wall that the witness lies on, and the rational LP
-    decides the other side."""
-    chambers = [Chamber(signs=(), witness=None)]
-    for w, rep in enumerate(reps):
-        new = []
-        for ch in chambers:
-            side = _dot(rep, ch.witness) if ch.witness else 0
-            for s in (1, -1):
-                witness = (ch.witness if s * side > 0 else
-                           strict_sign_witness(reps[:w + 1], ch.signs + (s,)))
-                if witness is not None:
-                    new.append(Chamber(signs=ch.signs + (s,), witness=tuple(witness)))
-        chambers = new
-    return chambers
+def _enumerate_exact(reps, r):
+    """Chambers of the integer normals ``reps`` in Z^r, in the order of
+    their sign vectors (+ before -), by deletion-restriction (Zaslavsky,
+    *Facing up to arrangements*, Mem. AMS 154, 1975).
+
+    The chambers of A are those of A without its last wall w; a wall
+    parallel to an earlier one copies that wall's sign times the sign of the
+    ratio.  Otherwise the chambers whose sign vector is a chamber of the
+    restriction A^w, written in the integer basis of w's hyperplane, are
+    split in two, each half with a witness from ``_split_witness``, and the
+    others keep their witness and its side of w.
+    """
+    if not reps:
+        return [Chamber(signs=(), witness=(Fraction(0),) * r)]
+    *rest, w = reps
+    chambers = _enumerate_exact(rest, r)
+    for j, n in enumerate(rest):
+        if all(a * y == b * x for a, b in zip(n, w) for x, y in zip(n, w)):
+            s = 1 if _dot(n, w) > 0 else -1
+            return [Chamber(signs=ch.signs + (s * ch.signs[j],), witness=ch.witness)
+                    for ch in chambers]
+    basis = kernel_lattice([w])
+    restriction = _enumerate_exact([[_dot(n, b) for b in basis] for n in rest], r - 1)
+    lifted = {ch.signs: [sum(c * b[i] for c, b in zip(ch.witness, basis)) for i in range(r)]
+              for ch in restriction}
+    split = []
+    for ch in chambers:
+        f = lifted.get(ch.signs)
+        if f is None:
+            side = _dot(w, ch.witness)
+            split.append(Chamber(signs=ch.signs + ((side > 0) - (side < 0),),
+                                 witness=ch.witness))
+            continue
+        for s in (1, -1):
+            split.append(Chamber(signs=ch.signs + (s,),
+                                 witness=_split_witness(rest, f, [s * x for x in w])))
+    return split
+
+
+def _split_witness(walls, f, d):
+    """f/|f| + p/|p| (sup norms, f/|f| = 0 at f = 0), inside the chamber on
+    the d side of a wall: f lies on the wall's hyperplane and strictly on
+    its chamber's side of each of ``walls``, and p is where the ray f + t d
+    first meets one of them, or d if it meets none, so the sum is a positive
+    multiple of a point strictly between f and p."""
+    hits = [-_dot(n, f) / _dot(n, d) for n in walls if _dot(n, d)]
+    t = min((x for x in hits if x > 0), default=None)
+    p = d if t is None else [x + t * y for x, y in zip(f, d)]
+    top_f, top_p = max(abs(x) for x in f) or 1, max(abs(x) for x in p)
+    return tuple(Fraction(x) / top_f + Fraction(y) / top_p for x, y in zip(f, p))
 
 
 def find_regular_element(arrangement: ChamberArrangement, chamber: Chamber):

@@ -352,14 +352,17 @@ def _check_linear_part(f: BlockedPolynomialMap):
     return lin
 
 
-def _check_block_moduli(f: BlockedPolynomialMap, lin, band_tol: float):
+def _check_block_moduli(f: BlockedPolynomialMap, lin, band_tol: float,
+                        period: int = 1):
     """Advisory gate: block eigenvalue log-moduli within [lambda_i, mu_i].
 
     Band endpoints are user-supplied decimals, so membership is tested with
     a tolerance; exact solvability of each homological equation is checked
     separately during the solve.  A zero eigenvalue is decided exactly (zero
     constant term of the characteristic polynomial); the moduli are those of
-    the certified roots of its squarefree part.
+    the certified roots of its squarefree part.  The return map of a cycle
+    of ``period`` fibers is held to the scaled bands [p lambda_i, p mu_i] at
+    tolerance p band_tol: the cycle's own exponents must lie in the bands.
     """
     from .algnum import roots
 
@@ -370,14 +373,15 @@ def _check_block_moduli(f: BlockedPolynomialMap, lin, band_tol: float):
         p = charpoly(block)
         if p[-1] == 0:
             raise SingularLinearPart("zero eigenvalue in a block")
-        lam, mu = (float(f.bands.intervals[i][0]), float(f.bands.intervals[i][1]))
+        lam, mu = (period * float(x) for x in f.bands.intervals[i])
+        tol = period * band_tol
         for root in roots(squarefree_part(p)):
             lg = math.log(math.hypot(root.disk[0], root.disk[1]))
-            if not (lam - band_tol <= lg <= mu + band_tol):
+            if not (lam - tol <= lg <= mu + tol):
                 # rounded first so that a tiny negative value prints as 0.000000
                 raise ValueError(
                     f"block {i + 1} eigenvalue log-modulus {round(lg, 6) + 0.0:.6f} "
-                    f"outside band [{lam}, {mu}] (tol {band_tol})")
+                    f"outside band [{lam}, {mu}] (tol {tol})")
         offset += d
 
 
@@ -552,8 +556,7 @@ def normalize_periodic_orbit(maps, degree: int | None = None,
     cycle = maps[0]
     for m in maps[1:]:
         cycle = compose(m, cycle)
-    _check_block_moduli(cycle, cycle.linear_part(),
-                        band_tol=band_tol * p + (p - 1) * 2.0)
+    _check_block_moduli(cycle, cycle.linear_part(), band_tol, period=p)
     hs, ns = _normalize_cycle(maps, lins, "homological operator" if p == 1
                               else "cycle homological operator")
     results = []

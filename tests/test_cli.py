@@ -854,6 +854,16 @@ def assert_unit_sum_report(gens):
         assert all(abs(abs(z) - 1) > 1e-25 for z in eigs)
     if "error" not in res.get("chambers", {"error": None}):
         assert res["chambers"]["count"] == report_region_count(res)
+        # every integer witness is small and clear of each nonzero functional,
+        # and no two share a sign vector: with the count, each chamber has one
+        funcs = [f["coeffs"] for f in res["lyapunov_functionals"] if any(f["coeffs"])]
+        seen = set()
+        for w in res["chambers"]["integer_witnesses"]:
+            assert max(abs(x) for x in w) <= 64, w
+            values = [sum(c * x for c, x in zip(f, w)) for f in funcs]
+            assert all(abs(v) > 1e-9 for v in values), (w, values)
+            seen.add(tuple(v > 0 for v in values))
+        assert len(seen) == res["chambers"]["count"]
 
 
 @given(unit_sums())

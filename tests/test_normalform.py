@@ -330,6 +330,24 @@ def test_periodic_p2_mixed():
     assert res[1].change.coeff_dict()[(0, (0, 3))] == F(16, 3)
 
 
+def half_and_one():
+    return BPM.from_linear(bands_21(), 3, [[F(1, 2), 0], [0, F(1)]])
+
+
+@pytest.mark.parametrize("first", [half_and_one, cubic_example],
+                         ids=["two-fibers", "cubic-then-diag"])
+def test_periodic_orbit_gated_by_its_own_exponents(first):
+    # diag(1/2, 1) lies outside the bands -log 4 and -log 2; two fibers of it
+    # return by diag(1/4, 1), which has the eigenvalue 1, and the cubic map
+    # followed by it by diag(1/8, 1/2): neither cycle has exponents in the
+    # bands, so each is held to the scaled bands [2 lambda_i, 2 mu_i]
+    with pytest.raises(ValueError, match=r"outside band \[-1.386294, -1.386294\]"):
+        nf.normalize_contraction(half_and_one())
+    with pytest.raises(ValueError,
+                       match=r"outside band \[-2.772588, -2.772588\] \(tol 0.1\)$"):
+        nf.normalize_periodic_orbit([first(), half_and_one()])
+
+
 def test_smoothness_metadata():
     assert nf.smoothness_metadata(bands_21())["regime"] == "2:1 quadratic resonance"
     strict = SpectrumBands.make([["-0.8", "-0.75"], ["-0.5", "-0.45"]], [1, 1])
