@@ -148,7 +148,7 @@ def cmd_analyze(args) -> int:
         verdict = hyp["verdict"]
     else:
         result["rigidity_hypotheses"] = "not applicable (k < 2)"
-        anosov = spectra.is_anosov_element(action, [1])
+        anosov = analysis.is_anosov([1])
         result["generator_anosov"] = anosov
         verdict = "pass" if anosov else "fail"
         if not anosov:

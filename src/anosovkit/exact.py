@@ -58,22 +58,6 @@ def identity(n, one=Fraction(1)):
     return [[one if i == j else one * 0 for j in range(n)] for i in range(n)]
 
 
-def mat_pow(a, k: int):
-    """Integer/rational matrix power; negative k uses exact inverse."""
-    n = len(a)
-    if k < 0:
-        a = mat_inv(a)
-        k = -k
-    result = identity(n, Fraction(1))
-    base = [[Fraction(x) for x in row] for row in a]
-    while k:
-        if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return result
-
-
 def rref(rows, ncols: int):
     """Reduced row echelon form over Q of sparse rows, in place.
 

@@ -27,7 +27,8 @@ polynomial fact the toral verdicts rest on:
   ``values_poly`` (the values q(tau) over the roots tau of f),
   ``power_poly`` (the k-th powers) and ``composed_product_pair`` (the
   pairwise products).  Each equals the classical resultant after
-  ``primitive``, up to sign.
+  ``primitive``, up to sign;
+- arithmetic in Q[x]/(f): ``mul_mod`` and ``power_mod``.
 
 Nothing here, or anywhere in anosovkit, uses sympy.
 """
@@ -217,6 +218,29 @@ def _mul(p, q) -> list:
     return out
 
 
+def mul_mod(a, b, f) -> tuple:
+    """a * b mod f over Q."""
+    return poly_divmod(_mul(a, b), f)[1]
+
+
+def power_mod(q, e: int, f) -> tuple:
+    """q^e mod the squarefree f over Q, by binary powering; for e < 0, q is
+    a unit mod f.  Its inverse is by Cayley-Hamilton: v = values_poly(f, q)
+    has v(q) = 0 mod f and constant term c = +-prod q(tau) != 0, so
+    q^-1 = -w(q)/c for w = (v - c)/x."""
+    if e < 0:
+        v, w = values_poly(f, q), ()
+        for coeff in v[:-1]:   # Horner's rule
+            w = _add(mul_mod(w, q, f), [coeff])
+        q, e = [_quo(-x, v[-1]) for x in w], -e
+    acc = (1,)
+    for bit in bin(e)[2:]:
+        acc = mul_mod(acc, acc, f)
+        if bit == "1":
+            acc = mul_mod(acc, q, f)
+    return acc
+
+
 def values_poly(f, q) -> tuple:
     """Primitive polynomial whose roots are q(tau) over the roots tau of f.
 
@@ -228,7 +252,7 @@ def values_poly(f, q) -> tuple:
     sf = [n] + power_sums(f, n - 1)
     sums, acc = [], (1,)
     for _ in range(n):
-        acc = poly_divmod(_mul(acc, q), f)[1]
+        acc = mul_mod(acc, q, f)
         sums.append(sum(c * sf[m] for m, c in enumerate(reversed(acc))))
     return from_power_sums(sums)
 

@@ -15,6 +15,10 @@ Such a T separates the joint eigenvalues, and a semisimple action always
 has one among a number of candidates bounded by n and k; an action with
 none raises ``JointSpectrumUnsupported``.
 
+On the block of f an action element sigma(n) is q_n(T), q_n = prod_g
+q_g^(n_g) in Q[x]/(f) (H. Cohen, GTM 138, ch. 4), so its Anosov and
+root-of-unity tests read values_poly(f, q_n); no matrix power is formed.
+
 The rigidity check decides its two searches with finite bounds: an Anosov
 element lies in the box of radius ceil(m/2) for m nonzero functionals, and
 the elements with a root-of-unity eigenvalue form one torsion lattice per
@@ -56,7 +60,6 @@ from .exact import (  # noqa: F401  (the action types are re-exported)
     identity,
     lattice_intersection,
     mat_mul,
-    mat_pow,
     nullspace,
     primitive_vector,
     solve_linear,
@@ -114,12 +117,10 @@ class _Block:
     multiplicity in charpoly(T).
     """
 
-    __slots__ = ("fT_key", "t_k", "restr", "qs", "class_dim", "croots")
+    __slots__ = ("fT_key", "qs", "class_dim", "croots")
 
-    def __init__(self, fT_key, t_k, restr, qs, class_dim):
+    def __init__(self, fT_key, qs, class_dim):
         self.fT_key = fT_key
-        self.t_k = t_k              # T restricted to K
-        self.restr = restr          # per generator, its restriction to K
         self.qs = qs                # per generator, descending Fraction coeffs
         self.class_dim = class_dim
         self.croots = roots(fT_key)
@@ -164,12 +165,11 @@ def _link(gens, c):
     for fkey, e in intpoly.factor(intpoly.charpoly(t)):
         cols = _columns(nullspace(poly_of_matrix(fkey, t)))
         t_k = _restrict(cols, t)
-        restr = [_restrict(cols, g) for g in gens]
         try:
-            qs = [_solve_poly_in(t_k, r, len(fkey) - 1) for r in restr]
+            qs = [_solve_poly_in(t_k, _restrict(cols, g), len(fkey) - 1) for g in gens]
         except ValueError:
             return None
-        parts.append((fkey, t_k, restr, qs, e))
+        parts.append((fkey, qs, e))
     return [_Block(*part) for part in parts]
 
 
@@ -189,22 +189,13 @@ def _solve_poly_in(t_k, r_k, deg):
     return list(reversed(sol))  # ascending -> descending
 
 
-def _power_product(mats, a):
-    """prod_g mats[g]^a_g over Q, or None when a = 0."""
-    acc = None
-    for m, ag in zip(mats, a):
-        if ag:
-            p = mat_pow(m, int(ag))
-            acc = p if acc is None else mat_mul(acc, p)
-    return acc
-
-
 def _element_poly(block: _Block, a):
-    """q_a with q_a(t_k) = sigma(a) restricted to the block's K, descending."""
-    r_a = _power_product(block.restr, a)
-    if r_a is None:
-        return [Fraction(1)]
-    return _solve_poly_in(block.t_k, r_a, len(block.fT_key) - 1)
+    """q_a = prod_g q_g^a_g mod f, descending: q_a(T) = sigma(a) on K."""
+    acc, f = (1,), block.fT_key
+    for q, ag in zip(block.qs, a):
+        if ag:
+            acc = intpoly.mul_mod(acc, intpoly.power_mod(q, int(ag), f), f)
+    return acc
 
 
 class _Analysis:
@@ -261,6 +252,15 @@ class _Analysis:
                                     _element_poly(block, key[2]))
             self._element_cache[key] = lv
         return self._element_cache[key]
+
+    def element_values(self, a):
+        """Per block, the polynomial of sigma(a)'s eigenvalues q_a(tau_j) on it;
+        charpoly(sigma(a)) is their product to the class dimensions."""
+        return [values_poly(block.fT_key, _element_poly(block, a)) for block in self.blocks]
+
+    def is_anosov(self, a) -> bool:
+        """True iff sigma(a) has no eigenvalue on the unit circle; exact."""
+        return not any(map(intpoly.has_unit_circle_root, self.element_values(a)))
 
     # -- public products ----------------------------------------------------
 
@@ -411,19 +411,12 @@ def is_semisimple(action: ActionSpec):
 
 
 def is_anosov_element(action: ActionSpec, a) -> bool:
-    """True iff sigma(a) has no eigenvalue on the unit circle; exact.
-
-    The zero vector is not Anosov.  A Lyapunov exponent of sigma(a)
-    vanishes iff its characteristic polynomial has a root of modulus 1,
-    which ``intpoly.has_unit_circle_root`` decides in integer arithmetic;
-    the conjugacy solver's NotAnosov gate makes the same test.
-    """
-    a = [int(x) for x in a]
+    """``analyze(action).is_anosov(a)``: True iff sigma(a) has no eigenvalue
+    on the unit circle (the zero vector is not Anosov); like ``analyze``, it
+    raises ``JointSpectrumUnsupported`` when the action is not semisimple."""
     if len(a) != action.k:
         raise ValueError("element length must equal the action rank")
-    if all(x == 0 for x in a):
-        return False
-    return not intpoly.has_unit_circle_root(intpoly.charpoly(sigma_of(action, a)))
+    return analyze(action).is_anosov(a)
 
 
 def is_weak_mixing(matrix) -> bool:
@@ -439,12 +432,6 @@ def is_weak_mixing(matrix) -> bool:
     if det not in (1, -1):
         raise ValueError("matrix is not unimodular")
     return not intpoly.has_root_of_unity(p)
-
-
-def sigma_of(action: ActionSpec, a):
-    """Integer matrix of the action element sigma(a) = prod A_g^{a_g}."""
-    acc = _power_product(action.generators, a) or identity(action.dim)
-    return [[int(x) for x in row] for row in acc]
 
 
 def functional_kernel_lattice(an: _Analysis, functional: LyapunovFunctional,
@@ -525,8 +512,8 @@ def check_rigidity_hypotheses(an: _Analysis) -> dict:
     functional.  A nonzero chi vanishes on at most (2r + 1)^(k-1) points of
     the box of radius r, so m nonzero functionals cannot cover it once
     2r + 1 > m: the sorted max-norm shells r = 1 ... ceil(m/2) are walked
-    with the exact ``is_anosov_element`` and the first hit is kept.  A zero
-    functional means there is none.
+    with the exact per-block ``_Analysis.is_anosov`` and the first hit is
+    kept.  A zero functional means there is none.
 
     Roots of unity, per block b (one irreducible factor f of charpoly(T),
     with roots tau_j).  On it sigma(n) has the eigenvalues
@@ -538,7 +525,8 @@ def check_rigidity_hypotheses(an: _Analysis) -> dict:
     b's classes, is a saturated sublattice of T_b, and
     rank T_b <= k - rank_R L_b (with equality by Dirichlet's unit theorem).
     So a (k - rank S_b)-minor of L_b whose interval determinant excludes 0
-    certifies S_b = T_b.
+    certifies S_b = T_b.  A violation lists the Phi_q dividing some block's
+    ``element_values``, which are those dividing charpoly(sigma(n)).
     """
     action = an.action
     if action.k < 2:
@@ -554,7 +542,7 @@ def check_rigidity_hypotheses(an: _Analysis) -> dict:
         shells = (v for r in range(1, bound + 1)
                   for v in sorted(itertools.product(range(-r, r + 1), repeat=k))
                   if max(abs(x) for x in v) == r)
-        hit = next((v for v in shells if is_anosov_element(action, v)), None)
+        hit = next((v for v in shells if an.is_anosov(v)), None)
         if hit is None:
             raise RuntimeError(f"{len(funcs)} nonzero functionals cover the box "
                                f"of radius {bound}")
@@ -581,7 +569,8 @@ def check_rigidity_hypotheses(an: _Analysis) -> dict:
         for n in torsion:
             if tuple(n) in violations or tuple(-x for x in n) in violations:
                 continue
-            cyc = intpoly.cyclotomic_divisors(intpoly.charpoly(sigma_of(action, n)))
+            cyc = sorted(set().union(*map(intpoly.cyclotomic_divisors,
+                                          an.element_values(n))))
             if not cyc:
                 raise RuntimeError(f"torsion element {n} of block {b} has no "
                                    "root-of-unity eigenvalue")

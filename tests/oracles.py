@@ -115,6 +115,56 @@ def report_region_count(result: dict) -> int:
                                    if any(f["coeffs"])])
 
 
+def sigma_matrix(action, n):
+    """The action element sigma(n) = prod_g A_g^(n_g) as a sympy integer
+    matrix, by sympy's matrix powers (a negative one inverts A_g).
+    ``action``: an ``ActionSpec`` or its list of generator matrices."""
+    import sympy
+
+    gens = getattr(action, "generators", action)
+    m = sympy.eye(len(gens[0]))
+    for g, x in zip(gens, n):
+        m *= sympy.Matrix(g) ** int(x)
+    return m
+
+
+def root_of_unity_elements(action, radius: int):
+    """The n != 0 of the box of radius ``radius``, one of each pair +-n, with
+    det(sigma(n)^q - I) = 0 for some q with phi(q) <= dim: those where
+    sigma(n) has a root-of-unity eigenvalue (of degree <= dim, so of such an
+    order q).  sigma(-n) = sigma(n)^-1 has the same roots of unity."""
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+
+    gens = getattr(action, "generators", action)
+    dim = len(gens[0])
+    orders = [q for q in range(1, 2 * dim * dim + 1) if sympy.totient(q) <= dim]
+    one = DomainMatrix.eye(dim, sympy.ZZ)
+    found = []
+    for n in itertools.product(range(-radius, radius + 1), repeat=len(gens)):
+        if n > (0,) * len(n):
+            s = DomainMatrix.from_Matrix(sigma_matrix(gens, n))
+            if any((s ** q - one).det() == 0 for q in orders):
+                found.append(n)
+    return found
+
+
+def mp_eigenvalues(m):
+    """The eigenvalues of the integer matrix m by mpmath, at 60 digits more
+    than its largest entry has."""
+    import mpmath
+
+    digits = max(len(str(abs(x))) for row in m for x in row)
+    with mpmath.workdps(60 + digits):
+        return mpmath.eig(mpmath.matrix(m), left=False, right=False)
+
+
+def near_root_of_unity(z, dim):
+    """Whether z is within 1e-30 of a root of unity of degree <= dim."""
+    # such a root has order q with phi(q) <= dim, so q <= 2 dim^2
+    return any(abs(z ** q - 1) < 1e-30 for q in range(1, 2 * dim * dim + 1))
+
+
 def reference_cycle_conjugacy(pert, generator: int, resolution: int, tol: float,
                               max_iter: int = 100):
     """Displacement u of the grid conjugacy by the complex per-eigencomponent

@@ -1,0 +1,66 @@
+"""Hypothesis strategies for the actions that several test modules draw."""
+
+from hypothesis import strategies as st
+
+# the fields of the unit-sum fuzz: x^2 - 3x + 1, x^2 - x - 1, x^3 - x - 1 (a
+# complex pair), x^4 - x - 1, the corpus's real cubic and quartic, the Salem
+# quartic, Phi_4 and Phi_6
+UNIT_POLYS = [(1, -3, 1), (1, -1, -1), (1, 0, -1, -1), (1, 0, 0, -1, -1), (1, 0, -3, 1),
+              (1, 0, -4, 0, 1), (1, -1, -1, -1, 1), (1, 0, 1), (1, -1, 1)]
+# the pass-biased family: the real cubic, the real quartic and x^4 - x - 1
+PASS_POLYS = [(1, 0, -3, 1), (1, 0, -4, 0, 1), (1, 0, 0, -1, -1)]
+
+
+def block_units(poly):
+    """The companion C of ``poly`` and the first unimodular C - aI, a = 1, -1,
+    2, -2 (|poly(a)| = 1), where there is one."""
+    n = len(poly) - 1
+    c = [[int(i == j + 1) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        c[i][n - 1] = -poly[n - i]
+    units = [c]
+    for a in (1, -1, 2, -2):
+        if abs(sum(x * a ** (n - i) for i, x in enumerate(poly))) == 1:
+            units.append([[x - a * (i == j) for j, x in enumerate(row)]
+                          for i, row in enumerate(c)])
+            break
+    return units
+
+
+@st.composite
+def unit_sums(draw, pass_biased=False):
+    """k generators acting on a direct sum of 1-3 blocks (dim <= 9), each
+    block a product of powers of one or two units of its field, conjugated by
+    0-4 transvections.  In the pass-biased family k = 2 and every block has
+    two units with an invertible exponent matrix."""
+    import sympy
+
+    k = 2 if pass_biased else draw(st.sampled_from([2, 3]))
+    polys = draw(st.lists(st.sampled_from(PASS_POLYS if pass_biased else UNIT_POLYS),
+                          min_size=1, max_size=3)
+                 .filter(lambda ps: sum(len(p) - 1 for p in ps) <= 9))
+    dim = sum(len(p) - 1 for p in polys)
+    gens = [sympy.zeros(dim, dim) for _ in range(k)]
+    at = 0
+    for poly in polys:
+        units = block_units(poly)
+        if pass_biased:
+            units = units[:2]
+            exps = draw(st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2),
+                                 min_size=2, max_size=2)
+                        .filter(lambda e: e[0][0] * e[1][1] != e[0][1] * e[1][0]))
+        else:
+            units = units[:draw(st.integers(1, len(units)))]
+            exps = [[draw(st.integers(-2, 2)) for _ in units] for _ in range(k)]
+        size = len(poly) - 1
+        for g in range(k):
+            block = sympy.eye(size)
+            for u, e in zip(units, exps[g]):
+                block *= sympy.Matrix(u) ** e
+            gens[g][at:at + size, at:at + size] = block
+        at += size
+    p = sympy.eye(dim)
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True))
+        p[i, :] += draw(st.sampled_from([1, -1])) * p[j, :]
+    return [[[int(x) for x in (p * g * p.inv()).row(r)] for r in range(dim)] for g in gens]

@@ -16,7 +16,9 @@ from anosovkit import spectra
 from anosovkit.cli import main
 from anosovkit.exact import mat_inv, mat_mul
 from anosovkit.jsonio import stable_dumps
-from oracles import report_region_count
+from oracles import (mp_eigenvalues, near_root_of_unity, report_region_count,
+                     root_of_unity_elements, sigma_matrix)
+from strategies import unit_sums
 
 
 def run_cli(args, **kw):
@@ -688,18 +690,6 @@ def test_rational_walls_give_small_witnesses(tmp_path, exponents, count):
     assert max(abs(x) for b in elements for x in b) <= 10
 
 
-def mp_eigenvalues(m):
-    digits = max(len(str(abs(x))) for row in m for x in row)
-    with mpmath.workdps(60 + digits):
-        return mpmath.eig(mpmath.matrix(m), left=False, right=False)
-
-
-def near_root_of_unity(z, dim):
-    # a root of unity of degree <= dim has order q with phi(q) <= dim, so
-    # q <= 2 dim^2
-    return any(abs(z ** q - 1) < 1e-30 for q in range(1, 2 * dim * dim + 1))
-
-
 @st.composite
 def cat_power_sums(draw):
     k = draw(st.sampled_from([2, 3]))
@@ -756,70 +746,6 @@ def test_cat_power_sums_fail_with_verified_certificates(exponents):
         assert all(abs(a - b) <= 1e-9 * max(1, abs(b)) for a, b in zip(values, moduli))
 
 
-# the fields of the unit-sum fuzz: x^2 - 3x + 1, x^2 - x - 1, x^3 - x - 1 (a
-# complex pair), x^4 - x - 1, the corpus's real cubic and quartic, the Salem
-# quartic, Phi_4 and Phi_6
-UNIT_POLYS = [(1, -3, 1), (1, -1, -1), (1, 0, -1, -1), (1, 0, 0, -1, -1), (1, 0, -3, 1),
-              (1, 0, -4, 0, 1), (1, -1, -1, -1, 1), (1, 0, 1), (1, -1, 1)]
-# the pass-biased family: the real cubic, the real quartic and x^4 - x - 1
-PASS_POLYS = [(1, 0, -3, 1), (1, 0, -4, 0, 1), (1, 0, 0, -1, -1)]
-
-
-def block_units(poly):
-    """The companion C of ``poly`` and the first unimodular C - aI, a = 1, -1,
-    2, -2 (|poly(a)| = 1), where there is one."""
-    n = len(poly) - 1
-    c = [[int(i == j + 1) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        c[i][n - 1] = -poly[n - i]
-    units = [c]
-    for a in (1, -1, 2, -2):
-        if abs(sum(x * a ** (n - i) for i, x in enumerate(poly))) == 1:
-            units.append([[x - a * (i == j) for j, x in enumerate(row)]
-                          for i, row in enumerate(c)])
-            break
-    return units
-
-
-@st.composite
-def unit_sums(draw, pass_biased=False):
-    """k generators acting on a direct sum of 1-3 blocks (dim <= 9), each
-    block a product of powers of one or two units of its field, conjugated by
-    0-4 transvections.  In the pass-biased family k = 2 and every block has
-    two units with an invertible exponent matrix."""
-    import sympy
-
-    k = 2 if pass_biased else draw(st.sampled_from([2, 3]))
-    polys = draw(st.lists(st.sampled_from(PASS_POLYS if pass_biased else UNIT_POLYS),
-                          min_size=1, max_size=3)
-                 .filter(lambda ps: sum(len(p) - 1 for p in ps) <= 9))
-    dim = sum(len(p) - 1 for p in polys)
-    gens = [sympy.zeros(dim, dim) for _ in range(k)]
-    at = 0
-    for poly in polys:
-        units = block_units(poly)
-        if pass_biased:
-            units = units[:2]
-            exps = draw(st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2),
-                                 min_size=2, max_size=2)
-                        .filter(lambda e: e[0][0] * e[1][1] != e[0][1] * e[1][0]))
-        else:
-            units = units[:draw(st.integers(1, len(units)))]
-            exps = [[draw(st.integers(-2, 2)) for _ in units] for _ in range(k)]
-        size = len(poly) - 1
-        for g in range(k):
-            block = sympy.eye(size)
-            for u, e in zip(units, exps[g]):
-                block *= sympy.Matrix(u) ** e
-            gens[g][at:at + size, at:at + size] = block
-        at += size
-    p = sympy.eye(dim)
-    for _ in range(draw(st.integers(0, 4))):
-        i, j = draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True))
-        p[i, :] += draw(st.sampled_from([1, -1])) * p[j, :]
-    return [[[int(x) for x in (p * g * p.inv()).row(r)] for r in range(dim)] for g in gens]
-
-
 def assert_unit_sum_report(gens):
     """The oracles of the unit-sum fuzz; none of them calls anosovkit."""
     import sympy
@@ -832,19 +758,15 @@ def assert_unit_sum_report(gens):
         assert code in (0, 2), out.read_text() if out.exists() else code
         res = json.loads(out.read_text())["result"]
 
-    def sigma(n):
-        m = sympy.eye(dim)
-        for g, x in zip(gens, n):
-            m *= sympy.Matrix(g) ** x
-        return m
-
     rig = res["rigidity_hypotheses"]
     orders = [q for q in range(1, 2 * dim * dim + 1) if sympy.totient(q) <= dim]
     for v in rig["roots_of_unity"]["violations"]:
-        s = sigma(v["element"])
+        s = sigma_matrix(gens, v["element"])
         assert any((s ** q - sympy.eye(dim)).det() == 0 for q in orders), v
+    if rig["verdict"] == "pass":
+        assert root_of_unity_elements(gens, 2) == []
     if rig["anosov_element"]["found"]:
-        s = sigma(rig["anosov_element"]["vector"])
+        s = sigma_matrix(gens, rig["anosov_element"]["vector"])
         try:
             eigs = mp_eigenvalues([[int(x) for x in row] for row in s.tolist()])
         except mpmath.libmp.NoConvergence:

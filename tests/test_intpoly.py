@@ -1,7 +1,8 @@
 """Property tests of the polynomial layer against sympy and mpmath.
 
 sympy is the independent oracle for the characteristic polynomial,
-division, the squarefree part, factoring and the cyclotomic polynomials;
+division, powers mod f, the squarefree part, factoring and the cyclotomic
+polynomials;
 mpmath root finding at 60 digits is the oracle for the unit-circle test.
 """
 
@@ -10,7 +11,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from anosovkit.intpoly import (
@@ -19,7 +20,9 @@ from anosovkit.intpoly import (
     cyclotomic_poly,
     factor,
     has_unit_circle_root,
+    mul_mod,
     poly_divmod,
+    power_mod,
     primitive,
     squarefree_part,
 )
@@ -101,6 +104,17 @@ def test_division(p, q):
 def test_division_by_monic_stays_integer(p, q):
     quot, rem = poly_divmod(p, q)
     assert all(type(c) is int for c in quot + rem)
+
+
+@given(st.sampled_from([(1, -3, 1), (1, 0, -1, -1), (1, 0, 0, -1, -1), (1, -1, -1, -1, 1),
+                        (1, 1, 1, 1, 1, 1, 1)]),
+       polys(rationals, max_size=6), st.integers(-6, 6))
+def test_power_mod_against_sympy(f, q, e):
+    # f is irreducible, so every q != 0 mod f is a unit of Q[x]/(f)
+    assume(poly_divmod(q, f)[1])
+    base = sympy.invert(poly(q), poly(f)) if e < 0 else poly(q)
+    assert list(power_mod(q, e, f)) == coeffs_of((base ** abs(e)).rem(poly(f)))
+    assert mul_mod(power_mod(q, e, f), power_mod(q, -e, f), f) == (1,)
 
 
 @given(products())

@@ -5,8 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
 
 from anosovkit import intpoly, spectra
+from oracles import sigma_matrix
+from strategies import unit_sums
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +115,10 @@ def _direct_sum(a, b):
             + [[0] * n + row for row in b])
 
 
-def test_eigensolver_cross_check(cat_action, t3_action):
-    # multiset of chi(n) values matches log-moduli of sigma(n) eigenvalues;
-    # in the last two the first generator does not separate the joint
-    # eigenvalues: (M+M, N+M) after a unimodular base change, and cat plus a
-    # rotation (k = 1, two blocks)
+def _unseparated_actions(t3_action):
+    """Two actions whose first generator does not separate the joint
+    eigenvalues: (M+M, N+M) after a unimodular base change, and cat plus a
+    rotation (k = 1, two blocks)."""
     m, n = (t3_action.generator(i) for i in range(2))
     p = np.eye(6, dtype=int)
     p[0, 3], p[4, 1] = 1, -1
@@ -126,13 +128,22 @@ def test_eigensolver_cross_check(cat_action, t3_action):
          for g in (_direct_sum(m, m), _direct_sum(n, m))])
     cat_rotation = spectra.validate_action([_direct_sum([[2, 1], [1, 1]],
                                                         [[0, -1], [1, 0]])])
-    for action in (cat_action, t3_action, blockdiag, cat_rotation):
+    return [blockdiag, cat_rotation]
+
+
+def _float_sigma(action, n):
+    return np.array(sigma_matrix(action, n).tolist(), dtype=float)
+
+
+def test_eigensolver_cross_check(cat_action, t3_action):
+    # multiset of chi(n) values matches log-moduli of sigma(n) eigenvalues
+    for action in [cat_action, t3_action] + _unseparated_actions(t3_action):
         funcs = spectra.analyze(action).functionals()
         box = itertools.product(range(-2, 3), repeat=action.k)
         for n in box:
             if not any(n):
                 continue
-            sigma = np.array(spectra.sigma_of(action, n), dtype=float)
+            sigma = _float_sigma(action, n)
             eig = sorted(np.log(np.abs(np.linalg.eigvals(sigma))))
             chis = []
             for f in funcs:
@@ -190,10 +201,38 @@ def test_anosov_agrees_with_unit_modulus_oracle(t3_action):
     for n in itertools.product(range(-3, 4), repeat=2):
         if not any(n):
             continue
-        sigma = np.array(spectra.sigma_of(t3_action, n), dtype=float)
+        sigma = _float_sigma(t3_action, n)
         moduli = np.abs(np.linalg.eigvals(sigma))
         oracle = bool(np.all(np.abs(moduli - 1.0) > 1e-9))
         assert spectra.is_anosov_element(t3_action, n) == oracle, n
+
+
+def assert_block_arithmetic(action):
+    # for every n of the radius-2 box, negative entries included, the block
+    # polynomials to the class dimensions multiply out to charpoly(sigma(n)),
+    # and is_anosov agrees with the moduli of sigma(n)'s eigenvalues
+    an = spectra.analyze(action)
+    x = sympy.Symbol("x")
+    for n in itertools.product(range(-2, 3), repeat=action.k):
+        sigma = sigma_matrix(action, n)
+        product = sympy.Integer(1)
+        for block, values in zip(an.blocks, an.element_values(n)):
+            product *= sympy.Poly(values, x).as_expr() ** block.class_dim
+        assert sympy.Poly(product, x) == sigma.charpoly(x), n
+        moduli = np.abs(np.linalg.eigvals(np.array(sigma.tolist(), dtype=float)))
+        assert an.is_anosov(n) == bool(np.all(np.abs(moduli - 1.0) > 1e-6)), n
+
+
+def test_block_arithmetic_against_matrix_oracle(t3_action):
+    inverse_pair = spectra.validate_action([[[2, 1], [1, 1]], [[1, -1], [-1, 2]]])
+    for action in [t3_action, inverse_pair] + _unseparated_actions(t3_action):
+        assert_block_arithmetic(action)
+
+
+@settings(max_examples=8)
+@given(unit_sums())
+def test_block_arithmetic_on_unit_sums(gens):
+    assert_block_arithmetic(spectra.validate_action(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +343,11 @@ def test_rigidity_anosov_search_bound(t3_action, monkeypatch):
     # all of that box, nothing past it, and reports an internal error
     tried = []
 
-    def refuse(action, v):
+    def refuse(analysis, v):
         tried.append(tuple(v))
         return False
 
-    monkeypatch.setattr(spectra, "is_anosov_element", refuse)
+    monkeypatch.setattr(spectra._Analysis, "is_anosov", refuse)
     with pytest.raises(RuntimeError, match="radius 2"):
         spectra.check_rigidity_hypotheses(spectra.analyze(t3_action))
     box = sorted(v for v in itertools.product(range(-2, 3), repeat=2) if any(v))
