@@ -12,10 +12,12 @@ carries an exact handle:
   one enclosure entry point.
 - ``RealAlgebraic``: a real algebraic number as a real ``Root`` of its
   irreducible minimal polynomial.  Comparisons are decidable.
-- ``LogValue``: (1/2)*log of a positive RealAlgebraic (the squared modulus
-  of an eigenvalue).  Signs, equality and rational
-  proportionality are decided exactly; enclosures are exact dyadic ``RInt``s
-  from directed rounding, refined along the one ``_EPS_SCHEDULE``.
+- ``LogValue``: log|q(tau)| for a root tau of an irreducible f and q in
+  Q[x]/(f), the log-modulus of an eigenvalue on one block.  Integer
+  combinations are products of powers mod f.  Signs, equality and rational
+  proportionality are decided exactly on |q(tau)|^2, a RealAlgebraic built
+  on first use; enclosures are exact dyadic ``RInt``s from directed
+  rounding, refined along the one ``_EPS_SCHEDULE``.
 
 Roots are found with mpmath ``polyroots``, started from double-precision
 Durand-Kerner approximations, and certified with inclusion disks (Rump, J. Comput. Appl. Math. 156, 2003): for any z, some root of a
@@ -24,9 +26,10 @@ evaluated exactly at a dyadic z.  When the n disks of an irreducible p
 (whose roots are simple) are pairwise disjoint, each holds exactly one
 root.  Refinement is Newton's method at doubling precision.
 
-Values under a polynomial map, pairwise products and powers come from the
-``intpoly`` power-sum constructions; ``identify_root`` then pins a value
-down among the roots of their irreducible factors.  No sympy is used here.
+Values under a polynomial map, their squares and pairwise products come
+from the ``intpoly`` power-sum constructions; ``identify_root`` then pins a
+value down among the roots of their irreducible factors, with enclosures
+from the one ``value_refiner``.  No sympy is used here.
 """
 
 from __future__ import annotations
@@ -320,24 +323,26 @@ def identify_root(poly_key: tuple, refiner, real: bool = False) -> Root:
     raise EnclosureTooWide("could not isolate the value among the roots")
 
 
+def value_refiner(root: Root, q, enclose=lambda box: box):
+    """refiner(eps) for ``identify_root``: a box of width <= eps of
+    enclose(q(root)), q with rational coefficients (descending).  enclose
+    maps the complex box of the value to the wanted quantity: the value
+    itself, or its squared modulus on the real axis."""
+    q = [Fraction(c) for c in q]
+
+    def refiner(eps):
+        for delta in _EPS_SCHEDULE:
+            box = enclose(eval_poly_box(q, root_box(root, delta)))
+            if box.width <= eps:
+                return box
+        raise EnclosureTooWide("value refinement failed")
+
+    return refiner
+
+
 # ---------------------------------------------------------------------------
 # RealAlgebraic
 # ---------------------------------------------------------------------------
-
-
-def _image_refiner(image, what: str):
-    """refiner(eps) for ``identify_root``: the first enclosure image(eps2)
-    of width <= 2*eps as the operand enclosures tighten, as a real CBox;
-    image returns None while its value is not yet enclosed."""
-
-    def refiner(eps):
-        for eps2 in _EPS_SCHEDULE:
-            box = image(eps2)
-            if box is not None and box.width <= 2 * eps:
-                return CBox(box, _REAL)
-        raise EnclosureTooWide(f"{what} refinement failed")
-
-    return refiner
 
 
 class RealAlgebraic:
@@ -365,19 +370,6 @@ class RealAlgebraic:
     def idx(self) -> int:
         return self.root.idx
 
-    @staticmethod
-    def from_fraction(q) -> "RealAlgebraic":
-        q = Fraction(q)
-        return RealAlgebraic(roots((q.denominator, -q.numerator))[0])
-
-    @property
-    def is_rational(self) -> bool:
-        return len(self.key) == 2
-
-    def as_fraction(self) -> Fraction:
-        assert self.is_rational
-        return Fraction(-self.key[1], self.key[0])
-
     def interval(self, eps: Fraction) -> RInt:
         if self._box is None or self._box.width > 2 * eps:
             self._box = root_box(self.root, eps).re
@@ -385,8 +377,8 @@ class RealAlgebraic:
 
     def cmp_fraction(self, q) -> int:
         q = Fraction(q)
-        if self.is_rational:
-            v = self.as_fraction()
+        if len(self.key) == 2:      # a rational number: exact
+            v = Fraction(-self.key[1], self.key[0])
             return (v > q) - (v < q)
         for eps in _EPS_SCHEDULE:
             box = self.interval(eps)
@@ -413,34 +405,6 @@ class RealAlgebraic:
     def __hash__(self):
         return hash((self.key, self.idx))
 
-    def pow(self, k: int) -> "RealAlgebraic":
-        assert k >= 1
-        if k == 1:
-            return self
-        if self.is_rational:
-            return RealAlgebraic.from_fraction(self.as_fraction() ** k)
-        refiner = _image_refiner(lambda e: self.interval(e).pow_int(k), "power")
-        return RealAlgebraic(identify_root(intpoly.power_poly(self.key, k), refiner,
-                                           real=True))
-
-    def mul(self, other: "RealAlgebraic") -> "RealAlgebraic":
-        if self.is_rational and other.is_rational:
-            return RealAlgebraic.from_fraction(self.as_fraction() * other.as_fraction())
-        refiner = _image_refiner(lambda e: self.interval(e) * other.interval(e), "product")
-        return RealAlgebraic(identify_root(intpoly.composed_product_pair(self.key, other.key),
-                                           refiner, real=True))
-
-    def inverse(self) -> "RealAlgebraic":
-        if self.is_rational:
-            return RealAlgebraic.from_fraction(1 / self.as_fraction())
-
-        def inverse_box(e):
-            box = self.interval(e)
-            return RInt(1 / box.hi, 1 / box.lo) if box.lo > 0 or box.hi < 0 else None
-
-        return RealAlgebraic(identify_root(intpoly.primitive(reversed(self.key)),
-                                           _image_refiner(inverse_box, "inverse"), real=True))
-
     def __repr__(self):
         box = self.interval(Fraction(1, 10**12))
         return f"RealAlgebraic(~{float((box.lo + box.hi) / 2):.12g})"
@@ -462,24 +426,52 @@ def _log_half(box: RInt, prec: int):
 
 
 class LogValue:
-    """(1/2) * log(modsq) with modsq a positive RealAlgebraic.
+    """log|q(tau)| for tau = ``root``, a root of the irreducible integer
+    polynomial ``f``, and q a unit of Q[x]/(f) (rational coefficients,
+    descending).
 
-    The exact carrier for log|eigenvalue| entries of Lyapunov functionals:
-    ``sign``/``equals``/``is_zero``/``verify_ratio`` are exact decisions,
-    ``interval`` returns rigorous dyadic enclosures of requested width and
-    ``mid`` the double nearest the exact value.
+    The exact carrier for log|eigenvalue| entries of Lyapunov functionals.
+    On a block, the eigenvalue at tau of the action element sigma(n) is
+    q_n(tau) with q_n = prod_g q_g^(n_g) mod f, so integer combinations
+    (``combine``, ``scaled``) are products in Q[x]/(f).
+    ``sign``/``equals``/``is_zero``/``verify_ratio`` are exact decisions on
+    ``modsq`` = |q(tau)|^2, ``interval`` returns rigorous dyadic enclosures
+    of requested width and ``mid`` the double nearest the exact value.
     """
 
-    __slots__ = ("modsq", "_box", "_mid")
+    __slots__ = ("f", "root", "q", "_modsq", "_box", "_mid")
 
-    def __init__(self, modsq: RealAlgebraic):
-        self.modsq = modsq
-        self._box = None
-        self._mid = None
+    def __init__(self, f, root: Root, q):
+        self.f, self.root, self.q = tuple(f), root, tuple(q)
+        self._modsq = self._box = self._mid = None
+
+    @property
+    def modsq(self) -> RealAlgebraic:
+        """|q(tau)|^2 as a RealAlgebraic, built on first use.
+
+        The values q(tau_j) over the roots of f are the roots of
+        values_poly(f, q).  For a real tau, |q(tau)|^2 is a root of their
+        squares; otherwise it is q(tau) * q(conj tau), a root of their
+        pairwise products.  ``identify_root`` then picks it out.
+        """
+        if self._modsq is None:
+            values = intpoly.values_poly(self.f, self.q)
+            vanishing = (intpoly.power_poly(values, 2) if self.root.is_real
+                         else intpoly.composed_product_pair(values, values))
+            refiner = value_refiner(self.root, self.q, lambda box: CBox(box.modsq(), _REAL))
+            self._modsq = RealAlgebraic(identify_root(vanishing, refiner, real=True))
+        return self._modsq
 
     @staticmethod
-    def zero() -> "LogValue":
-        return LogValue(RealAlgebraic.from_fraction(1))
+    def combine(lvs, a) -> "LogValue":
+        """sum_g a_g * lvs[g] for integers a_g and LogValues at one root:
+        log|q(tau)| with q = prod_g q_g^(a_g) mod f."""
+        f, root = lvs[0].f, lvs[0].root
+        return LogValue(f, root, intpoly.power_product([lv.q for lv in lvs], a, f))
+
+    def scaled(self, n: int) -> "LogValue":
+        """n * self: log|q^n(tau)|."""
+        return self if n == 1 else LogValue.combine((self,), (n,))
 
     def sign(self) -> int:
         return self.modsq.cmp_fraction(1)
@@ -549,35 +541,14 @@ class LogValue:
         raise EnclosureTooWide("LogValue comparison did not separate")
 
     def verify_ratio(self, other: "LogValue", c: Fraction) -> bool:
-        """Exactly decide whether self == c * other for a nonzero rational c."""
-        if other.is_zero():
-            return self.is_zero()
-        if self.is_zero():
-            return False
+        """Exactly decide whether self == c * other for a nonzero rational
+        c = p/q, as q * self == p * other; False when |p| + q > 200."""
         c = Fraction(c)
-        o_eff = other.modsq if c > 0 else other.modsq.inverse()
-        p, q = abs(c.numerator), c.denominator
-        if p + q > 200:
+        p, q = c.numerator, c.denominator
+        if abs(p) + q > 200:
             return False
-        return self.modsq.pow(q).cmp(o_eff.pow(p)) == 0
+        return self.scaled(q).equals(other.scaled(p))
 
     def __repr__(self):
         return f"LogValue(~{self.mid():.12g})"
 
-
-def combine_logvalues(lvs, a) -> "LogValue":
-    """Exact LogValue of the integer combination sum_g a_g * lvs[g].
-
-    The squared modulus of the combined value is the product of the
-    individual squared moduli raised to the a_g, assembled with exact
-    power/inverse/product constructions.
-    """
-    acc = None
-    for lv, ag in zip(lvs, a):
-        ag = int(ag)
-        if ag == 0 or lv.is_zero():
-            continue
-        m = lv.modsq
-        part = m.pow(ag) if ag > 0 else m.inverse().pow(-ag)
-        acc = part if acc is None else acc.mul(part)
-    return LogValue.zero() if acc is None else LogValue(acc)

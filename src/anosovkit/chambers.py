@@ -291,9 +291,9 @@ def exact_sign_at(coeffs, point) -> int:
             return 1
         if total.hi < 0:
             return -1
-    from .algnum import combine_logvalues
+    from .algnum import LogValue
 
-    return combine_logvalues(list(coeffs), ipt).sign()
+    return LogValue.combine(coeffs, ipt).sign()
 
 
 def weyl_chambers(grouping: FunctionalArrangement, kernels=None) -> ChamberArrangement:

@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalform", help="sub-resonance normal form of a map")
     common(p)
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--degree", type=_positive(int), default=None)
     p.set_defaults(func=cmd_normalform)
 
     p = sub.add_parser("conjugate", help="solve the conjugacy of a perturbation")
@@ -416,12 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--grid", type=_positive(int), default=256)
     p.add_argument("--generator", type=int, default=0)
-    p.add_argument("--max-iter", type=int, default=10000)
+    p.add_argument("--max-iter", type=_positive(int), default=10000)
     p.add_argument("--mode", choices=("cycle", "transfer"), default="cycle")
     p.add_argument("--probe", action="store_true",
                    help="attach the directional regularity report")
     p.add_argument("--dump-grid", help="binary displacement dump path")
-    p.add_argument("--fourier-top", type=int, default=16)
+    p.add_argument("--fourier-top", type=_positive(int), default=16)
     p.set_defaults(func=cmd_conjugate)
 
     p = sub.add_parser("rootsys", help="root system smoothness class")

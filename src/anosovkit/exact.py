@@ -297,12 +297,6 @@ class RInt:
     def intersects(self, o) -> bool:
         return self.lo <= o.hi and o.lo <= self.hi
 
-    def pow_int(self, k: int):
-        acc = RInt.point(1)
-        for _ in range(k):
-            acc = acc * self
-        return acc
-
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo

@@ -28,7 +28,9 @@ polynomial fact the toral verdicts rest on:
   ``power_poly`` (the k-th powers) and ``composed_product_pair`` (the
   pairwise products).  Each equals the classical resultant after
   ``primitive``, up to sign;
-- arithmetic in Q[x]/(f): ``mul_mod`` and ``power_mod``.
+- arithmetic in Q[x]/(f): ``mul_mod``, ``power_mod`` and
+  ``power_product``, the products of powers that write an action element,
+  or an integer combination of log-moduli, as one polynomial.
 
 Nothing here, or anywhere in anosovkit, uses sympy.
 """
@@ -223,21 +225,37 @@ def mul_mod(a, b, f) -> tuple:
     return poly_divmod(_mul(a, b), f)[1]
 
 
+@lru_cache(maxsize=8192)
+def _unit_inverse(q: tuple, f: tuple) -> tuple:
+    """q^-1 mod the squarefree f over Q, for a unit q mod f, by
+    Cayley-Hamilton: v = values_poly(f, q) has v(q) = 0 mod f and constant
+    term c = +-prod q(tau) != 0, so q^-1 = -w(q)/c for w = (v - c)/x."""
+    v, w = values_poly(f, q), ()
+    for coeff in v[:-1]:   # Horner's rule
+        w = _add(mul_mod(w, q, f), [coeff])
+    return tuple(_quo(-x, v[-1]) for x in w)
+
+
 def power_mod(q, e: int, f) -> tuple:
     """q^e mod the squarefree f over Q, by binary powering; for e < 0, q is
-    a unit mod f.  Its inverse is by Cayley-Hamilton: v = values_poly(f, q)
-    has v(q) = 0 mod f and constant term c = +-prod q(tau) != 0, so
-    q^-1 = -w(q)/c for w = (v - c)/x."""
+    a unit mod f, inverted once per (q, f)."""
     if e < 0:
-        v, w = values_poly(f, q), ()
-        for coeff in v[:-1]:   # Horner's rule
-            w = _add(mul_mod(w, q, f), [coeff])
-        q, e = [_quo(-x, v[-1]) for x in w], -e
+        q, e = _unit_inverse(tuple(q), tuple(f)), -e
     acc = (1,)
     for bit in bin(e)[2:]:
         acc = mul_mod(acc, acc, f)
         if bit == "1":
             acc = mul_mod(acc, q, f)
+    return acc
+
+
+def power_product(qs, es, f) -> tuple:
+    """prod_i qs[i]^es[i] mod the squarefree f over Q, for integer es (a
+    negative one needs a unit)."""
+    acc = (1,)
+    for q, e in zip(qs, es):
+        if e:
+            acc = mul_mod(acc, power_mod(q, int(e), f), f)
     return acc
 
 

@@ -18,6 +18,8 @@ none raises ``JointSpectrumUnsupported``.
 On the block of f an action element sigma(n) is q_n(T), q_n = prod_g
 q_g^(n_g) in Q[x]/(f) (H. Cohen, GTM 138, ch. 4), so its Anosov and
 root-of-unity tests read values_poly(f, q_n); no matrix power is formed.
+The same arithmetic gives the log-moduli: chi(n) on the class of a root tau
+of f is the LogValue log|q_n(tau)|.
 
 The rigidity check decides its two searches with finite bounds: an Anosov
 element lies in the box of radius ceil(m/2) for m nonzero functionals, and
@@ -42,16 +44,12 @@ import mpmath
 from . import chambers, intpoly
 from .algnum import (
     _EPS_SCHEDULE,
-    _REAL,
-    CBox,
     EnclosureTooWide,
     LogValue,
-    RealAlgebraic,
     UndecidedSign,
-    eval_poly_box,
     identify_root,
-    root_box,
     roots,
+    value_refiner,
 )
 from .exact import (  # noqa: F401  (the action types are re-exported)
     ActionSpec,
@@ -65,13 +63,7 @@ from .exact import (  # noqa: F401  (the action types are re-exported)
     solve_linear,
     validate_action,
 )
-from .intpoly import (
-    composed_product_pair,
-    is_semisimple_matrix,
-    poly_of_matrix,
-    power_poly,
-    values_poly,
-)
+from .intpoly import is_semisimple_matrix, poly_of_matrix, values_poly
 
 
 class JointSpectrumUnsupported(Exception):
@@ -91,7 +83,7 @@ class UndecidedEquality(Exception):
 @dataclass(frozen=True)
 class JointEigenvalueClass:
     index: int
-    moduli_log: tuple          # one LogValue per generator
+    moduli_log: tuple          # log|q_g(tau)|, one LogValue per generator
     dimension: int
     minimal_polynomial: tuple  # descending integer coeffs, first generator's eigenvalue
 
@@ -189,15 +181,6 @@ def _solve_poly_in(t_k, r_k, deg):
     return list(reversed(sol))  # ascending -> descending
 
 
-def _element_poly(block: _Block, a):
-    """q_a = prod_g q_g^a_g mod f, descending: q_a(T) = sigma(a) on K."""
-    acc, f = (1,), block.fT_key
-    for q, ag in zip(block.qs, a):
-        if ag:
-            acc = intpoly.mul_mod(acc, intpoly.power_mod(q, int(ag), f), f)
-    return acc
-
-
 class _Analysis:
     """Joint-spectrum working data for one ActionSpec, for one run.
 
@@ -222,10 +205,8 @@ class _Analysis:
         self._classes = None
         self._functionals = None
         self._kernels = {}
-        self._logcache = {}
-        self._element_cache = {}
 
-    # -- log-modulus values ------------------------------------------------
+    # -- classes and action elements ----------------------------------------
 
     def class_entries(self):
         """Yield (block_idx, root_idx) in deterministic order."""
@@ -233,30 +214,11 @@ class _Analysis:
             for j in range(len(block.croots)):
                 yield (b, j)
 
-    def logvalue(self, b: int, j: int, g: int) -> LogValue:
-        key = (b, j, g)
-        if key not in self._logcache:
-            block = self.blocks[b]
-            self._logcache[key] = _make_logvalue(block.fT_key, block.croots[j],
-                                                 block.qs[g])
-        return self._logcache[key]
-
-    def element_logvalue(self, b: int, j: int, a) -> LogValue:
-        """LogValue of |eigenvalue of sigma(a)| on class (b, j); exact."""
-        key = (b, j, tuple(int(x) for x in a))
-        if key not in self._element_cache:
-            block = self.blocks[b]
-            lv = LogValue.zero()
-            if any(key[2]):
-                lv = _make_logvalue(block.fT_key, block.croots[j],
-                                    _element_poly(block, key[2]))
-            self._element_cache[key] = lv
-        return self._element_cache[key]
-
     def element_values(self, a):
         """Per block, the polynomial of sigma(a)'s eigenvalues q_a(tau_j) on it;
         charpoly(sigma(a)) is their product to the class dimensions."""
-        return [values_poly(block.fT_key, _element_poly(block, a)) for block in self.blocks]
+        return [values_poly(block.fT_key, intpoly.power_product(block.qs, a, block.fT_key))
+                for block in self.blocks]
 
     def is_anosov(self, a) -> bool:
         """True iff sigma(a) has no eigenvalue on the unit circle; exact."""
@@ -272,7 +234,7 @@ class _Analysis:
         entries = []
         for b, j in self.class_entries():
             block = self.blocks[b]
-            lvs = tuple(self.logvalue(b, j, g) for g in range(self.action.k))
+            lvs = tuple(LogValue(block.fT_key, block.croots[j], q) for q in block.qs)
             minpoly = _first_gen_minpoly(block, j)
             sort_key = (tuple(lv.interval(_EPS_SCHEDULE[0]).lo for lv in lvs), minpoly, j, b)
             entries.append((sort_key, b, j, lvs, block.class_dim, minpoly))
@@ -355,37 +317,10 @@ class _Analysis:
             grouping, [self.kernel(wall.members[0][0])[0] for wall in grouping.walls])
 
 
-def _eigenvalue_refiner(croot, q_coeffs, enclose=lambda box: box):
-    """refiner(eps): an enclosure of width <= eps of enclose(q(croot)).
-
-    q(croot) is the eigenvalue of q(T) at the root croot of f_T; enclose
-    maps its complex box to the wanted quantity (itself, or the box of its
-    squared modulus).
-    """
-    q = [Fraction(c) for c in q_coeffs]
-
-    def refiner(eps):
-        for delta in _EPS_SCHEDULE:
-            box = enclose(eval_poly_box(q, root_box(croot, delta)))
-            if box.width <= eps:
-                return box
-        raise EnclosureTooWide("eigenvalue refinement failed")
-
-    return refiner
-
-
-def _make_logvalue(fT_key, croot, q_coeffs) -> LogValue:
-    a_poly = values_poly(fT_key, q_coeffs)
-    vanishing = (power_poly(a_poly, 2) if croot.is_real
-                 else composed_product_pair(a_poly, a_poly))
-    refiner = _eigenvalue_refiner(croot, q_coeffs, lambda box: CBox(box.modsq(), _REAL))
-    return LogValue(RealAlgebraic(identify_root(vanishing, refiner, real=True)))
-
-
 def _first_gen_minpoly(block: _Block, j: int) -> tuple:
     q1 = block.qs[0]
     return identify_root(values_poly(block.fT_key, q1),
-                         _eigenvalue_refiner(block.croots[j], q1)).key
+                         value_refiner(block.croots[j], q1)).key
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +379,10 @@ def functional_kernel_lattice(an: _Analysis, functional: LyapunovFunctional,
     set is saturated.  An unverifiable candidate is reported, not used.
     """
     k = an.action.k
-    b, j = an.locator(functional.classes[0])
     coeffs = functional.coeffs
 
     def chi_is_zero(n):
-        return an.element_logvalue(b, j, n).sign() == 0
+        return LogValue.combine(coeffs, n).sign() == 0
 
     zero_rels = [[int(g == h) for h in range(k)] for g in range(k)
                  if coeffs[g].is_zero()]
@@ -609,7 +543,7 @@ def _rank_certificate(an: _Analysis, classes, size: int):
               for cols in itertools.combinations(classes, size)]
     for eps in _EPS_SCHEDULE:
         for rows, cols in minors:
-            d = det([[an.logvalue(*an.locator(c), g).interval(eps) for c in cols]
+            d = det([[an.classes()[c].moduli_log[g].interval(eps) for c in cols]
                      for g in rows])
             if d.lo > 0 or d.hi < 0:
                 return {"size": size, "generators": list(rows), "classes": list(cols)}

@@ -1,11 +1,12 @@
-"""Property tests of the certified root backend and the power-sum
-constructions, with mpmath at 60 digits as the oracle.
+"""Property tests of the certified root backend, the power-sum
+constructions and the log-moduli, with mpmath at 60 digits as the oracle.
 
 The constructions are checked on their defining property: every product,
 power or polynomial value of roots (computed by mpmath) lies within 1e-40
-of a root of the constructed polynomial.  The certified disks are checked
-against mpmath's roots, and their real/non-real split against an exact
-Sturm count.
+of a root of the constructed polynomial.  Combined log-moduli are checked
+against the eigenvalues of the action element they describe.  The
+certified disks are checked against mpmath's roots, and their real/non-real
+split against an exact Sturm count.
 """
 
 import ast
@@ -19,9 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anosovkit import intpoly
-from anosovkit.algnum import LogValue, RealAlgebraic, root_box, roots
-from anosovkit.exact import _EPS_SCHEDULE
+from anosovkit.algnum import LogValue, root_box, roots
+from anosovkit.exact import _EPS_SCHEDULE, validate_action
 from anosovkit.intpoly import (
     _sturm_count,
     composed_product_pair,
@@ -29,6 +29,9 @@ from anosovkit.intpoly import (
     squarefree_part,
     values_poly,
 )
+from anosovkit.spectra import analyze
+from oracles import mp_eigenvalues, sigma_matrix
+from strategies import unit_sums
 
 DPS = 60
 CLOSE = mpmath.mpf(10) ** -40
@@ -108,76 +111,49 @@ def test_composed_product_of_non_real_roots():
 
 
 # ---------------------------------------------------------------------------
-# RealAlgebraic arithmetic
+# Log-moduli
 # ---------------------------------------------------------------------------
 
 
-def real_values(p):
-    """(RealAlgebraic, mpmath value) for every real root of p, each matched
-    to mpmath's roots through the index order: ascending real roots."""
-    out = []
-    for key, _ in intpoly.factor(tuple(p)):
-        with mpmath.workdps(DPS):
-            real = sorted(mpmath.re(z) for z in mpmath.polyroots(
-                key, maxsteps=400, extraprec=200) if abs(mpmath.im(z)) < CLOSE)
-        for root in roots(key):
-            if root.is_real:
-                out.append((RealAlgebraic(root), real[root.idx]))
-    return out
+def mp_of(x):
+    return mpmath.mpf(x.numerator) / x.denominator
 
 
-def assert_encloses(ra, value):
-    box = ra.interval(Fraction(1, 10**45))
+@settings(max_examples=8)
+@given(unit_sums(), st.data())
+def test_combined_log_moduli_enclose_the_eigenvalues(gens, data):
+    # chi(n) on each class, a product of powers mod f, against log|lambda|
+    # over the eigenvalues lambda of sigma(n) from sympy's matrix powers;
+    # both lists sorted, the classes repeated to their dimensions
+    action = validate_action(gens)
+    n = data.draw(st.lists(st.integers(-2, 2), min_size=action.k, max_size=action.k))
+    eps = Fraction(1, 10**40)
+    boxes = []
+    for cls in analyze(action).classes():
+        boxes += [LogValue.combine(cls.moduli_log, n).interval(eps)] * cls.dimension
+    boxes.sort(key=lambda box: (box.lo, box.hi))
+    sigma = [[int(x) for x in row] for row in sigma_matrix(action, n).tolist()]
     with mpmath.workdps(DPS):
-        assert mpmath.mpf(box.lo.numerator) / box.lo.denominator - CLOSE <= value
-        assert value <= mpmath.mpf(box.hi.numerator) / box.hi.denominator + CLOSE
+        logs = sorted(mpmath.log(abs(z)) for z in mp_eigenvalues(sigma))
+        for box, value in zip(boxes, logs, strict=True):
+            assert mp_of(box.lo) - CLOSE <= value <= mp_of(box.hi) + CLOSE, (n, box, value)
 
 
-reals = polys(4, coeff=4).map(real_values).filter(bool)
-
-
-@given(reals, reals, st.data())
-def test_real_algebraic_mul(xs, ys, data):
-    (x, vx), (y, vy) = data.draw(st.sampled_from(xs)), data.draw(st.sampled_from(ys))
-    with mpmath.workdps(DPS):
-        assert_encloses(x.mul(y), vx * vy)
-
-
-@given(reals, st.integers(1, 4), st.data())
-def test_real_algebraic_pow(xs, k, data):
-    x, vx = data.draw(st.sampled_from(xs))
-    with mpmath.workdps(DPS):
-        assert_encloses(x.pow(k), vx ** k)
-
-
-@given(reals, st.data())
-def test_real_algebraic_inverse(xs, data):
-    x, vx = data.draw(st.sampled_from(xs))
-    with mpmath.workdps(DPS):
-        assert_encloses(x.inverse(), 1 / vx)
-
-
-# ---------------------------------------------------------------------------
-# Log-modulus enclosures
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("modsq_key, exact", [
-    # the cat map's contracting eigenvalue (3 - sqrt 5)/2, squared
-    ((1, -7, 1), lambda: mpmath.log((3 - mpmath.sqrt(5)) / 2)),
-    # the real root of x^3 - x - 1 as a squared modulus
-    ((1, 0, -1, -1), lambda: mpmath.log(mpmath.findroot(lambda x: x**3 - x - 1, 1.3)) / 2),
+@pytest.mark.parametrize("f, exact", [
+    # the cat map's contracting eigenvalue (3 - sqrt 5)/2
+    ((1, -3, 1), lambda: mpmath.log((3 - mpmath.sqrt(5)) / 2)),
+    # rho, the real root of x^3 - x - 1
+    ((1, 0, -1, -1), lambda: mpmath.log(mpmath.findroot(lambda x: x**3 - x - 1, 1.3))),
 ], ids=["cat-negative", "cubic-positive"])
-def test_log_enclosures_reach_every_width(modsq_key, exact):
-    # the smallest real root: a fresh one, refined from its isolating disk
-    lv = LogValue(RealAlgebraic(roots.__wrapped__(modsq_key)[0]))
+def test_log_enclosures_reach_every_width(f, exact):
+    # log|tau| for the smallest real root tau of f: q = x
+    lv = LogValue(f, roots.__wrapped__(f)[0], (1, 0))
     with mpmath.workdps(450):
         value, slack = exact(), mpmath.mpf(10) ** -440
         for eps in _EPS_SCHEDULE:
             box = lv.interval(eps)
             assert box.width <= eps
-            assert mpmath.mpf(box.lo.numerator) / box.lo.denominator - slack <= value
-            assert value <= mpmath.mpf(box.hi.numerator) / box.hi.denominator + slack
+            assert mp_of(box.lo) - slack <= value <= mp_of(box.hi) + slack
         assert lv.mid() == mpmath.libmp.to_float(value._mpf_, rnd="n")
 
 

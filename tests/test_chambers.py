@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from anosovkit import chambers, spectra
+from anosovkit.algnum import LogValue
 from conftest import Func
 from oracles import zaslavsky_region_count
 
@@ -205,3 +206,38 @@ def test_proportionality_log_values(t3_action):
     c = chambers.proportionality_coefficient(
         list(funcs[0].coeffs), [lv for lv in funcs[0].coeffs])
     assert c == Fraction(1)
+
+
+@pytest.fixture(scope="module")
+def cat_square_functional():
+    """The contracting functional (a, 2a), a = log((3 - sqrt 5)/2), of the
+    action (CAT, CAT^2)."""
+    action = spectra.validate_action([[[2, 1], [1, 1]], [[5, 3], [3, 2]]])
+    chi = spectra.analyze(action).functionals()[0].coeffs
+    assert chi[0].sign() == -1
+    return chi
+
+
+def test_exact_sign_falls_back_to_the_exact_combination(cat_square_functional, monkeypatch):
+    chi = cat_square_functional
+    assert chambers.exact_sign_at(chi, (3, -1)) == -1      # a < 0, decided by intervals
+    calls = []
+    combine = LogValue.combine
+    monkeypatch.setattr(LogValue, "combine",
+                        staticmethod(lambda *args: calls.append(args) or combine(*args)))
+    assert chambers.exact_sign_at(chi, (2, -1)) == 0       # 2a - 2a: no interval decides
+    assert calls == [(chi, [2, -1])]
+
+
+def test_verify_ratio_decides_exactly(cat_square_functional, cat_action):
+    a, two_a = cat_square_functional
+    assert two_a.verify_ratio(a, 2) and a.verify_ratio(two_a, Fraction(1, 2))
+    assert not two_a.verify_ratio(a, 3) and not a.verify_ratio(two_a, 2)
+    # past the cap |p| + q <= 200 even a true ratio is rejected
+    assert a.scaled(199).verify_ratio(a, 199)
+    assert not a.scaled(200).verify_ratio(a, 200)
+    for c in (Fraction(199, 2), Fraction(-151, 50), Fraction(1, 200)):
+        assert not two_a.verify_ratio(a, c)
+    lo, hi = spectra.analyze(cat_action).functionals()
+    assert lo.coeffs[0].verify_ratio(hi.coeffs[0], -1)
+    assert hi.coeffs[0].verify_ratio(lo.coeffs[0], -1)

@@ -471,6 +471,9 @@ def contract_inputs(inputs):
     (["conjugate", "--preset", "cat-sin", "--eps", "0.5", "--grid", "32"], 3),  # refused
     (["rootsys", "--rank", "2"], 1),                    # no --type
     (["rootsys", "--type", "Z", "--rank", "2"], 1),
+    (["normalform", "--input", "cubic.json", "--degree", "0"], 1),
+    (["conjugate", "--preset", "cat-sin", "--grid", "16", "--max-iter", "0"], 1),
+    (["conjugate", "--preset", "cat-sin", "--grid", "16", "--fourier-top", "-3"], 1),
 ])
 def test_exit_code_matrix(contract_inputs, tmp_path, capsys, argv, code):
     argv = [str(contract_inputs / a) if a.endswith(".json") else a for a in argv]
