@@ -10,13 +10,12 @@ carries an exact handle:
   certified disk.  ``roots(key)`` lists them, real roots first in
   ascending order, then the non-real ones by (re, im); ``root_box`` is the
   one enclosure entry point.
-- ``RealAlgebraic``: a real algebraic number as a real ``Root`` of its
-  irreducible minimal polynomial.  Comparisons are decidable.
 - ``LogValue``: log|q(tau)| for a root tau of an irreducible f and q in
   Q[x]/(f), the log-modulus of an eigenvalue on one block.  Integer
   combinations are products of powers mod f.  Signs, equality and rational
-  proportionality are decided exactly on |q(tau)|^2, a RealAlgebraic built
-  on first use; enclosures are exact dyadic ``RInt``s from directed
+  proportionality are decided exactly on |q(tau)|^2, identified on first
+  use as a real ``Root`` of its minimal polynomial: equal values are equal
+  (key, idx).  Enclosures are exact dyadic ``RInt``s from directed
   rounding, refined along the one ``_EPS_SCHEDULE``.
 
 Roots are found with mpmath ``polyroots``, started from double-precision
@@ -28,8 +27,8 @@ root.  Refinement is Newton's method at doubling precision.
 
 Values under a polynomial map, their squares and pairwise products come
 from the ``intpoly`` power-sum constructions; ``identify_root`` then pins a
-value down among the roots of their irreducible factors, with enclosures
-from the one ``value_refiner``.  No sympy is used here.
+value down among the roots of their irreducible factors.  No sympy is used
+here.
 """
 
 from __future__ import annotations
@@ -73,13 +72,6 @@ class CBox:
 
     def modsq(self) -> RInt:
         return self.re.square() + self.im.square()
-
-    def intersects(self, o) -> bool:
-        return self.re.intersects(o.re) and self.im.intersects(o.im)
-
-    @property
-    def width(self) -> Fraction:
-        return max(self.re.width, self.im.width)
 
     @staticmethod
     def point(re, im=Fraction(0)) -> "CBox":
@@ -298,116 +290,25 @@ def root_box(root: Root, eps: Fraction) -> CBox:
     return CBox(_outward(re, r, k), _REAL if root.is_real else _outward(im, r, k))
 
 
-def _irreducible_factors(poly_key: tuple) -> list:
-    return sorted(key for key, _ in intpoly.factor(poly_key))
+def identify_root(poly_key: tuple, refiner) -> Root:
+    """The real root, of an irreducible factor of ``poly_key``, that a real
+    value is.
 
-
-def identify_root(poly_key: tuple, refiner, real: bool = False) -> Root:
-    """The root, of an irreducible factor of ``poly_key``, that a value is.
-
-    ``refiner(eps) -> CBox`` must return rigorous enclosures of the value
-    of width <= 2*eps; the value must be a root of ``poly_key``.  With
-    ``real`` only real roots are candidates.  The candidates are narrowed by
-    joint refinement, which terminates because the value is exactly one
-    root of exactly one irreducible factor.
+    ``refiner(eps) -> RInt`` must return rigorous enclosures of the value
+    of width <= 2*eps; the value must be a root of ``poly_key``.  The
+    candidates are narrowed by joint refinement, which terminates because
+    the value is exactly one root of exactly one irreducible factor.
     """
-    candidates = [root for fkey in _irreducible_factors(poly_key)
-                  for root in roots(fkey) if root.is_real or not real]
+    candidates = [root for fkey in sorted(key for key, _ in intpoly.factor(poly_key))
+                  for root in roots(fkey) if root.is_real]
     for eps in _EPS_SCHEDULE:
         box = refiner(eps)
-        candidates = [root for root in candidates if root_box(root, eps).intersects(box)]
+        candidates = [root for root in candidates if root_box(root, eps).re.intersects(box)]
         if len(candidates) == 1:
             return candidates[0]
         if not candidates:
             raise ValueError("value is not a root of the given polynomial")
     raise EnclosureTooWide("could not isolate the value among the roots")
-
-
-def value_refiner(root: Root, q, enclose=lambda box: box):
-    """refiner(eps) for ``identify_root``: a box of width <= eps of
-    enclose(q(root)), q with rational coefficients (descending).  enclose
-    maps the complex box of the value to the wanted quantity: the value
-    itself, or its squared modulus on the real axis."""
-    q = [Fraction(c) for c in q]
-
-    def refiner(eps):
-        for delta in _EPS_SCHEDULE:
-            box = enclose(eval_poly_box(q, root_box(root, delta)))
-            if box.width <= eps:
-                return box
-        raise EnclosureTooWide("value refinement failed")
-
-    return refiner
-
-
-# ---------------------------------------------------------------------------
-# RealAlgebraic
-# ---------------------------------------------------------------------------
-
-
-class RealAlgebraic:
-    """A real algebraic number, canonically a real root of its irreducible
-    minimal polynomial ``key``, with index ``idx`` in ``roots(key)``.
-
-    Two instances are equal iff they are the same number; the comparison is
-    structural when the canonical data agree and interval-based otherwise,
-    which terminates because distinct canonical data mean distinct values.
-    """
-
-    __slots__ = ("root", "_box")
-
-    def __init__(self, root: Root):
-        if not root.is_real:
-            raise ValueError("a RealAlgebraic needs a real root")
-        self.root = root
-        self._box = None
-
-    @property
-    def key(self) -> tuple:
-        return self.root.key
-
-    @property
-    def idx(self) -> int:
-        return self.root.idx
-
-    def interval(self, eps: Fraction) -> RInt:
-        if self._box is None or self._box.width > 2 * eps:
-            self._box = root_box(self.root, eps).re
-        return self._box
-
-    def cmp_fraction(self, q) -> int:
-        q = Fraction(q)
-        if len(self.key) == 2:      # a rational number: exact
-            v = Fraction(-self.key[1], self.key[0])
-            return (v > q) - (v < q)
-        for eps in _EPS_SCHEDULE:
-            box = self.interval(eps)
-            if q < box.lo:
-                return 1
-            if q > box.hi:
-                return -1
-        raise EnclosureTooWide("comparison against rational did not separate")
-
-    def cmp(self, other: "RealAlgebraic") -> int:
-        if self.key == other.key and self.idx == other.idx:
-            return 0
-        for eps in _EPS_SCHEDULE:
-            a, b = self.interval(eps), other.interval(eps)
-            if a.lo > b.hi:
-                return 1
-            if b.lo > a.hi:
-                return -1
-        raise EnclosureTooWide("distinct algebraic values did not separate")
-
-    def __eq__(self, other):
-        return isinstance(other, RealAlgebraic) and self.cmp(other) == 0
-
-    def __hash__(self):
-        return hash((self.key, self.idx))
-
-    def __repr__(self):
-        box = self.interval(Fraction(1, 10**12))
-        return f"RealAlgebraic(~{float((box.lo + box.hi) / 2):.12g})"
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +340,17 @@ class LogValue:
     of requested width and ``mid`` the double nearest the exact value.
     """
 
-    __slots__ = ("f", "root", "q", "_modsq", "_box", "_mid")
+    __slots__ = ("f", "root", "q", "_modsq", "_sq", "_box", "_mid")
 
     def __init__(self, f, root: Root, q):
         self.f, self.root, self.q = tuple(f), root, tuple(q)
-        self._modsq = self._box = self._mid = None
+        self._modsq = self._sq = self._box = self._mid = None
 
     @property
-    def modsq(self) -> RealAlgebraic:
-        """|q(tau)|^2 as a RealAlgebraic, built on first use.
+    def modsq(self) -> Root:
+        """|q(tau)|^2 as the real ``Root`` of its minimal polynomial that it
+        is, identified on first use.  Two log-moduli are equal iff their
+        ``modsq`` have the same (key, idx).
 
         The values q(tau_j) over the roots of f are the roots of
         values_poly(f, q).  For a real tau, |q(tau)|^2 is a root of their
@@ -458,9 +361,24 @@ class LogValue:
             values = intpoly.values_poly(self.f, self.q)
             vanishing = (intpoly.power_poly(values, 2) if self.root.is_real
                          else intpoly.composed_product_pair(values, values))
-            refiner = value_refiner(self.root, self.q, lambda box: CBox(box.modsq(), _REAL))
-            self._modsq = RealAlgebraic(identify_root(vanishing, refiner, real=True))
+            q = [Fraction(c) for c in self.q]
+
+            def refiner(eps):
+                for delta in _EPS_SCHEDULE:
+                    sq = eval_poly_box(q, root_box(self.root, delta)).modsq()
+                    if sq.width <= eps:
+                        return sq
+                raise EnclosureTooWide("value refinement failed")
+
+            self._modsq = identify_root(vanishing, refiner)
         return self._modsq
+
+    def _modsq_box(self, eps: Fraction) -> RInt:
+        """An enclosure of |q(tau)|^2 of width <= 2*eps, kept until a
+        narrower one is asked for."""
+        if self._sq is None or self._sq.width > 2 * eps:
+            self._sq = root_box(self.modsq, eps).re
+        return self._sq
 
     @staticmethod
     def combine(lvs, a) -> "LogValue":
@@ -474,15 +392,21 @@ class LogValue:
         return self if n == 1 else LogValue.combine((self,), (n,))
 
     def sign(self) -> int:
-        return self.modsq.cmp_fraction(1)
+        if self.is_zero():
+            return 0
+        for eps in _EPS_SCHEDULE:
+            box = self._modsq_box(eps)
+            if box.lo > 1:
+                return 1
+            if box.hi < 1:
+                return -1
+        raise EnclosureTooWide("|q(tau)|^2 did not separate from 1")
 
     def is_zero(self) -> bool:
         return self.modsq.key == _ONE_KEY
 
     def equals(self, other: "LogValue") -> bool:
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
-        return self.modsq.cmp(other.modsq) == 0
+        return (self.modsq.key, self.modsq.idx) == (other.modsq.key, other.modsq.idx)
 
     def interval(self, eps: Fraction) -> RInt:
         """Rigorous enclosure of width <= eps with dyadic ends, refined on
@@ -494,9 +418,9 @@ class LogValue:
         outward.
         """
         if self._box is None or self._box.width > eps:
-            sq = next(box for e in _EPS_SCHEDULE if (box := self.modsq.interval(e)).lo > 0)
+            sq = next(box for e in _EPS_SCHEDULE if (box := self._modsq_box(e)).lo > 0)
             e = min(eps, 1)
-            sq = self.modsq.interval(e * sq.lo / 4)
+            sq = self._modsq_box(e * sq.lo / 4)
             prec = e.denominator.bit_length() - e.numerator.bit_length() + 24
             while True:
                 box = RInt(*(_dyadic(x) for x in _log_half(sq, prec)))
@@ -525,7 +449,7 @@ class LogValue:
 
     def mpf(self, dps: int):
         """High-precision value for relation-candidate searches (not a proof)."""
-        box = self.modsq.interval(Fraction(1, 10 ** (dps + 10)))
+        box = self._modsq_box(Fraction(1, 10 ** (dps + 10)))
         with mpmath.workdps(dps + 10):
             return mpmath.log(mpmath.mpf(box.lo.numerator) / box.lo.denominator) / 2
 

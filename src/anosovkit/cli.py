@@ -387,21 +387,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rigidity toolkit for higher-rank abelian Anosov actions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
+    def common(p, needs_input=True, tol=True):
         if needs_input:
             p.add_argument("--input", required=False, help="input JSON path")
         p.add_argument("--output", help="write the report here (default stdout)")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--seed", type=int, default=0,
                        help="recorded in the report; fixes randomized sub-runs")
-        p.add_argument("--tol", type=_positive(float), default=1e-10)
+        if tol:
+            p.add_argument("--tol", type=_positive(float), default=1e-10)
 
     p = sub.add_parser("analyze", help="spectral + chamber + rigidity analysis")
     common(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("resonances", help="sub-resonance descriptor of bands")
-    common(p)
+    common(p, tol=False)
     p.set_defaults(func=cmd_resonances)
 
     p = sub.add_parser("normalform", help="sub-resonance normal form of a map")
@@ -425,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_conjugate)
 
     p = sub.add_parser("rootsys", help="root system smoothness class")
-    common(p, needs_input=False)
+    common(p, needs_input=False, tol=False)
     p.add_argument("--type", required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--multiplicities", help="JSON map, e.g. '{\"e\": 2}'")

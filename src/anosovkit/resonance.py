@@ -78,10 +78,6 @@ class SubResonanceRelation:
     exponents: tuple    # s = (s_1..s_l), nonnegative, |s| >= 1
     trivial: bool
 
-    @property
-    def total_degree(self) -> int:
-        return sum(self.exponents)
-
     def to_json(self) -> dict:
         return {"target_block": self.target_block,
                 "exponents": list(self.exponents),

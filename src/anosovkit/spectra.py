@@ -13,13 +13,17 @@ T = sum_g c_g A_g, in a fixed order, on whose kernels ker f(T) (f an
 irreducible factor of charpoly(T)) every generator is a polynomial in T.
 Such a T separates the joint eigenvalues, and a semisimple action always
 has one among a number of candidates bounded by n and k; an action with
-none raises ``JointSpectrumUnsupported``.
+none raises ``JointSpectrumUnsupported``.  Any nonzero v in ker f(T) is a
+cyclic vector of T there, so one exact solve against A_g v finds the only
+candidate polynomial for A_g.
 
 On the block of f an action element sigma(n) is q_n(T), q_n = prod_g
 q_g^(n_g) in Q[x]/(f) (H. Cohen, GTM 138, ch. 4), so its Anosov and
 root-of-unity tests read values_poly(f, q_n); no matrix power is formed.
 The same arithmetic gives the log-moduli: chi(n) on the class of a root tau
-of f is the LogValue log|q_n(tau)|.
+of f is the LogValue log|q_n(tau)|.  Classes merge into functionals by the
+identified roots |q_g(tau)|^2, and a class's minimal polynomial is the one
+irreducible factor of values_poly(f, q_1).
 
 The rigidity check decides its two searches with finite bounds: an Anosov
 element lies in the box of radius ceil(m/2) for m nonzero functionals, and
@@ -28,8 +32,8 @@ block, whose rank a nonzero interval minor of the block's log-modulus
 matrix certifies (Kronecker and Dirichlet).
 
 All yes/no answers are exact.  Enclosures only ever *separate* values;
-equality and zero decisions escalate to algebraic certificates
-(factorization, power-sum constructions, cyclotomic divisibility).
+equality and zero decisions are algebraic (factorization, power-sum
+constructions, cyclotomic divisibility).
 """
 
 from __future__ import annotations
@@ -42,22 +46,19 @@ from fractions import Fraction
 import mpmath
 
 from . import chambers, intpoly
-from .algnum import (
+from .algnum import (  # noqa: F401  (EnclosureTooWide is re-exported)
     _EPS_SCHEDULE,
     EnclosureTooWide,
     LogValue,
     UndecidedSign,
-    identify_root,
     roots,
-    value_refiner,
 )
 from .exact import (  # noqa: F401  (the action types are re-exported)
     ActionSpec,
     ActionValidationError,
     det,
-    identity,
     lattice_intersection,
-    mat_mul,
+    mat_vec,
     nullspace,
     primitive_vector,
     solve_linear,
@@ -69,10 +70,6 @@ from .intpoly import is_semisimple_matrix, poly_of_matrix, values_poly
 class JointSpectrumUnsupported(Exception):
     """No candidate combination separates the joint eigenvalues: the action
     is not semisimple, and outside the supported range."""
-
-
-class UndecidedEquality(Exception):
-    """An exact equality escalation ran out of budget (should not occur)."""
 
 
 # ---------------------------------------------------------------------------
@@ -118,17 +115,6 @@ class _Block:
         self.croots = roots(fT_key)
 
 
-def _restrict(cols, m):
-    """Restriction m' of m to the column span: m @ cols == cols @ m'."""
-    return solve_linear(cols, mat_mul(m, cols))
-
-
-def _columns(basis_vectors):
-    """Column-vector list -> matrix with those columns."""
-    n = len(basis_vectors[0])
-    return [[basis_vectors[j][i] for j in range(len(basis_vectors))] for i in range(n)]
-
-
 def _combinations(n: int, k: int):
     """Coefficients c of the candidates T = sum_g c_g A_g, in the order tried.
 
@@ -149,36 +135,42 @@ def _combinations(n: int, k: int):
 def _link(gens, c):
     """The blocks of T = sum_g c_g A_g, one per irreducible factor of
     charpoly(T), or None when on some K = ker f(T) a generator is not a
-    polynomial in T (then T does not separate the joint eigenvalues)."""
+    polynomial in T (then T does not separate the joint eigenvalues).
+
+    The first basis vector v of K has T-minimal polynomial f, which is
+    irreducible, so v, Tv, ..., T^(d-1) v (d = deg f) are independent: the
+    coefficients of q_g solve sum_i q_i T^i v = A_g v, and q_g is kept only
+    if q_g(T) w = A_g w for every basis vector w of K.
+    """
     n = len(gens[0])
     t = [[sum(cg * g[i][j] for cg, g in zip(c, gens)) for j in range(n)]
          for i in range(n)]
-    parts = []
+    blocks = []
     for fkey, e in intpoly.factor(intpoly.charpoly(t)):
-        cols = _columns(nullspace(poly_of_matrix(fkey, t)))
-        t_k = _restrict(cols, t)
-        try:
-            qs = [_solve_poly_in(t_k, _restrict(cols, g), len(fkey) - 1) for g in gens]
-        except ValueError:
-            return None
-        parts.append((fkey, qs, e))
-    return [_Block(*part) for part in parts]
+        basis = nullspace(poly_of_matrix(fkey, t))
+        krylov = [basis[0]]
+        for _ in range(len(fkey) - 2):
+            krylov.append(mat_vec(t, krylov[-1]))
+        cols = [list(row) for row in zip(*krylov)]
+        qs = []
+        for g in gens:
+            try:
+                q = solve_linear(cols, mat_vec(g, basis[0]))[::-1]
+            except ValueError:
+                return None
+            if any(_apply(q, t, w) != mat_vec(g, w) for w in basis):
+                return None
+            qs.append(q)
+        blocks.append(_Block(fkey, qs, e))
+    return blocks
 
 
-def _solve_poly_in(t_k, r_k, deg):
-    """Coefficients (descending) of q with q(t_k) == r_k, deg q < deg."""
-    m = len(t_k)
-    powers = [identity(m)]
-    for _ in range(deg - 1):
-        powers.append(mat_mul(powers[-1], t_k))
-    rows = []
-    rhs = []
-    for i in range(m):
-        for j in range(m):
-            rows.append([powers[p][i][j] for p in range(deg)])
-            rhs.append(r_k[i][j])
-    sol = solve_linear(rows, rhs)  # raises on inconsistency
-    return list(reversed(sol))  # ascending -> descending
+def _apply(q, t, w):
+    """q(t) w by Horner's rule, q descending."""
+    acc = [q[0] * x for x in w]
+    for c in q[1:]:
+        acc = [y + c * x for y, x in zip(mat_vec(t, acc), w)]
+    return acc
 
 
 class _Analysis:
@@ -231,13 +223,16 @@ class _Analysis:
         enclosures: the joint spectrum."""
         if self._classes is not None:
             return self._classes
+        # the values q_1(tau_j) over the roots of the irreducible f_b are
+        # conjugates, so values_poly is a power of their minimal polynomial
+        minpolys = [intpoly.factor(values_poly(block.fT_key, block.qs[0]))[0][0]
+                    for block in self.blocks]
         entries = []
         for b, j in self.class_entries():
             block = self.blocks[b]
             lvs = tuple(LogValue(block.fT_key, block.croots[j], q) for q in block.qs)
-            minpoly = _first_gen_minpoly(block, j)
-            sort_key = (tuple(lv.interval(_EPS_SCHEDULE[0]).lo for lv in lvs), minpoly, j, b)
-            entries.append((sort_key, b, j, lvs, block.class_dim, minpoly))
+            sort_key = (tuple(lv.interval(_EPS_SCHEDULE[0]).lo for lv in lvs), minpolys[b], j, b)
+            entries.append((sort_key, b, j, lvs, block.class_dim, minpolys[b]))
         entries.sort(key=lambda e: e[0])
         classes = []
         self._class_locator = []
@@ -258,29 +253,15 @@ class _Analysis:
         """Classes merged by proven-equal log-modulus vectors, sorted lex."""
         if self._functionals is not None:
             return self._functionals
-        classes = self.classes()
-        k = self.action.k
-        groups = []
-        for cls in classes:
-            placed = False
-            for grp in groups:
-                rep = grp[0]
-                try:
-                    same = all(cls.moduli_log[g].equals(rep.moduli_log[g])
-                               for g in range(k))
-                except EnclosureTooWide as exc:
-                    raise UndecidedEquality(
-                        f"classes {rep.index} and {cls.index}: {exc}") from exc
-                if same:
-                    grp.append(cls)
-                    placed = True
-                    break
-            if not placed:
-                groups.append([cls])
+        # equal log-moduli are equal identified roots |q_g(tau)|^2
+        groups = {}
+        for cls in self.classes():
+            key = tuple((lv.modsq.key, lv.modsq.idx) for lv in cls.moduli_log)
+            groups.setdefault(key, []).append(cls)
         funcs = [LyapunovFunctional(coeffs=grp[0].moduli_log,
                                     multiplicity=sum(c.dimension for c in grp),
                                     classes=tuple(sorted(c.index for c in grp)))
-                 for grp in groups]
+                 for grp in groups.values()]
 
         def cmp(f1, f2):
             for a, b in zip(f1.coeffs, f2.coeffs):
@@ -315,12 +296,6 @@ class _Analysis:
             return None
         return chambers.weyl_chambers(
             grouping, [self.kernel(wall.members[0][0])[0] for wall in grouping.walls])
-
-
-def _first_gen_minpoly(block: _Block, j: int) -> tuple:
-    q1 = block.qs[0]
-    return identify_root(values_poly(block.fT_key, q1),
-                         value_refiner(block.croots[j], q1)).key
 
 
 # ---------------------------------------------------------------------------

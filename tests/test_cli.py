@@ -384,8 +384,8 @@ def test_analyze_enumerates_chambers_once(inputs, tmp_path, monkeypatch):
     assert res["rigidity_hypotheses"]["anosov_element"]["method"] == "box"
 
 
-@pytest.mark.parametrize("kind", ["JointSpectrumUnsupported", "UndecidedEquality",
-                                  "UndecidedSign", "EnclosureTooWide"])
+@pytest.mark.parametrize("kind", ["JointSpectrumUnsupported", "UndecidedSign",
+                                  "EnclosureTooWide"])
 def test_analyze_spectrum_stage_is_inconclusive(inputs, tmp_path, monkeypatch,
                                                 capsys, kind):
     from anosovkit import spectra
@@ -474,6 +474,8 @@ def contract_inputs(inputs):
     (["normalform", "--input", "cubic.json", "--degree", "0"], 1),
     (["conjugate", "--preset", "cat-sin", "--grid", "16", "--max-iter", "0"], 1),
     (["conjugate", "--preset", "cat-sin", "--grid", "16", "--fourier-top", "-3"], 1),
+    (["resonances", "--input", "bands.json", "--tol", "1e-3"], 1),   # removed option
+    (["rootsys", "--type", "A", "--rank", "2", "--tol", "1e-3"], 1),  # removed option
 ])
 def test_exit_code_matrix(contract_inputs, tmp_path, capsys, argv, code):
     argv = [str(contract_inputs / a) if a.endswith(".json") else a for a in argv]

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -233,6 +234,21 @@ def test_block_arithmetic_against_matrix_oracle(t3_action):
 @given(unit_sums())
 def test_block_arithmetic_on_unit_sums(gens):
     assert_block_arithmetic(spectra.validate_action(gens))
+
+
+@settings(max_examples=10)
+@given(unit_sums())
+def test_minimal_polynomials_on_unit_sums(gens):
+    # each class's minimal polynomial is irreducible (sympy), and one of its
+    # roots (mpmath) has the class's first log-modulus
+    x = sympy.Symbol("x")
+    for cls in spectra.analyze(spectra.validate_action(gens)).classes():
+        poly = cls.minimal_polynomial
+        assert sympy.Poly(poly, x).is_irreducible, poly
+        with mpmath.workdps(30):
+            logs = [mpmath.log(abs(z)) for z in mpmath.polyroots(poly, maxsteps=200,
+                                                                  extraprec=100)]
+        assert min(abs(v - cls.moduli_log[0].mid()) for v in logs) < 1e-9, poly
 
 
 # ---------------------------------------------------------------------------
