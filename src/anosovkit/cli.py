@@ -68,11 +68,11 @@ def _emit(args, report: dict, text_lines=None) -> None:
 _EXIT = {"pass": 0, "fail": 2, "inconclusive": 3, "info": 0}
 
 # Peak RSS of a `conjugate` run, less that of a process that only imports
-# the CLI, the conjugacy package and numpy, over the bytes of its N^dim x dim
-# float64 displacement field: 11.8 for psi-t3 and 8.8 for t3-gen1-only
-# --probe at 128^3, 10.7 for cat-sin --probe at 1024^2 (2-vCPU Xeon,
-# Python 3.11, numpy 2.4); rounded up to 15, leaving headroom.
-_GRID_WORKING_SET = 15
+# the CLI, the conjugacy package and numpy (34 MiB), over the bytes of its
+# N^dim x dim float64 displacement field: 7.1 for psi-t3 and 7.1 for
+# t3-gen1-only --probe at 128^3, 7.7 for cat-sin --probe at 1024^2 (2-vCPU
+# Xeon, Python 3.11, numpy 2.4); rounded up to 10, leaving headroom.
+_GRID_WORKING_SET = 10
 
 
 def cmd_analyze(args) -> int:

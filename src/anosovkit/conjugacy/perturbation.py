@@ -7,8 +7,8 @@ perturbation backends:
 - ``TrigPolynomial``: explicit finite Fourier data (the wire format);
 - ``ConjugatedPerturbation``: the guaranteed-commuting family
   f_i = psi ∘ A_i ∘ psi^{-1} for a small diffeomorphism psi = id + eps*q,
-  evaluated pointwise through a fixed-point inversion of psi (machine
-  precision, no truncation).
+  evaluated pointwise: psi is inverted by fixed-point iteration one block
+  of points at a time, to machine precision and with no truncation.
 
 Arbitrary user perturbations are accepted without a commutativity promise;
 ``ToralPerturbation.commutativity_defect`` measures how far the perturbed
@@ -24,8 +24,9 @@ import numpy as np
 
 from ..exact import ActionSpec
 
-# Points per block of TrigPolynomial.evaluate: its (terms, block) buffers
-# stay small whatever the grid size.
+# Points per block of TrigPolynomial.evaluate and of the psi inversion in
+# ConjugatedPerturbation.evaluate: their buffers stay small whatever the
+# grid size.
 _BLOCK = 1 << 12
 
 # Points per axis of the grid on which commutativity_defect is measured.
@@ -35,7 +36,7 @@ _DEFECT_GRID = 32
 def _grid_points(n: int, size: int) -> np.ndarray:
     """The size^n points j/size of the torus grid, as rows in C order."""
     axes = np.indices((size,) * n).reshape(n, -1)
-    return (axes.T / size).astype(np.float64)
+    return axes.T / size
 
 
 class TrigPolynomial:
@@ -103,25 +104,25 @@ class TrigPolynomial:
         frequencies), the phases of a block are 2 pi F X^T, one cos and one
         sin per term, stacked into a (2T, block) matrix and multiplied once
         by the stacked cos and sin coefficients.  Block buffers are
-        allocated once per call.
+        allocated once per call, and each block's values are written
+        straight into the (m, dim) result.
         """
         points = np.asarray(points, dtype=np.float64)
         m, t = points.shape[0], len(self.terms)
         if not (t and m):
             return np.zeros((m, self.dim))
-        out_t = np.empty((self.dim, m))
+        out = np.empty((m, self.dim))
         block = min(_BLOCK, m)
         kmax = np.abs(self._freqs).max(axis=0)
         direct = t <= len(self._axes) or int((2 * kmax[self._axes] + 1).sum()) > 2 * t
         if direct:
             freqs = self._freqs.astype(np.float64)
-            coeffs = self._coeffs.T                       # (dim, 2T)
             phase, trig = np.empty((t, block)), np.empty((2 * t, block))
         else:
-            coeffs = (self._coeffs[:t] - 1j * self._coeffs[t:]).T   # (dim, T)
+            coeffs = self._coeffs[:t] - 1j * self._coeffs[t:]      # (T, dim)
             prod, rows = np.empty((2, t, block), dtype=np.complex128)
             table = np.empty((2 * int(kmax.max()) + 1, block), dtype=np.complex128)
-            acc = np.empty((self.dim, block), dtype=np.complex128)
+            acc = np.empty((block, self.dim), dtype=np.complex128)
         for lo in range(0, m, block):
             x = points[lo:lo + block].T                   # (dim, b)
             b = x.shape[1]
@@ -130,12 +131,12 @@ class TrigPolynomial:
                 ph *= 2.0 * np.pi
                 np.cos(ph, out=trig[:t, :b])
                 np.sin(ph, out=trig[t:, :b])
-                np.matmul(coeffs, trig[:, :b], out=out_t[:, lo:lo + b])
+                np.matmul(trig[:, :b].T, self._coeffs, out=out[lo:lo + b])
             else:
                 z = self._phasors(x, prod[:, :b], rows[:, :b], table[:, :b])
-                np.matmul(coeffs, z, out=acc[:, :b])
-                out_t[:, lo:lo + b] = acc[:, :b].real
-        return out_t.T.copy()
+                np.matmul(z.T, coeffs, out=acc[:b])
+                out[lo:lo + b] = acc[:b].real
+        return out
 
     def _phasors(self, x, prod, rows, table):
         """exp(2 pi i f_t . x) of every term into ``prod`` (T, b), for x of
@@ -188,21 +189,35 @@ class ConjugatedPerturbation:
         self._contraction = contraction
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        w = self._psi_inverse(points)
-        aw = w @ self.matrix.T
-        qw = self.q.evaluate(w)
-        return self.eps * self.q.evaluate(aw) - self.eps * (qw @ self.matrix.T)
+        """p_i at each row of ``points``, one ``_BLOCK`` of points at a time.
 
-    def _psi_inverse(self, y: np.ndarray) -> np.ndarray:
-        w = y.copy()
-        tol = 1e-15
-        for _ in range(80):
-            step = y - self.eps * self.q.evaluate(w)
-            delta = float(np.max(np.abs(step - w)))
-            w = step
-            if delta < tol:
-                break
-        return w
+        On a block y, the iteration w <- y - eps*q(w) runs until a step
+        moves no coordinate by 1e-15 or more, or for 80 steps.  At the fixed
+        point eps*q(w) = y - w, so the last step's eps*q stands in for
+        eps*q(w), and p_i(y) = eps*q(A_i w) - A_i eps*q(w) takes one more
+        evaluation of q.  That eps*q is kept rather than taking y - w, which
+        would lose its low digits to cancellation.  Only the result has the
+        size of ``points``.
+        """
+        points = np.asarray(points, dtype=np.float64)
+        out = np.empty(points.shape)
+        a_t = self.matrix.T
+        for lo in range(0, points.shape[0], _BLOCK):
+            y = points[lo:lo + _BLOCK]
+            w = y
+            for _ in range(80):
+                eq = self.q.evaluate(w)
+                eq *= self.eps
+                step = y - eq
+                delta = float(np.max(np.abs(step - w)))
+                w = step
+                if delta < 1e-15:
+                    break
+            val = self.q.evaluate(w @ a_t)
+            val *= self.eps
+            val -= eq @ a_t
+            out[lo:lo + _BLOCK] = val
+        return out
 
     def sup_bound(self) -> float:
         return 2.0 * abs(self.eps) * self.q.sup_bound() * (
@@ -279,7 +294,9 @@ def psi_conjugation(base: ActionSpec, q: TrigPolynomial,
              for i in range(base.k)]
 
     def ground_truth(points: np.ndarray) -> np.ndarray:
-        return eps * q.evaluate(points)
+        disp = q.evaluate(points)
+        disp *= eps
+        return disp
 
     pert = ToralPerturbation(base=base, perturbations=perts,
                              meta={"family": "psi-conjugation", "eps": eps})

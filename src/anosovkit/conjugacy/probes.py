@@ -80,7 +80,9 @@ def regularity_probe(field: ConjugacyField) -> dict:
     tail-limited otherwise, reported), so each difference is a Fourier
     multiplier on the field's spectrum: exp(i theta) - 1 and
     2 cos(theta) - 2 with theta = 2 pi t f.v, written with sin^2(theta/2)
-    to avoid cancellation at small theta.
+    to avoid cancellation at small theta.  Both differences of the real
+    field are real, so one inverse transform per scale and component
+    carries them both (``_paired_multiplier``).
     """
     n, size = field.dim, field.resolution
     # start at 1/8: coarser shifts saturate low-frequency differences
@@ -105,12 +107,9 @@ def regularity_probe(field: ConjugacyField) -> dict:
     for d, mod, tag in directions:
         d1_list, d2_list = [], []
         for t in scales:
-            theta = 2.0 * np.pi * sum(
-                freqs.reshape((size,) + (1,) * (n - 1 - a)) * (t * d[a])
-                for a in range(n))
-            half = -2.0 * np.sin(0.5 * theta) ** 2        # cos(theta) - 1
-            d1_list.append(_sup_multiplied(co, half + 1j * np.sin(theta)))
-            d2_list.append(_sup_multiplied(co, 2.0 * half))
+            d1, d2 = _paired_sups(co, _paired_multiplier(freqs, t * d))
+            d1_list.append(d1)
+            d2_list.append(d2)
         slope1 = _regression_slope(scales, d1_list)
         slope2 = _regression_slope(scales, d2_list)
         if slope1 is None:
@@ -135,11 +134,46 @@ def regularity_probe(field: ConjugacyField) -> dict:
     return report
 
 
-def _sup_multiplied(co, mult) -> float:
-    """sup |Re v| over the grid, v the inverse transform of co * mult."""
-    v = co * mult[..., None]
-    np.fft.ifftn(v, axes=tuple(range(co.ndim - 1)), norm="forward", out=v)
-    return float(np.max(np.abs(v.real)))
+def _paired_multiplier(freqs, shift):
+    """H(m1) + i H(m2) on the (N,) * n frequency grid, for the differences
+    m1 = exp(i theta) - 1 and m2 = 2 cos(theta) - 2, theta = 2 pi f.shift.
+
+    H(m)(f) = (m(f) + conj m(-f)) / 2, indices mod N, is Hermitian, so the
+    inverse transform of co * H(m) is real for the spectrum co of a real
+    field, and equals Re ifftn(co * m).  H changes m only where a
+    coordinate of f is the Nyquist index N/2, which is its own negative:
+    there conj m(-f) is m at theta', theta with every Nyquist frequency
+    -N/2 taken as +N/2 instead.  Elsewhere theta' = theta, and H(m) = m.
+    """
+    n, size = len(shift), freqs.shape[0]
+    alt = freqs.copy()
+    alt[size // 2] = -alt[size // 2]
+
+    def phase(fr):
+        return 2.0 * np.pi * sum(fr.reshape((size,) + (1,) * (n - 1 - a)) * shift[a]
+                                 for a in range(n))
+
+    theta, theta_alt = phase(freqs), phase(alt)
+    half = -(np.sin(0.5 * theta) ** 2 + np.sin(0.5 * theta_alt) ** 2)  # Re H(m1)
+    mult = np.empty(theta.shape, dtype=np.complex128)
+    mult.real = half
+    mult.imag = 0.5 * (np.sin(theta) + np.sin(theta_alt)) + 2.0 * half
+    return mult
+
+
+def _paired_sups(co, mult):
+    """(sup |ifftn(co H(m1))|, sup |ifftn(co H(m2))|) over the grid and the
+    field's components, for mult = H(m1) + i H(m2): both transforms are real,
+    so one complex inverse transform per component holds the first in its
+    real part and the second in its imaginary part."""
+    axes = tuple(range(co.ndim - 1))
+    sup1 = sup2 = 0.0
+    for c in range(co.shape[-1]):
+        v = co[..., c] * mult
+        np.fft.ifftn(v, axes=axes, norm="forward", out=v)
+        sup1 = max(sup1, float(np.max(np.abs(v.real))))
+        sup2 = max(sup2, float(np.max(np.abs(v.imag))))
+    return sup1, sup2
 
 
 def _regression_slope(scales, deltas):

@@ -25,7 +25,13 @@ frozen equation reads w_e(Ax) = lam_e w_e(x) + q_e(x) with q = V^-1 P:
   u = sum w_side V_side^T.
 - When every eigenvalue of A is real (the cat map, the T^3 pair), lam, V
   and V^-1 are real and the step runs in float64; a complex pair makes the
-  same code run in complex128.  The dtype follows V^-1.
+  same code run in complex128.  The dtype follows V^-1.  Either way the sum
+  u = Re sum w_side V_side^T is a real matmul written into a float64
+  buffer: a complex w is read as its interleaved real and imaginary parts.
+- The solve keeps a fixed set of whole-grid arrays: the points x, the
+  iterate u, one buffer that holds x + u while p is evaluated and then
+  receives the next iterate, the values of p, and the permutation with its
+  cycle plan.  Nothing else of grid size outlives the step that made it.
 - ``cycle`` builds one plan per solve: the cycles in position-major order
   for each cycle length, so row t of a length group holds x_t of every
   orbit and each recursion step reads and writes one contiguous row.  Each
@@ -70,6 +76,10 @@ class ResolutionInsufficient(RuntimeError):
 # The smallness gate refuses a perturbation whose displacement bound
 # sup|p| / (1 - rate) reaches this size.
 _SMALLNESS = 0.1
+
+# Rows per block of _defect_sup: its defect and gathered rows stay small
+# whatever the grid size.
+_DEFECT_ROWS = 1 << 14
 
 
 def _round_sig(x, digits: int = 12):
@@ -118,11 +128,17 @@ def _permutation(matrix: np.ndarray, size: int) -> np.ndarray:
 def _defect_sup(u: np.ndarray, p_val: np.ndarray, a_float: np.ndarray,
                 perm: np.ndarray) -> float:
     """sup over the grid of |A u(x) + p(x + u(x)) - u(Ax)|, with p_val the
-    values of p at x + u and perm the grid permutation of A."""
-    defect = u @ a_float.T
-    defect += p_val
-    defect -= np.take(u, perm, axis=0)
-    return float(np.max(np.abs(defect, out=defect)))
+    values of p at x + u and perm the grid permutation of A.  The defect is
+    taken ``_DEFECT_ROWS`` rows at a time, so no whole-grid defect is
+    allocated."""
+    worst = 0.0
+    for lo in range(0, u.shape[0], _DEFECT_ROWS):
+        hi = lo + _DEFECT_ROWS
+        defect = u[lo:hi] @ a_float.T
+        defect += p_val[lo:hi]
+        defect -= np.take(u, perm[lo:hi], axis=0)
+        worst = max(worst, float(np.max(np.abs(defect, out=defect))))
+    return worst
 
 
 def _orbit_groups(perm: np.ndarray):
@@ -209,6 +225,7 @@ def _cycle_solve(plan, kappa: np.ndarray, d: np.ndarray, stable: bool) -> np.nda
     """
     order, inverse, segments = plan
     w = np.take(d, order, axis=0)
+    del d          # the caller passes a temporary: free it before the sweeps
     for start, length, count in segments:
         block = w[start:start + length * count].reshape(length, -1)
         _sweep(block if stable else block[::-1], np.tile(kappa, count), lagged=stable)
@@ -328,14 +345,20 @@ def solve_conjugacy(pert: ToralPerturbation, solving_generator: int = 0,
         raise ValueError(f"unknown mode {mode!r}")
     if not lam.imag.any():
         lam, v_mat, w_mat = lam.real, v_mat.real, w_mat.real
-    # (stable, kappa, drive, W rows, V columns) per side; the unstable side
-    # runs backward, w = kappa w o A + d with kappa = 1/lam and d = -q/lam
+    # (stable, kappa, drive, W rows, back) per side, with u = Re w @ back;
+    # the unstable side runs backward, w = kappa w o A + d with kappa =
+    # 1/lam and d = -q/lam
     sides = []
     for stable in (True, False):
         mask = (np.abs(lam) < 1.0) == stable
         kappa = lam[mask] if stable else 1.0 / lam[mask]
         drive = w_mat[mask] if stable else -kappa[:, None] * w_mat[mask]
-        sides.append((stable, kappa, drive, w_mat[mask], v_mat[:, mask]))
+        back = v_mat[:, mask].T                     # (s, n)
+        if np.iscomplexobj(back):
+            # Re(w V^T) = [Re w, Im w] [Re V^T; -Im V^T], rows interleaved
+            # as in w.view(float64)
+            back = np.stack([back.real, -back.imag], axis=1).reshape(-1, n)
+        sides.append((stable, kappa, drive, w_mat[mask], back))
     a_int = np.array(rows, dtype=np.int64)
     a_float = a_int.astype(np.float64)
     x = _grid_points(n, resolution)
@@ -343,14 +366,15 @@ def solve_conjugacy(pert: ToralPerturbation, solving_generator: int = 0,
     if mode == "cycle":
         plan = _cycle_plan(perm)
     else:
-        inv_perm = np.empty_like(perm)
-        inv_perm[perm] = np.arange(perm.shape[0])
-    u = np.zeros_like(x)
+        plan = np.empty_like(perm)          # the inverse permutation
+        plan[perm] = np.arange(perm.shape[0])
+    u = np.zeros(x.shape)
+    xu = np.empty(x.shape)          # x + u, then the next iterate
     history = []
     iterations = 0
     for it in range(1, max_iter + 1):
         iterations = it
-        p_val = pert.p_eval(gen, x + u)
+        p_val = pert.p_eval(gen, np.add(x, u, out=xu))
         residual = _defect_sup(u, p_val, a_float, perm)
         history.append(residual)
         if residual < tol:
@@ -363,19 +387,9 @@ def solve_conjugacy(pert: ToralPerturbation, solving_generator: int = 0,
                     f"{tail:.3g}; increase the grid")
             raise Diverged(f"residual stopped decreasing at {residual:.3g} "
                            f"after {it} iterations")
-        u_next = np.zeros(u.shape, dtype=v_mat.dtype)
-        for stable, kappa, drive, w_rows, v_cols in sides:
-            d = p_val @ drive.T
-            if mode == "cycle":
-                w = _cycle_solve(plan, kappa, d, stable)
-            elif stable:
-                # w(x) = lam w(A^-1 x) + q(A^-1 x)
-                w = np.take(kappa * (u @ w_rows.T) + d, inv_perm, axis=0)
-            else:
-                # w(x) = (w(Ax) - q(x)) / lam
-                w = kappa * np.take(u @ w_rows.T, perm, axis=0) + d
-            u_next += w @ v_cols.T
-        u = np.ascontiguousarray(u_next.real)
+        _linear_step(sides, mode, plan, perm, p_val, u, out=xu)
+        u, xu = xu, u
+        del p_val      # not alive while the next p is evaluated
     field_obj = ConjugacyField(
         base=base, generator=gen, resolution=resolution,
         u=u, residual=history[-1], iterations=iterations,
@@ -387,10 +401,39 @@ def solve_conjugacy(pert: ToralPerturbation, solving_generator: int = 0,
     return field_obj
 
 
+def _linear_step(sides, mode: str, plan, perm: np.ndarray, p_val: np.ndarray,
+                 u: np.ndarray, out: np.ndarray):
+    """Write into ``out`` the next iterate: u solving the linear equation
+    frozen at p_val.
+
+    ``plan`` is the cycle plan in ``cycle`` mode and the inverse
+    permutation in ``transfer`` mode.  Each side's drive and solution are
+    freed before the next side starts.
+    """
+    for i, (stable, kappa, drive, w_rows, back) in enumerate(sides):
+        if mode == "cycle":
+            w = _cycle_solve(plan, kappa, p_val @ drive.T, stable)
+        elif stable:
+            # w(x) = lam w(A^-1 x) + q(A^-1 x)
+            w = np.take(kappa * (u @ w_rows.T) + p_val @ drive.T, plan, axis=0)
+        else:
+            # w(x) = (w(Ax) - q(x)) / lam
+            w = kappa * np.take(u @ w_rows.T, perm, axis=0) + p_val @ drive.T
+        if np.iscomplexobj(w):
+            w = w.view(np.float64)
+        if i == 0:
+            np.matmul(w, back, out=out)
+        else:
+            out += w @ back
+        del w
+
+
 def _spectrum(u: np.ndarray, n: int, size: int) -> np.ndarray:
     """Fourier coefficients of a displacement u of shape (size^n, n)."""
     grid = u.reshape(*([size] * n), n)
-    return np.fft.fftn(grid, axes=tuple(range(n))) / (size ** n)
+    co = np.fft.fftn(grid, axes=tuple(range(n)))
+    co /= size ** n
+    return co
 
 
 def _tail_fraction(co: np.ndarray) -> float:

@@ -7,8 +7,15 @@ import numpy as np
 import pytest
 
 from anosovkit import cli, spectra
+from anosovkit.conjugacy.perturbation import _BLOCK
 from anosovkit.conjugacy.probes import _eigen_directions
-from anosovkit.conjugacy.solver import _eigendata, _orbit_groups, _permutation
+from anosovkit.conjugacy.solver import (
+    _DEFECT_ROWS,
+    _defect_sup,
+    _eigendata,
+    _orbit_groups,
+    _permutation,
+)
 from anosovkit.conjugacy import (
     Diverged,
     NotAnosov,
@@ -147,6 +154,47 @@ def test_oversized_refused(cat_action):
     pert = ToralPerturbation(base=cat_action, perturbations=[p])
     with pytest.raises(Diverged):
         solve_conjugacy(pert, resolution=32)
+
+
+def test_solver_working_set_bounded():
+    # psi-t3 at 64^3: the whole-grid psi inversion and the solver's stale
+    # temporaries peaked at 11x the field
+    pert, _ = cli._build_preset("psi-t3", 0.005)
+    tracemalloc.start()
+    try:
+        field = solve_conjugacy(pert, resolution=64, tol=1e-13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.residual < 1e-13
+    assert peak < 8 * field.u.nbytes
+
+
+def test_defect_sup_blocks_match_whole_grid():
+    # a row count that is not a multiple of the block: the max over blocks
+    # is the whole-grid max, bit for bit
+    rng = np.random.default_rng(7)
+    m = 3 * _DEFECT_ROWS + 5
+    u, p_val = rng.normal(size=(m, 3)), rng.normal(size=(m, 3))
+    a_float = rng.integers(-3, 4, size=(3, 3)).astype(np.float64)
+    perm = rng.permutation(m)
+    whole = np.max(np.abs(u @ a_float.T + p_val - u[perm]))
+    assert _defect_sup(u, p_val, a_float, perm) == whole
+
+
+@pytest.mark.parametrize("preset, eps", [("psi-cat", 0.01), ("psi-t3", 0.005)])
+@pytest.mark.parametrize("count", [1000, _BLOCK, 2 * _BLOCK + 37])
+def test_conjugated_perturbation_inversion_free_oracle(preset, eps, count):
+    # at y = psi(x) = x + eps q(x), f_i = psi A_i psi^-1 gives
+    # p_i(y) = eps q(A_i x) - eps A_i q(x), with no inversion of psi
+    pert, _ = cli._build_preset(preset, eps)
+    q = pert.perturbations[0].q
+    x = np.random.default_rng(count).random((count, pert.dim))
+    y = x + eps * q.evaluate(x)
+    for i in range(pert.k):
+        a_mat = pert.matrix(i).astype(np.float64)
+        want = eps * q.evaluate(x @ a_mat.T) - eps * (q.evaluate(x) @ a_mat.T)
+        assert np.max(np.abs(pert.p_eval(i, y) - want)) <= 1e-14
 
 
 def test_psi_recovery_and_uniqueness():
@@ -295,6 +343,42 @@ def test_probe_matches_shifted_interpolant(preset, eps, grid):
     for got, (d1, d2) in zip(rep["directions"], want):
         assert np.max(np.abs(np.array(got["delta1"]) - d1)) <= 1e-12 * field.sup_u()
         assert np.max(np.abs(np.array(got["delta2"]) - d2)) <= 1e-12 * field.sup_u()
+
+
+def two_transform_deltas(field, scales):
+    """Reference: the probe's differences as sup |Re ifftn(co m)| with one
+    inverse transform of all components per multiplier m, exp(i theta) - 1
+    and 2 cos(theta) - 2 (the formula before the paired transform)."""
+    n, size = field.dim, field.resolution
+    co = field.fourier
+    freqs = np.fft.fftfreq(size, d=1.0 / size)
+    out = []
+    for d, _, _ in _eigen_directions(field.base, field.generator):
+        d1, d2 = [], []
+        for t in scales:
+            theta = 2.0 * np.pi * sum(
+                freqs.reshape((size,) + (1,) * (n - 1 - a)) * (t * d[a])
+                for a in range(n))
+            half = -2.0 * np.sin(0.5 * theta) ** 2
+            for mult, sups in ((half + 1j * np.sin(theta), d1), (2.0 * half, d2)):
+                v = np.fft.ifftn(co * mult[..., None], axes=tuple(range(n)),
+                                 norm="forward")
+                sups.append(np.max(np.abs(v.real)))
+        out.append((d1, d2))
+    return out
+
+
+def test_probe_matches_two_transform_reference():
+    # a rough field with Nyquist content: the paired transform needs the
+    # Hermitian symmetrization of its multipliers to match
+    pert, _ = cli._build_preset("t3-gen1-only", 0.005)
+    field = solve_conjugacy(pert, resolution=32, tol=1e-10)
+    rep = regularity_probe(field)
+    want = two_transform_deltas(field, rep["scales"])
+    assert len(rep["directions"]) == len(want) > 0
+    for got, (d1, d2) in zip(rep["directions"], want):
+        np.testing.assert_allclose(got["delta1"], d1, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got["delta2"], d2, rtol=1e-12, atol=0)
 
 
 def test_probe_run_transforms_the_field_once(monkeypatch, tmp_path):
