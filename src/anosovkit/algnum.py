@@ -447,12 +447,6 @@ class LogValue:
                 raise EnclosureTooWide("no enclosure fixed the nearest double")
         return self._mid
 
-    def mpf(self, dps: int):
-        """High-precision value for relation-candidate searches (not a proof)."""
-        box = self._modsq_box(Fraction(1, 10 ** (dps + 10)))
-        with mpmath.workdps(dps + 10):
-            return mpmath.log(mpmath.mpf(box.lo.numerator) / box.lo.denominator) / 2
-
     def cmp(self, other: "LogValue") -> int:
         if self.equals(other):
             return 0

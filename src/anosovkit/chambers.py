@@ -311,11 +311,12 @@ def weyl_chambers(grouping: FunctionalArrangement, kernels=None) -> ChamberArran
     sign, the proxies' (the chirotope fixes the chambers: Bjorner et al.,
     *Oriented Matroids*, 1993); fewer walls than r leave it uncertified.
     The proxies' chambers come by deletion-restriction (``_enumerate_exact``);
-    each witness is lifted by B, certified exactly, and replaced by the
-    first primitive round(D a / |a|_inf), D = 1, 2, 4, ..., 2^20, with the
-    chamber's signs.  Failures refine the rounding, and UndecidedSign
-    follows the finest.  A missed kernel relation only makes L smaller,
-    which can cause that, never a wrong chamber.
+    each witness a is lifted by B and replaced by the first small rounding
+    of a whose exact signs are the chamber's, or by a itself when only its
+    signs are (``_small_witness``).  A chamber with neither refines the
+    rounding, and UndecidedSign follows the finest.  A missed kernel
+    relation only makes L smaller, which can cause that, never a wrong
+    chamber.
     """
     if not grouping.walls:
         raise ValueError("no nonzero functionals")
@@ -349,9 +350,10 @@ def weyl_chambers(grouping: FunctionalArrangement, kernels=None) -> ChamberArran
             found = []
             for ch in _enumerate_exact(proxies, r):
                 a = tuple(sum(c * b[g] for c, b in zip(ch.witness, basis)) for g in range(k))
-                if tuple(_wall_sign(w, a) for w in walls) != ch.signs:
+                witness = _small_witness(walls, ch.signs, a)
+                if witness is None:
                     break
-                found.append(Chamber(signs=ch.signs, witness=_small_witness(walls, ch.signs, a)))
+                found.append(Chamber(signs=ch.signs, witness=witness))
             else:
                 return ChamberArrangement(grouping=grouping, chambers=tuple(found),
                                           kernels=tuple(lattices))
@@ -389,14 +391,16 @@ def _wall_sign(wall, point) -> int:
 
 
 def _small_witness(walls, signs, a):
-    """The first primitive round(D a / |a|_inf), D = 1, 2, 4, ..., 2^20, with
-    exactly the signs ``signs``; ``a`` itself when none has them."""
+    """The first primitive round(D a / |a|_inf), D = 1, 2, 4, ..., 2^20,
+    whose exact wall signs are ``signs``; else ``a`` if its exact signs are,
+    else None.  Each point is checked once, and the one returned certifies
+    that the chamber ``signs`` exists."""
     top = max(abs(x) for x in a)
     for e in range(21):
         p = primitive_vector([round((1 << e) * x / top) for x in a])
         if any(p) and all(_wall_sign(w, p) == s for w, s in zip(walls, signs)):
             return tuple(Fraction(x) for x in p)
-    return a
+    return a if tuple(_wall_sign(w, a) for w in walls) == signs else None
 
 
 def _enumerate_exact(reps, r):
@@ -466,15 +470,16 @@ def check_maximal_intersections(arrangement: ChamberArrangement) -> dict:
     """Certify the maximal-intersection hypothesis for each coarse space.
 
     For each coarse space E_H: exhibit a nonzero wall element
-    (``_wall_element``), and integer elements b_1..b_r whose negative-sign
-    functional sets intersect exactly in the members of H (verified sign by
-    sign).  The ergodicity clause is explicitly NOT verified here; reports
-    say so.
+    (``_wall_element``), and integer elements b_1..b_r, chamber witnesses,
+    whose negative-sign functional sets intersect exactly in the members of
+    H.  Signs are read from the certified arrangement, not decided again:
+    at chamber ch's witness, the functional i = c_i * normal of wall w_i has
+    the sign of c_i times ch.signs[w_i].  The ergodicity clause is
+    explicitly NOT verified here; reports say so.
     """
     grouping = arrangement.grouping
     if grouping.k < 2:
         raise RankTooLow("k = 1: Lyapunov walls contain no nonzero elements")
-    coeffs = grouping.coeffs
     wall_of = {i: (w_idx, 1 if c > 0 else -1)
                for w_idx, wall in enumerate(grouping.walls) for i, c in wall.members}
     nonzero_idx = sorted(wall_of)
@@ -485,31 +490,25 @@ def check_maximal_intersections(arrangement: ChamberArrangement) -> dict:
     for space in grouping.coarse_spaces:
         members = set(space.halfspace.member_functionals)
         w_bot, o_bot = wall_of[space.bottom]
-        wall_elt, wall_exact = _wall_element(coeffs[space.bottom],
+        wall_elt, wall_exact = _wall_element(grouping.coeffs[space.bottom],
                                              arrangement.kernels[w_bot])
         b_set = []
-        covered = set(members)
+        covered, inter = set(members), set(nonzero_idx)
         for phi in nonzero_idx:
             if phi in covered:
                 continue
             w_phi, o_phi = wall_of[phi]
-            cand = None
-            for ch in arrangement.chambers:
-                if o_bot * ch.signs[w_bot] == -1 and o_phi * ch.signs[w_phi] == 1:
-                    cand = find_regular_element(arrangement, ch)
-                    break
-            if cand is None:
+            ch = next((ch for ch in arrangement.chambers
+                       if o_bot * ch.signs[w_bot] == -1 and o_phi * ch.signs[w_phi] == 1),
+                      None)
+            if ch is None:
                 report["pass"] = False
                 continue
-            b_set.append(cand)
-            for other in nonzero_idx:
-                if other not in members and exact_sign_at(coeffs[other], cand) > 0:
-                    covered.add(other)
-        # verify: intersection of negative sets over b_set equals members
-        inter = set(nonzero_idx)
-        for b in b_set:
-            inter &= {i for i in nonzero_idx if exact_sign_at(coeffs[i], b) < 0}
-        ok = (inter == members) if b_set else (set(nonzero_idx) == members)
+            b_set.append(find_regular_element(arrangement, ch))
+            signs = {i: o * ch.signs[w] for i, (w, o) in wall_of.items()}
+            covered |= {i for i, s in signs.items() if s > 0}
+            inter &= {i for i, s in signs.items() if s < 0}
+        ok = inter == members
         entry = {
             "bottom": space.bottom,
             "members": sorted(members),

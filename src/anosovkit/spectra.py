@@ -66,6 +66,8 @@ from .exact import (  # noqa: F401  (the action types are re-exported)
 )
 from .intpoly import is_semisimple_matrix, poly_of_matrix, values_poly
 
+_PSLQ_MAXCOEFF = 10**8   # bound on the coefficients of a PSLQ relation
+
 
 class JointSpectrumUnsupported(Exception):
     """No candidate combination separates the joint eigenvalues: the action
@@ -200,12 +202,6 @@ class _Analysis:
 
     # -- classes and action elements ----------------------------------------
 
-    def class_entries(self):
-        """Yield (block_idx, root_idx) in deterministic order."""
-        for b, block in enumerate(self.blocks):
-            for j in range(len(block.croots)):
-                yield (b, j)
-
     def element_values(self, a):
         """Per block, the polynomial of sigma(a)'s eigenvalues q_a(tau_j) on it;
         charpoly(sigma(a)) is their product to the class dimensions."""
@@ -220,7 +216,8 @@ class _Analysis:
 
     def classes(self):
         """Simultaneous eigenvalue classes with rigorous log-modulus
-        enclosures: the joint spectrum."""
+        enclosures: the joint spectrum.  Also sets ``block_classes``, the
+        ascending class indices of each block."""
         if self._classes is not None:
             return self._classes
         # the values q_1(tau_j) over the roots of the irreducible f_b are
@@ -228,26 +225,23 @@ class _Analysis:
         minpolys = [intpoly.factor(values_poly(block.fT_key, block.qs[0]))[0][0]
                     for block in self.blocks]
         entries = []
-        for b, j in self.class_entries():
-            block = self.blocks[b]
-            lvs = tuple(LogValue(block.fT_key, block.croots[j], q) for q in block.qs)
-            sort_key = (tuple(lv.interval(_EPS_SCHEDULE[0]).lo for lv in lvs), minpolys[b], j, b)
-            entries.append((sort_key, b, j, lvs, block.class_dim, minpolys[b]))
+        for b, block in enumerate(self.blocks):
+            for j, root in enumerate(block.croots):
+                lvs = tuple(LogValue(block.fT_key, root, q) for q in block.qs)
+                sort_key = (tuple(lv.interval(_EPS_SCHEDULE[0]).lo for lv in lvs),
+                            minpolys[b], j, b)
+                entries.append((sort_key, b, lvs, block.class_dim, minpolys[b]))
         entries.sort(key=lambda e: e[0])
         classes = []
-        self._class_locator = []
-        for idx, (_, b, j, lvs, dim, minpoly) in enumerate(entries):
+        self.block_classes = [[] for _ in self.blocks]
+        for idx, (_, b, lvs, dim, minpoly) in enumerate(entries):
             classes.append(JointEigenvalueClass(index=idx, moduli_log=lvs,
                                                 dimension=dim,
                                                 minimal_polynomial=minpoly))
-            self._class_locator.append((b, j))
+            self.block_classes[b].append(idx)
         self._classes = classes
         assert sum(c.dimension for c in classes) == self.action.dim
         return classes
-
-    def locator(self, class_index: int):
-        self.classes()
-        return self._class_locator[class_index]
 
     def functionals(self):
         """Classes merged by proven-equal log-modulus vectors, sorted lex."""
@@ -344,14 +338,26 @@ def is_weak_mixing(matrix) -> bool:
     return not intpoly.has_root_of_unity(p)
 
 
-def functional_kernel_lattice(an: _Analysis, functional: LyapunovFunctional,
-                              dps_schedule=(50, 120, 250), maxcoeff=10**8):
+def _pslq_dps(m: int) -> int:
+    """Digits for one PSLQ search among m numbers: finding or ruling out a
+    relation with coefficients up to _PSLQ_MAXCOEFF takes about
+    m * log10(_PSLQ_MAXCOEFF) of them (Ferguson, Bailey and Arno, Math. Comp.
+    68, 1999); 26 more are margin, and 50 is the floor."""
+    return max(50, m * (len(str(_PSLQ_MAXCOEFF)) - 1) + 26)
+
+
+def functional_kernel_lattice(an: _Analysis, functional: LyapunovFunctional):
     """Saturated basis of {n in Z^k : chi(n) = 0}, with search metadata.
 
-    Candidate relations come from PSLQ at escalating precision; every
-    candidate is verified exactly (the eigenvalue of sigma(n) on the class
-    has squared modulus exactly 1) before being admitted, and the verified
-    set is saturated.  An unverifiable candidate is reported, not used.
+    Candidate relations come from one PSLQ call per deflation step, at the
+    precision ``_pslq_dps`` of the live coordinates, on the ends of
+    ``LogValue.interval`` enclosures.  Every candidate is verified exactly (the
+    eigenvalue of sigma(n) on the class has squared modulus exactly 1)
+    before being admitted, and the verified set is saturated; the search
+    ends at the first step that finds no relation or an unverifiable one,
+    which is reported, not used.  PSLQ does not prove the kernel complete:
+    a missed relation leaves the block's rank certificate, or the chamber
+    chirotope, undecided, never a wrong verdict.
     """
     k = an.action.k
     coeffs = functional.coeffs
@@ -359,51 +365,43 @@ def functional_kernel_lattice(an: _Analysis, functional: LyapunovFunctional,
     def chi_is_zero(n):
         return LogValue.combine(coeffs, n).sign() == 0
 
-    zero_rels = [[int(g == h) for h in range(k)] for g in range(k)
-                 if coeffs[g].is_zero()]
+    rels = [[int(g == h) for h in range(k)] for g in range(k) if coeffs[g].is_zero()]
     live = [g for g in range(k) if not coeffs[g].is_zero()]
-    meta = {"method": "pslq", "dps": 0, "maxcoeff": maxcoeff, "unverified": []}
-    rels = list(zero_rels)
-    if len(live) == 1:
-        pass  # a single nonzero log admits no relation
-    elif live:
-        # rows of C express current coordinates as rational combos of originals
-        c_rows = [[Fraction(int(g == h)) for h in range(k)] for g in live]
-        while len(c_rows) >= 2:
-            found = None
-            for dps in dps_schedule:
-                meta["dps"] = max(meta["dps"], dps)
-                with mpmath.workdps(dps):
-                    vals = [sum(mpmath.mpf(r.numerator) / r.denominator
-                                * coeffs[g].mpf(dps) for g, r in enumerate(row) if r)
-                            for row in c_rows]
-                    # a row that vanishes to PSLQ's own tolerance is itself
-                    # the candidate relation (PSLQ refuses such input)
-                    tiny = mpmath.mpf(2) ** -(mpmath.mp.prec * 3 // 4)
-                    zero = next((i for i, v in enumerate(vals) if abs(v) < tiny), None)
-                    rel = ([int(i == zero) for i in range(len(vals))] if zero is not None
-                           else mpmath.pslq(vals, maxcoeff=maxcoeff, maxsteps=int(1e4)))
-                if rel is None:
-                    continue
-                cand = [sum(Fraction(m) * row[g] for m, row in zip(rel, c_rows))
-                        for g in range(k)]
-                cand = primitive_vector(cand)
-                if chi_is_zero(cand):
-                    found = (rel, cand)
-                    break
-                meta["unverified"].append(list(cand))
-            if found is None:
-                break
-            rel, cand = found
-            rels.append(cand)
-            pivot = max(range(len(rel)), key=lambda i: abs(rel[i]))
-            piv_row = c_rows[pivot]
-            pv = Fraction(rel[pivot])
-            c_rows = [[row[g] - Fraction(rel[i]) / pv * piv_row[g] for g in range(k)]
-                      for i, row in enumerate(c_rows) if i != pivot]
+    meta = {"method": "pslq", "dps": 0, "maxcoeff": _PSLQ_MAXCOEFF, "unverified": []}
+    # rows of C express current coordinates as rational combos of originals;
+    # a single nonzero log admits no relation
+    c_rows = [[Fraction(int(g == h)) for h in range(k)] for g in live]
+    while len(c_rows) >= 2:
+        dps = _pslq_dps(len(c_rows))
+        meta["dps"] = max(meta["dps"], dps)
+        logs = {g: coeffs[g].interval(Fraction(1, 10 ** (dps + 10))).lo for g in live}
+        with mpmath.workdps(dps):
+            vals = [mpmath.mpf(x.numerator) / x.denominator
+                    for x in (sum(r * logs[g] for g, r in enumerate(row) if r)
+                              for row in c_rows)]
+            # a row that vanishes to PSLQ's own tolerance is itself the
+            # candidate relation (PSLQ refuses such input)
+            tiny = mpmath.mpf(2) ** -(mpmath.mp.prec * 3 // 4)
+            zero = next((i for i, v in enumerate(vals) if abs(v) < tiny), None)
+            rel = ([int(i == zero) for i in range(len(vals))] if zero is not None
+                   else mpmath.pslq(vals, maxcoeff=_PSLQ_MAXCOEFF, maxsteps=int(1e4)))
+        if rel is None:
+            break
+        cand = primitive_vector([sum(Fraction(m) * row[g] for m, row in zip(rel, c_rows))
+                                 for g in range(k)])
+        if not chi_is_zero(cand):
+            meta["unverified"].append(list(cand))
+            break
+        rels.append(cand)
+        pivot = max(range(len(rel)), key=lambda i: abs(rel[i]))
+        piv_row = c_rows[pivot]
+        pv = Fraction(rel[pivot])
+        c_rows = [[row[g] - Fraction(rel[i]) / pv * piv_row[g] for g in range(k)]
+                  for i, row in enumerate(c_rows) if i != pivot]
     basis = lattice_intersection([rels], k)
+    verified = {tuple(v) for v in rels} | {tuple(-x for x in v) for v in rels}
     for vec in basis:
-        if not chi_is_zero(vec):
+        if tuple(vec) not in verified and not chi_is_zero(vec):
             raise UndecidedSign(f"saturated kernel vector {vec} failed verification")
     return basis, meta
 
@@ -468,8 +466,7 @@ def check_rigidity_hypotheses(an: _Analysis) -> dict:
                                "relation_search": meta})
     per_block = []
     violations = {}
-    for b in range(len(an.blocks)):
-        classes = [c for c in range(len(an.classes())) if an.locator(c)[0] == b]
+    for b, classes in enumerate(an.block_classes):
         torsion = lattice_intersection([owner[c] for c in classes], k)
         per_block.append({"classes": classes, "torsion_rank": len(torsion),
                           "torsion_basis": torsion,

@@ -1,7 +1,7 @@
 """Independent oracles that the tests compare the package against.
 
 Each one recomputes a result by brute force and shares no helper with the
-code under test.
+code under test, except where its docstring names one.
 """
 
 from __future__ import annotations
@@ -237,3 +237,59 @@ def reference_cycle_conjugacy(pert, generator: int, resolution: int, tol: float,
             w_new[:, e] = cycle_solve(complex(lam[e]), q_all[:, e])
         u = np.ascontiguousarray((w_new @ v_mat.T).real)
     raise RuntimeError(f"reference solve did not reach {tol} in {max_iter} steps")
+
+
+def maximal_intersections_by_exact_signs(arrangement):
+    """The maximal-intersection report with every functional's sign at every
+    stable-intersection element decided afresh by ``exact_sign_at``, the
+    reference for ``check_maximal_intersections``, which reads those signs
+    from the chambers' sign vectors.  The wall element and the choice of
+    chamber are the code's own; only the sign decisions are independent."""
+    from anosovkit.chambers import _wall_element, exact_sign_at, find_regular_element
+
+    grouping = arrangement.grouping
+    coeffs = grouping.coeffs
+    wall_of = {i: (w_idx, 1 if c > 0 else -1)
+               for w_idx, wall in enumerate(grouping.walls) for i, c in wall.members}
+    nonzero_idx = sorted(wall_of)
+    report = {"k": grouping.k, "spaces": [], "pass": True,
+              "ergodicity_clause": "NOT verified combinatorially; supply the "
+                                   "weak-mixing certificate or assert it"}
+    for space in grouping.coarse_spaces:
+        members = set(space.halfspace.member_functionals)
+        w_bot, o_bot = wall_of[space.bottom]
+        wall_elt, wall_exact = _wall_element(coeffs[space.bottom],
+                                             arrangement.kernels[w_bot])
+        b_set = []
+        covered = set(members)
+        for phi in nonzero_idx:
+            if phi in covered:
+                continue
+            w_phi, o_phi = wall_of[phi]
+            cand = None
+            for ch in arrangement.chambers:
+                if o_bot * ch.signs[w_bot] == -1 and o_phi * ch.signs[w_phi] == 1:
+                    cand = find_regular_element(arrangement, ch)
+                    break
+            if cand is None:
+                report["pass"] = False
+                continue
+            b_set.append(cand)
+            for other in nonzero_idx:
+                if other not in members and exact_sign_at(coeffs[other], cand) > 0:
+                    covered.add(other)
+        inter = set(nonzero_idx)
+        for b in b_set:
+            inter &= {i for i in nonzero_idx if exact_sign_at(coeffs[i], b) < 0}
+        ok = (inter == members) if b_set else (set(nonzero_idx) == members)
+        report["spaces"].append({
+            "bottom": space.bottom,
+            "members": sorted(members),
+            "wall_element": [float(x) for x in wall_elt],
+            "wall_element_exact": wall_exact,
+            "stable_intersection_elements": [list(b) for b in b_set],
+            "intersection_equals_members": bool(ok),
+        })
+        if not ok:
+            report["pass"] = False
+    return report

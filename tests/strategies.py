@@ -64,3 +64,33 @@ def unit_sums(draw, pass_biased=False):
         i, j = draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True))
         p[i, :] += draw(st.sampled_from([1, -1])) * p[j, :]
     return [[[int(x) for x in (p * g * p.inv()).row(r)] for r in range(dim)] for g in gens]
+
+
+def cat_power_blocks(exponents):
+    """Generator g acts on 2 x 2 block i as C^(exponents[i][g]), C the cat map."""
+    cat, inv = [[2, 1], [1, 1]], [[1, -1], [-1, 2]]
+
+    def power(e):
+        m = [[1, 0], [0, 1]]
+        for _ in range(abs(e)):
+            m = [[sum(a * b for a, b in zip(row, col)) for col in zip(*(cat if e > 0 else inv))]
+                 for row in m]
+        return m
+
+    n = 2 * len(exponents)
+    gens = []
+    for g in range(len(exponents[0])):
+        m = [[0] * n for _ in range(n)]
+        for i, e in enumerate(exponents):
+            for r, row in enumerate(power(e[g])):
+                m[2 * i + r][2 * i:2 * i + 2] = row
+        gens.append(m)
+    return gens
+
+
+@st.composite
+def cat_power_sums(draw):
+    """Exponents for ``cat_power_blocks``: 2-3 blocks, k = 2 or 3, each in [-3, 3]."""
+    k = draw(st.sampled_from([2, 3]))
+    blocks = draw(st.integers(2, 3))
+    return [tuple(draw(st.integers(-3, 3)) for _ in range(k)) for _ in range(blocks)]

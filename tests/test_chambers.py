@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
 from anosovkit import chambers, spectra
 from anosovkit.algnum import LogValue
 from conftest import Func
-from oracles import zaslavsky_region_count
+from oracles import maximal_intersections_by_exact_signs, zaslavsky_region_count
+from strategies import cat_power_blocks, cat_power_sums, unit_sums
 
 
 def a2_functionals():
@@ -185,6 +187,32 @@ def test_maximal_intersections_t3(t3_action):
     assert rep["pass"]
     for entry in rep["spaces"]:
         assert entry["stable_intersection_elements"]
+
+
+def assert_maximal_intersections_match_exact_signs(gens):
+    an = spectra.analyze(spectra.validate_action(gens))
+    try:
+        arr = an.chamber_arrangement
+    except (chambers.UndecidedSign, chambers.UndecidedProportionality):
+        return
+    if arr is not None:
+        assert (chambers.check_maximal_intersections(arr)
+                == maximal_intersections_by_exact_signs(arr))
+
+
+def test_maximal_intersections_match_exact_signs_t3(t3_action):
+    gens = [t3_action.generator(i) for i in range(t3_action.k)]
+    assert_maximal_intersections_match_exact_signs(gens)
+
+
+@given(cat_power_sums())
+def test_maximal_intersections_match_exact_signs_cat_power_sums(exponents):
+    assert_maximal_intersections_match_exact_signs(cat_power_blocks(exponents))
+
+
+@given(unit_sums())
+def test_maximal_intersections_match_exact_signs_unit_sums(gens):
+    assert_maximal_intersections_match_exact_signs(gens)
 
 
 def test_proportionality_certified_negative():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from anosovkit import spectra
 from anosovkit.cli import main
@@ -18,7 +18,7 @@ from anosovkit.exact import mat_inv, mat_mul
 from anosovkit.jsonio import stable_dumps
 from oracles import (mp_eigenvalues, near_root_of_unity, report_region_count,
                      root_of_unity_elements, sigma_matrix)
-from strategies import unit_sums
+from strategies import cat_power_blocks, cat_power_sums, unit_sums
 
 
 def run_cli(args, **kw):
@@ -519,28 +519,6 @@ def test_unclaimed_error_is_structured(contract_inputs, tmp_path, monkeypatch,
     assert "Traceback" not in err and f"error in stage {stage}" in err
 
 
-def cat_power_blocks(exponents):
-    """Generator g acts on 2 x 2 block i as C^(exponents[i][g]), C the cat map."""
-    cat, inv = [[2, 1], [1, 1]], [[1, -1], [-1, 2]]
-
-    def power(e):
-        m = [[1, 0], [0, 1]]
-        for _ in range(abs(e)):
-            m = [[sum(a * b for a, b in zip(row, col)) for col in zip(*(cat if e > 0 else inv))]
-                 for row in m]
-        return m
-
-    n = 2 * len(exponents)
-    gens = []
-    for g in range(len(exponents[0])):
-        m = [[0] * n for _ in range(n)]
-        for i, e in enumerate(exponents):
-            for r, row in enumerate(power(e[g])):
-                m[2 * i + r][2 * i:2 * i + 2] = row
-        gens.append(m)
-    return gens
-
-
 def test_three_block_action_fails_fast(tmp_path):
     # after the relation (-2, 1, -1) the PSLQ row reduction leaves a row
     # whose value vanishes: it is itself the next relation.  Each block's
@@ -693,13 +671,6 @@ def test_rational_walls_give_small_witnesses(tmp_path, exponents, count):
         b for s in res["maximal_intersections"]["spaces"]
         for b in s["stable_intersection_elements"]]
     assert max(abs(x) for b in elements for x in b) <= 10
-
-
-@st.composite
-def cat_power_sums(draw):
-    k = draw(st.sampled_from([2, 3]))
-    blocks = draw(st.integers(2, 3))
-    return [tuple(draw(st.integers(-3, 3)) for _ in range(k)) for _ in range(blocks)]
 
 
 @given(cat_power_sums())

@@ -383,3 +383,27 @@ def test_kernel_lattice_of_inverse_pair():
     assert len(basis) == 1
     assert [abs(x) for x in basis[0]] == [1, 1]
     assert not meta["unverified"]
+
+
+@pytest.mark.parametrize("gens, rank", [
+    ([[[0, 0, -1], [1, 0, 2], [0, 1, 1]], [[-2, -1, -1], [0, 0, 1], [1, 1, 1]]], 0),
+    ([[[2, 1], [1, 1]], [[1, -1], [-1, 2]]], 1),
+], ids=["t3-pair", "inverse-pair"])
+def test_kernel_lattice_makes_one_pslq_call_per_step(gens, rank, monkeypatch):
+    # two live logs make one deflation step: PSLQ either finds no relation
+    # (the T^3 pair), which ends the search with no retry at a higher
+    # precision, or finds (1, 1), which leaves one coordinate and no step
+    calls = []
+    pslq = mpmath.pslq
+
+    def counted(vals, **kwargs):
+        calls.append(mpmath.mp.dps)
+        return pslq(vals, **kwargs)
+
+    monkeypatch.setattr(mpmath, "pslq", counted)
+    an = spectra.analyze(spectra.validate_action(gens))
+    basis, meta = spectra.functional_kernel_lattice(an, an.functionals()[0])
+    assert len(basis) == rank
+    assert calls == [spectra._pslq_dps(2)]
+    assert meta["dps"] == spectra._pslq_dps(2) == 50
+    assert [spectra._pslq_dps(m) for m in (3, 4, 5)] == [50, 58, 66]
