@@ -69,10 +69,10 @@ _EXIT = {"pass": 0, "fail": 2, "inconclusive": 3, "info": 0}
 
 # Peak RSS of a `conjugate` run, less that of a process that only imports
 # the CLI, the conjugacy package and numpy (34 MiB), over the bytes of its
-# N^dim x dim float64 displacement field: 7.1 for psi-t3 and 7.1 for
-# t3-gen1-only --probe at 128^3, 7.7 for cat-sin --probe at 1024^2 (2-vCPU
-# Xeon, Python 3.11, numpy 2.4); rounded up to 10, leaving headroom.
-_GRID_WORKING_SET = 10
+# N^dim x dim float64 displacement field: 3.8 for psi-t3 and 3.8 for
+# t3-gen1-only --probe at 128^3, 4.3 for cat-sin --probe at 1024^2 (os.wait4,
+# 2-vCPU Xeon, Python 3.11, numpy 2.4); with about 30 % headroom, 6.
+_GRID_WORKING_SET = 6
 
 
 def cmd_analyze(args) -> int:
@@ -316,10 +316,7 @@ def cmd_conjugate(args) -> int:
         result["regularity"] = conjugacy.regularity_probe(field)
     args.stage = "report"
     if ground_truth is not None:
-        import numpy as np
-
-        err = float(np.max(np.abs(field.u - ground_truth(field.grid_points()))))
-        result["ground_truth_recovery_error"] = err
+        result["ground_truth_recovery_error"] = field.sup_error(ground_truth)
     if args.dump_grid:
         field.export_binary(args.dump_grid)
         result["grid_dump"] = args.dump_grid

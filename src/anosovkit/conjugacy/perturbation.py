@@ -33,10 +33,25 @@ _BLOCK = 1 << 12
 _DEFECT_GRID = 32
 
 
-def _grid_points(n: int, size: int) -> np.ndarray:
-    """The size^n points j/size of the torus grid, as rows in C order."""
-    axes = np.indices((size,) * n).reshape(n, -1)
-    return axes.T / size
+def _grid_index(n: int, size: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Integer coordinates j of the rows lo .. hi (default: all size^n) of
+    the size^n torus grid, as rows in C order.  lo and hi are multiples of
+    size^(n-1), so the rows are whole slabs of the leading axis: its
+    coordinate is constant along a slab, and the others repeat one slab's
+    pattern."""
+    per = size ** (n - 1)
+    hi = size * per if hi is None else hi
+    idx = np.empty((hi - lo, n), dtype=np.int64)
+    slabs = idx.reshape(-1, per, n)
+    slabs[:, :, 0] = np.arange(lo // per, hi // per)[:, None]
+    if n > 1:
+        slabs[:, :, 1:] = np.indices((size,) * (n - 1)).reshape(n - 1, per).T
+    return idx
+
+
+def _grid_points(n: int, size: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """The points j/size of the grid rows of ``_grid_index``."""
+    return _grid_index(n, size, lo, hi) / size
 
 
 class TrigPolynomial:
@@ -69,6 +84,20 @@ class TrigPolynomial:
         self._coeffs = np.array([c for _, c, _ in norm] + [s for _, _, s in norm],
                                 dtype=float).reshape(2 * len(norm), dim)
         self._axes = np.flatnonzero(self._freqs.any(axis=0))
+        t = len(norm)
+        self._kmax = np.abs(self._freqs).max(axis=0) if t else np.zeros(dim, dtype=np.int64)
+        # the phase matrix path: no more terms than axes in use, or power
+        # tables with more rows than the T phasors (large frequencies)
+        self._direct = (t <= len(self._axes)
+                        or int((2 * self._kmax[self._axes] + 1).sum()) > 2 * t)
+        self._phase_freqs = self._freqs.astype(np.float64)
+        # that path's cos and sin halves, each kept only when one of its
+        # coefficients is nonzero
+        halves = [(fn, c) for fn, c in ((np.cos, self._coeffs[:t]), (np.sin, self._coeffs[t:]))
+                  if c.any()]
+        self._halves = [fn for fn, _ in halves]
+        self._half_coeffs = np.concatenate([c for _, c in halves]) if halves else self._coeffs
+        self._phasor_coeffs = self._coeffs[:t] - 1j * self._coeffs[t:]     # (T, dim)
 
     @staticmethod
     def from_json(obj: dict, dim: int) -> "TrigPolynomial":
@@ -94,7 +123,7 @@ class TrigPolynomial:
                           for f, c, s in self.terms]}
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """p at each row of ``points``, in blocks of ``_BLOCK`` points.
+        """p at each row of ``points``, in blocks of at most ``_BLOCK`` points.
 
         With more terms than axes in use, each term's phasor exp(2 pi i f.x)
         is a product of per-axis power tables z_d^k, k = -K_d..K_d, built
@@ -102,8 +131,10 @@ class TrigPolynomial:
         complex product with the coefficients cos_t - i sin_t.  Otherwise,
         or when the tables would have more rows than the T phasors (large
         frequencies), the phases of a block are 2 pi F X^T, one cos and one
-        sin per term, stacked into a (2T, block) matrix and multiplied once
-        by the stacked cos and sin coefficients.  Block buffers are
+        sin per term (only the half with a nonzero coefficient when the
+        other half's are all zero), stacked into a (2T, block) matrix and
+        multiplied once by the stacked cos and sin coefficients.  The path
+        and its coefficients are fixed at construction, block buffers are
         allocated once per call, and each block's values are written
         straight into the (m, dim) result.
         """
@@ -112,29 +143,29 @@ class TrigPolynomial:
         if not (t and m):
             return np.zeros((m, self.dim))
         out = np.empty((m, self.dim))
-        block = min(_BLOCK, m)
-        kmax = np.abs(self._freqs).max(axis=0)
-        direct = t <= len(self._axes) or int((2 * kmax[self._axes] + 1).sum()) > 2 * t
-        if direct:
-            freqs = self._freqs.astype(np.float64)
-            phase, trig = np.empty((t, block)), np.empty((2 * t, block))
+        if self._direct:
+            block = min(_BLOCK, m)
+            phase = np.empty((t, block))
+            trig = np.empty((len(self._halves) * t, block))
         else:
-            coeffs = self._coeffs[:t] - 1j * self._coeffs[t:]      # (T, dim)
+            # T phasors per point: a block of _BLOCK * dim / T points keeps
+            # the (2, T, block) buffers at the size of dim * _BLOCK phasors
+            block = min(max(1, _BLOCK * self.dim // t), _BLOCK, m)
             prod, rows = np.empty((2, t, block), dtype=np.complex128)
-            table = np.empty((2 * int(kmax.max()) + 1, block), dtype=np.complex128)
+            table = np.empty((2 * int(self._kmax.max()) + 1, block), dtype=np.complex128)
             acc = np.empty((block, self.dim), dtype=np.complex128)
         for lo in range(0, m, block):
             x = points[lo:lo + block].T                   # (dim, b)
             b = x.shape[1]
-            if direct:
-                ph = np.matmul(freqs, x, out=phase[:, :b])
+            if self._direct:
+                ph = np.matmul(self._phase_freqs, x, out=phase[:, :b])
                 ph *= 2.0 * np.pi
-                np.cos(ph, out=trig[:t, :b])
-                np.sin(ph, out=trig[t:, :b])
-                np.matmul(trig[:, :b].T, self._coeffs, out=out[lo:lo + b])
+                for i, fn in enumerate(self._halves):
+                    fn(ph, out=trig[i * t:(i + 1) * t, :b])
+                np.matmul(trig[:, :b].T, self._half_coeffs, out=out[lo:lo + b])
             else:
                 z = self._phasors(x, prod[:, :b], rows[:, :b], table[:, :b])
-                np.matmul(z.T, coeffs, out=acc[:b])
+                np.matmul(z.T, self._phasor_coeffs, out=acc[:b])
                 out[lo:lo + b] = acc[:b].real
         return out
 
@@ -146,7 +177,7 @@ class TrigPolynomial:
         if not len(self._axes):
             prod.fill(1.0)
         for i, d in enumerate(self._axes):
-            kmax = int(np.abs(self._freqs[:, d]).max())
+            kmax = int(self._kmax[d])
             tab = table[:2 * kmax + 1]
             angle = (2.0 * np.pi) * x[d]
             tab[kmax] = 1.0

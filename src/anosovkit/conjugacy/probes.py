@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .perturbation import ToralPerturbation
-from .solver import ConjugacyField, _defect_sup, _eigendata, _permutation
+from .solver import (ConjugacyField, _blocks, _defect_pass, _eigendata, _permutation,
+                     _sup_abs)
 
 # A first-difference slope below this classifies a direction as Hölder, not C1.
 _C1_THRESHOLD = 0.95
@@ -20,17 +21,16 @@ def verify_intertwining(field: ConjugacyField, pert: ToralPerturbation) -> dict:
     interpolation budget (spectral tail of u) bounds the extra sup-norm
     error away from grid points.
     """
-    u = field.u
     residuals = []
     for i in range(pert.k):
         if i == field.generator:
             # the solver's last residual is this sup on the same u and points
             residuals.append(field.residual)
             continue
-        a_int = np.array(pert.base.generator(i), dtype=np.int64)
-        perm = _permutation(a_int, field.resolution)
-        residuals.append(_defect_sup(u, pert.p_eval(i, field.grid_points() + u),
-                                     a_int.astype(np.float64), perm))
+        # the permutation is freed before the spectrum below is made
+        perm = _permutation(pert.matrix(i), field.resolution)
+        residuals.append(_defect_pass(field.u, pert, i, perm, field.resolution))
+        del perm
     tail = field.tail_fraction()
     budget = tail * max(field.sup_u(), 1e-300)
     return {
@@ -82,7 +82,9 @@ def regularity_probe(field: ConjugacyField) -> dict:
     2 cos(theta) - 2 with theta = 2 pi t f.v, written with sin^2(theta/2)
     to avoid cancellation at small theta.  Both differences of the real
     field are real, so one inverse transform per scale and component
-    carries them both (``_paired_multiplier``).
+    carries them both (``_paired_multiplier``).  That transform runs in
+    place in one work array of one component's size, into which the
+    multiplier is written afresh for each component.
     """
     n, size = field.dim, field.resolution
     # start at 1/8: coarser shifts saturate low-frequency differences
@@ -103,11 +105,12 @@ def regularity_probe(field: ConjugacyField) -> dict:
         return report
     co = field.fourier
     freqs = np.fft.fftfreq(size, d=1.0 / size)
+    work = np.empty(co.shape[:-1], dtype=np.complex128)
     min_exp = np.inf
     for d, mod, tag in directions:
         d1_list, d2_list = [], []
         for t in scales:
-            d1, d2 = _paired_sups(co, _paired_multiplier(freqs, t * d))
+            d1, d2 = _paired_sups(co, freqs, t * d, work)
             d1_list.append(d1)
             d2_list.append(d2)
         slope1 = _regression_slope(scales, d1_list)
@@ -134,9 +137,10 @@ def regularity_probe(field: ConjugacyField) -> dict:
     return report
 
 
-def _paired_multiplier(freqs, shift):
-    """H(m1) + i H(m2) on the (N,) * n frequency grid, for the differences
-    m1 = exp(i theta) - 1 and m2 = 2 cos(theta) - 2, theta = 2 pi f.shift.
+def _paired_multiplier(freqs, shift, out):
+    """Write H(m1) + i H(m2) on the (N,) * n frequency grid into ``out``,
+    for the differences m1 = exp(i theta) - 1 and m2 = 2 cos(theta) - 2,
+    theta = 2 pi f.shift.
 
     H(m)(f) = (m(f) + conj m(-f)) / 2, indices mod N, is Hermitian, so the
     inverse transform of co * H(m) is real for the spectrum co of a real
@@ -144,35 +148,64 @@ def _paired_multiplier(freqs, shift):
     coordinate of f is the Nyquist index N/2, which is its own negative:
     there conj m(-f) is m at theta', theta with every Nyquist frequency
     -N/2 taken as +N/2 instead.  Elsewhere theta' = theta, and H(m) = m.
+    The grid is written one block of ``_blocks`` (whole leading-axis
+    slabs) at a time, with theta alone, and then each axis's Nyquist plane
+    again with theta and theta'.
     """
     n, size = len(shift), freqs.shape[0]
+    per = size ** (n - 1)
     alt = freqs.copy()
     alt[size // 2] = -alt[size // 2]
+    phases = [freqs * s for s in shift]
+    alt_phases = [alt * s for s in shift]
+    rest = (slice(None),) * (n - 1)
+    for rows in _blocks(n, size):
+        slabs = slice(rows.start // per, rows.stop // per)
+        _fill_multiplier(out, (slabs,) + rest, phases, None)
+    for a in range(n):
+        plane = rest[:a] + (slice(size // 2, size // 2 + 1),) + rest[a:]
+        _fill_multiplier(out, plane, phases, alt_phases)
 
-    def phase(fr):
-        return 2.0 * np.pi * sum(fr.reshape((size,) + (1,) * (n - 1 - a)) * shift[a]
+
+def _fill_multiplier(out, sel, phases, alt_phases):
+    """``out[sel]`` of ``_paired_multiplier``, with theta the broadcast sum
+    over the axes of the per-axis phases f * shift_a (theta' likewise from
+    ``alt_phases``; None when theta' = theta on ``sel``)."""
+    n = len(sel)
+
+    def theta(ph):
+        return 2.0 * np.pi * sum(ph[a][sel[a]].reshape((-1,) + (1,) * (n - 1 - a))
                                  for a in range(n))
 
-    theta, theta_alt = phase(freqs), phase(alt)
-    half = -(np.sin(0.5 * theta) ** 2 + np.sin(0.5 * theta_alt) ** 2)  # Re H(m1)
-    mult = np.empty(theta.shape, dtype=np.complex128)
-    mult.real = half
-    mult.imag = 0.5 * (np.sin(theta) + np.sin(theta_alt)) + 2.0 * half
-    return mult
+    th = theta(phases)
+    if alt_phases is None:
+        half = np.sin(0.5 * th) ** 2
+        half *= -2.0                                      # Re H(m1)
+        im = np.sin(th)
+    else:
+        th_alt = theta(alt_phases)
+        half = -(np.sin(0.5 * th) ** 2 + np.sin(0.5 * th_alt) ** 2)
+        im = 0.5 * (np.sin(th) + np.sin(th_alt))
+    im += 2.0 * half
+    block = out[sel]
+    block.real = half
+    block.imag = im
 
 
-def _paired_sups(co, mult):
+def _paired_sups(co, freqs, shift, work):
     """(sup |ifftn(co H(m1))|, sup |ifftn(co H(m2))|) over the grid and the
-    field's components, for mult = H(m1) + i H(m2): both transforms are real,
-    so one complex inverse transform per component holds the first in its
-    real part and the second in its imaginary part."""
+    field's components, for the multiplier H(m1) + i H(m2) of ``shift``
+    (``_paired_multiplier``): both transforms are real, so one complex
+    inverse transform per component, in place in ``work``, holds the first
+    in its real part and the second in its imaginary part."""
     axes = tuple(range(co.ndim - 1))
     sup1 = sup2 = 0.0
     for c in range(co.shape[-1]):
-        v = co[..., c] * mult
-        np.fft.ifftn(v, axes=axes, norm="forward", out=v)
-        sup1 = max(sup1, float(np.max(np.abs(v.real))))
-        sup2 = max(sup2, float(np.max(np.abs(v.imag))))
+        _paired_multiplier(freqs, shift, work)
+        np.multiply(co[..., c], work, out=work)
+        np.fft.ifftn(work, axes=axes, norm="forward", out=work)
+        sup1 = max(sup1, _sup_abs(work.real))
+        sup2 = max(sup2, _sup_abs(work.imag))
     return sup1, sup2
 
 

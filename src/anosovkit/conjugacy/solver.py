@@ -20,29 +20,35 @@ The linear step works in the eigen-coordinates w = V^-1 u, where the
 frozen equation reads w_e(Ax) = lam_e w_e(x) + q_e(x) with q = V^-1 P:
 
 - The components are split once into a stable side (|lam| < 1) and an
-  unstable side, which runs backward as w = w(A .)/lam - q/lam.  Each
-  iteration does one matmul P W_side^T per side and sums
-  u = sum w_side V_side^T.
+  unstable side, which runs backward as w = w(A .)/lam - q/lam.  Since the
+  eigenvalues ascend in modulus, the stable components come first.
 - When every eigenvalue of A is real (the cat map, the T^3 pair), lam, V
   and V^-1 are real and the step runs in float64; a complex pair makes the
-  same code run in complex128.  The dtype follows V^-1.  Either way the sum
-  u = Re sum w_side V_side^T is a real matmul written into a float64
-  buffer: a complex w is read as its interleaved real and imaginary parts.
-- The solve keeps a fixed set of whole-grid arrays: the points x, the
-  iterate u, one buffer that holds x + u while p is evaluated and then
-  receives the next iterate, the values of p, and the permutation with its
-  cycle plan.  Nothing else of grid size outlives the step that made it.
-- ``cycle`` builds one plan per solve: the cycles in position-major order
-  for each cycle length, so row t of a length group holds x_t of every
-  orbit and each recursion step reads and writes one contiguous row.  Each
-  side is gathered into that order with one ``np.take`` and back with
-  another; ``np.take`` along axis 0 is several times faster than fancy
-  indexing of (M, n) rows.
+  same code run in complex128.  The dtype follows V^-1.
+- Each iteration is one blocked pass over the grid (``_defect_pass``), then
+  the linear solve, then the write-back.  For each block of about
+  ``_ROWS`` rows the pass makes the grid points from the row indices,
+  evaluates p at x + u, takes the block's sup of the defect
+  |A u(x) + p(x + u) - u(Ax)|, and writes the eigen-coordinate drive
+  d = V^-1 p (-V^-1 p / lam on the unstable side) into one buffer of
+  n N^n numbers, an (N^n, width) block per side, straight to where the
+  linear step reads it.  ``cycle`` writes it in cycle order, through the
+  inverse of the cycle plan; ``transfer`` adds lam w on the stable side and
+  writes it at the image points Ax, and adds w(Ax)/lam on the unstable
+  side in place.  After the pass, ``cycle`` sweeps the drive in place
+  along the cycles, and both modes write u = V w back over u one block at
+  a time.
+- The solve therefore holds u, the drive buffer, the permutation and (in
+  ``cycle`` mode) the inverse cycle plan: about 2.7 fields on T^3.  The
+  grid points, the values of p and every gathered row exist one block at
+  a time.
+- The cycle plan puts the cycles in position-major order for each cycle
+  length, so row t of a length group holds x_t of every orbit and each
+  recursion step reads and writes one contiguous row of the drive.
 - The points x + u at which p is evaluated stay in grid order.  numpy's
   cos and sin take about 16 ns per element on the smooth arguments of the
   grid against about 28 ns in cycle order (64^3 grid, 2-vCPU Xeon), so
-  relabelling the whole grid into cycle order would slow the trig
-  evaluation by more than the gathers it saves.
+  the pass reads the grid in order and scatters the drive instead.
 
 The stable/unstable splitting comes from the eigendata of the base
 matrix, not from the perturbed map; whether the base is hyperbolic and
@@ -58,7 +64,7 @@ import numpy as np
 
 from .. import intpoly
 from ..exact import ActionSpec
-from .perturbation import ToralPerturbation, _grid_points
+from .perturbation import ToralPerturbation, _grid_index, _grid_points
 
 
 class NotAnosov(ValueError):
@@ -77,9 +83,28 @@ class ResolutionInsufficient(RuntimeError):
 # sup|p| / (1 - rate) reaches this size.
 _SMALLNESS = 0.1
 
-# Rows per block of _defect_sup: its defect and gathered rows stay small
-# whatever the grid size.
-_DEFECT_ROWS = 1 << 14
+# Rows per block of every blocked pass over the grid (the solver's pass,
+# the intertwining check, the permutation, the probe's multipliers, the
+# spectrum's magnitudes and the recovery error), rounded to whole slabs
+# of the leading axis (``_blocks``): a block's temporaries stay small
+# whatever the grid size, and the trig kernels are called on enough
+# points to amortise their per-call setup.
+_ROWS = 1 << 14
+
+
+def _blocks(n: int, size: int) -> list:
+    """Row slices that cover the size^n grid in order, each about
+    ``_ROWS`` rows of whole leading-axis slabs (size^(n-1) rows each)."""
+    per = size ** (n - 1)
+    step, m = max(1, _ROWS // per) * per, size * per
+    return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
+
+
+def _as_rows(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous 2-d array as a 1-d array of one opaque item per row,
+    so that ``np.put`` moves whole rows (about 1.5x faster than assigning
+    to fancy-indexed rows for two-column rows at 64^3)."""
+    return a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).reshape(-1)
 
 
 def _round_sig(x, digits: int = 12):
@@ -88,6 +113,11 @@ def _round_sig(x, digits: int = 12):
     x = np.asarray(x, dtype=np.float64)
     scale = 10.0 ** (digits - 1 - np.floor(np.log10(np.where(x > 0, x, 1.0))))
     return np.where(x > 0, np.round(x * scale) / scale, x)
+
+
+def _sup_abs(x: np.ndarray) -> float:
+    """max |x| without a temporary array of |x|."""
+    return max(float(x.max()), -float(x.min()))
 
 
 def _eigendata(matrix):
@@ -119,78 +149,100 @@ def _eigendata(matrix):
 
 
 def _permutation(matrix: np.ndarray, size: int) -> np.ndarray:
+    """Grid index of A j mod size for every grid index j (C order), built
+    one block of ``_blocks`` at a time."""
     n = matrix.shape[0]
-    idx = np.indices((size,) * n).reshape(n, -1).astype(np.int64)
-    img = (matrix @ idx) % size
-    return np.ravel_multi_index(img, (size,) * n)
+    place = size ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    perm = np.empty(size ** n, dtype=np.int64)
+    for rows in _blocks(n, size):
+        img = _grid_index(n, size, rows.start, rows.stop) @ matrix.T
+        img %= size
+        np.matmul(img, place, out=perm[rows])
+    return perm
 
 
-def _defect_sup(u: np.ndarray, p_val: np.ndarray, a_float: np.ndarray,
-                perm: np.ndarray) -> float:
-    """sup over the grid of |A u(x) + p(x + u(x)) - u(Ax)|, with p_val the
-    values of p at x + u and perm the grid permutation of A.  The defect is
-    taken ``_DEFECT_ROWS`` rows at a time, so no whole-grid defect is
-    allocated."""
+def _defect_pass(u: np.ndarray, pert: ToralPerturbation, gen: int, perm: np.ndarray,
+                 size: int, visit=None) -> float:
+    """sup over the grid of |A u(x) + p(x + u(x)) - u(Ax)| for generator
+    ``gen`` of ``pert``, with perm the grid permutation of its matrix A.
+
+    The grid is read one block of ``_blocks`` at a time: a block's points
+    x come from its row indices, and p is evaluated at x + u there.
+    ``visit(rows, p, image)``, when given, receives each block's row slice,
+    the values of p and the gathered rows u(Ax).
+    """
+    n = u.shape[1]
+    a_t = pert.matrix(gen).T.astype(np.float64)
     worst = 0.0
-    for lo in range(0, u.shape[0], _DEFECT_ROWS):
-        hi = lo + _DEFECT_ROWS
-        defect = u[lo:hi] @ a_float.T
-        defect += p_val[lo:hi]
-        defect -= np.take(u, perm[lo:hi], axis=0)
+    for rows in _blocks(n, size):
+        own = u[rows]
+        xu = _grid_points(n, size, rows.start, rows.stop)
+        xu += own
+        p_val = pert.p_eval(gen, xu)
+        image = np.take(u, perm[rows], axis=0)
+        if visit is not None:
+            visit(rows, p_val, image)
+        defect = own @ a_t
+        defect += p_val
+        defect -= image
         worst = max(worst, float(np.max(np.abs(defect, out=defect))))
     return worst
 
 
-def _orbit_groups(perm: np.ndarray):
-    """Cycle decomposition of the grid permutation ``perm``, grouped by length.
+def _orbit_starts(perm: np.ndarray):
+    """The cycles of the grid permutation ``perm``: (starts, lengths), the
+    least index of each cycle, in increasing order, and its length.
 
-    Returns a list of (L, index_matrix) sorted by L, with index_matrix of
-    shape (G, L): row g is one orbit x_0, x_1 = A x_0, ..., x_{L-1}, where
-    x_0 is the orbit's smallest index, and rows are in increasing x_0.
     Cycles are found by pointer doubling with min-label propagation: after
     r rounds label[i] is the least index among the 2^r points i, A i, ...,
     and a round that changes no label means every label is its cycle's
-    minimum.  That takes log2 of the longest cycle whole-array rounds.
+    minimum.  That takes log2 of the longest cycle whole-array rounds, in
+    four index arrays allocated once (``np.take`` with an ``out`` and mode
+    "raise" would buffer a copy; the indices are in range, so "wrap" does
+    not change them).
     """
-    label = np.arange(perm.shape[0], dtype=np.int64)
-    jump = perm
+    m = perm.shape[0]
+    label, new = np.arange(m, dtype=np.int64), np.empty_like(perm)
+    jump, nxt = perm.copy(), np.empty_like(perm)
     while True:
-        new = np.minimum(label, label[jump])
+        np.take(label, jump, out=new, mode="wrap")
+        np.minimum(new, label, out=new)
         if np.array_equal(new, label):
             break
-        label = new
-        jump = jump[jump]
-    starts = np.flatnonzero(label == np.arange(label.shape[0]))
-    lengths = np.bincount(label)[starts]
-    groups = []
-    for length in np.unique(lengths).tolist():
-        first = starts[lengths == length]
-        idxmat = np.empty((first.shape[0], length), dtype=np.int64)
-        idxmat[:, 0] = first
-        for t in range(1, length):
-            idxmat[:, t] = perm[idxmat[:, t - 1]]
-        groups.append((length, idxmat))
-    return groups
+        label, new = new, label
+        np.take(jump, jump, out=nxt, mode="wrap")
+        jump, nxt = nxt, jump
+    del new, jump, nxt
+    counts = np.bincount(label, minlength=m)     # a cycle's length at its least index
+    starts = np.flatnonzero(counts)
+    return starts, counts[starts]
 
 
 def _cycle_plan(perm: np.ndarray):
     """Position-major cycle order of the grid permutation ``perm``.
 
-    Returns (order, inverse, segments), with inverse[order] = arange.  Each
-    length group of ``_orbit_groups`` (G orbits of length L) is one segment
-    (start, L, G): rows start .. start + L*G of ``order`` read as an (L, G)
-    block whose row t holds x_t of every orbit, so a recursion along the
-    cycles reads and writes one contiguous row per step.
+    Returns (inverse, segments): grid index j sits at position inverse[j]
+    of the cycle order.  The cycles of each length L, G of them in
+    increasing order of their least index x_0, form one segment (start, L,
+    G): positions start .. start + L*G read as an (L, G) block whose row t
+    holds x_t = A^t x_0 of every orbit, so a recursion along the cycles
+    reads and writes one contiguous row per step.
     """
-    groups = _orbit_groups(perm)
-    order = np.concatenate([idx.T.ravel() for _, idx in groups])
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(order.shape[0])
+    inverse = np.empty_like(perm)
+    starts, lengths = _orbit_starts(perm)
     segments, start = [], 0
-    for length, idx in groups:
-        segments.append((start, length, idx.shape[0]))
-        start += idx.size
-    return order, inverse, segments
+    # sorted(set(...)), not np.unique, which imports numpy.ma (about 12 ms)
+    for length in sorted(set(lengths.tolist())):
+        cur = starts[lengths == length]
+        count = cur.shape[0]
+        pos = np.arange(start, start + count)
+        for _ in range(length):
+            inverse[cur] = pos
+            pos += count
+            cur = perm[cur]
+        segments.append((start, length, count))
+        start += length * count
+    return inverse, segments
 
 
 def _sweep(block: np.ndarray, kappa: np.ndarray, lagged: bool):
@@ -213,23 +265,6 @@ def _sweep(block: np.ndarray, kappa: np.ndarray, lagged: bool):
         nxt += row
         row[...] = cur if lagged else nxt
         cur = nxt
-
-
-def _cycle_solve(plan, kappa: np.ndarray, d: np.ndarray, stable: bool) -> np.ndarray:
-    """Solve one side of the frozen linear system along the cycles.
-
-    ``d`` (M, s) is in grid order, and so is the result.  Stable side
-    (kappa = lam): w(x_{t+1}) = kappa w(x_t) + d(x_t), swept forward.
-    Unstable side (kappa = 1/lam, d = -q/lam): w(x_t) = kappa w(x_{t+1}) +
-    d(x_t), swept backward.
-    """
-    order, inverse, segments = plan
-    w = np.take(d, order, axis=0)
-    del d          # the caller passes a temporary: free it before the sweeps
-    for start, length, count in segments:
-        block = w[start:start + length * count].reshape(length, -1)
-        _sweep(block if stable else block[::-1], np.tile(kappa, count), lagged=stable)
-    return np.take(w, inverse, axis=0)
 
 
 @dataclass(frozen=True)
@@ -256,10 +291,21 @@ class ConjugacyField:
         return self.base.dim
 
     def sup_u(self) -> float:
-        return float(np.max(np.abs(self.u))) if self.u.size else 0.0
+        return _sup_abs(self.u) if self.u.size else 0.0
 
     def grid_points(self) -> np.ndarray:
         return _grid_points(self.dim, self.resolution)
+
+    def sup_error(self, displacement) -> float:
+        """sup over the grid of |u(x) - displacement(x)|, for a function
+        ``displacement`` of an (m, dim) array of points, one block of
+        ``_blocks`` at a time."""
+        worst = 0.0
+        for rows in _blocks(self.dim, self.resolution):
+            diff = displacement(_grid_points(self.dim, self.resolution, rows.start, rows.stop))
+            diff -= self.u[rows]
+            worst = max(worst, float(np.max(np.abs(diff, out=diff))))
+        return worst
 
     @functools.cached_property
     def fourier(self) -> np.ndarray:
@@ -280,7 +326,8 @@ class ConjugacyField:
             fh.write(b"AKFIELD1")
             fh.write(np.uint32(self.dim).tobytes())
             fh.write(np.uint32(self.resolution).tobytes())
-            fh.write(np.ascontiguousarray(self.u, dtype="<f8").tobytes())
+            # the buffer of u itself when it is little-endian C order
+            fh.write(np.ascontiguousarray(self.u, dtype="<f8").data)
 
     def fourier_table(self, top: int = 64) -> list:
         """Largest Fourier modes as JSON-ready entries, deterministic order.
@@ -289,15 +336,22 @@ class ConjugacyField:
         by flat index, so the equal-magnitude +-f pairs of a real field
         come out in the same order whatever the roundoff.  Only the modes at
         or above the top-th rounded magnitude, ties included, are sorted.
+        Rounding is monotone and moves a magnitude by less than 5e-12 of
+        it, so those modes all lie within 1e-11 of the top-th raw
+        magnitude; only the modes above a raw cut a little below that are
+        rounded.
         """
         n, size = self.dim, self.resolution
         co = self.fourier
         freqs = np.fft.fftfreq(size, d=1.0 / size).astype(int)
-        mags = np.abs(co).sum(axis=-1).ravel()
-        keys = -_round_sig(mags)
-        cut = np.partition(keys, min(top, keys.size) - 1)[min(top, keys.size) - 1]
+        mags = _magnitudes(co).ravel()
+        top = min(top, mags.size)
+        raw_cut = np.partition(mags, mags.size - top)[mags.size - top]
+        near = np.flatnonzero(mags >= raw_cut * (1.0 - 1e-10))
+        keys = -_round_sig(mags[near])
+        cut = np.partition(keys, top - 1)[top - 1]
         kept = np.flatnonzero(keys <= cut)
-        order = kept[np.argsort(keys[kept], kind="stable")][:top]
+        order = near[kept[np.argsort(keys[kept], kind="stable")]][:top]
         out = []
         for flat in order:
             if mags[flat] < 1e-15:
@@ -345,37 +399,48 @@ def solve_conjugacy(pert: ToralPerturbation, solving_generator: int = 0,
         raise ValueError(f"unknown mode {mode!r}")
     if not lam.imag.any():
         lam, v_mat, w_mat = lam.real, v_mat.real, w_mat.real
-    # (stable, kappa, drive, W rows, back) per side, with u = Re w @ back;
-    # the unstable side runs backward, w = kappa w o A + d with kappa =
-    # 1/lam and d = -q/lam
+    s = int(np.count_nonzero(np.abs(lam) < 1.0))   # the stable side comes first
+    perm = _permutation(np.array(rows, dtype=np.int64), resolution)
+    m = perm.shape[0]
+    if mode == "cycle":
+        inverse, segments = _cycle_plan(perm)
+    u = np.zeros((m, n))
+    # one drive buffer, a contiguous (m, width) block per side.  Per side:
+    # (stable, kappa, rows of the drive d = to_drive @ p, rows of V^-1,
+    # back with u = Re w @ back, drive block); the unstable side runs
+    # backward, w = kappa w o A + d with kappa = 1/lam and d = -q/lam
+    buf = np.empty(n * m, dtype=w_mat.dtype)
     sides = []
-    for stable in (True, False):
-        mask = (np.abs(lam) < 1.0) == stable
-        kappa = lam[mask] if stable else 1.0 / lam[mask]
-        drive = w_mat[mask] if stable else -kappa[:, None] * w_mat[mask]
-        back = v_mat[:, mask].T                     # (s, n)
+    for side, stable in ((slice(0, s), True), (slice(s, n), False)):
+        kappa = lam[side] if stable else 1.0 / lam[side]
+        to_drive = w_mat[side] if stable else -kappa[:, None] * w_mat[side]
+        back = v_mat[:, side].T
         if np.iscomplexobj(back):
             # Re(w V^T) = [Re w, Im w] [Re V^T; -Im V^T], rows interleaved
             # as in w.view(float64)
             back = np.stack([back.real, -back.imag], axis=1).reshape(-1, n)
-        sides.append((stable, kappa, drive, w_mat[mask], back))
-    a_int = np.array(rows, dtype=np.int64)
-    a_float = a_int.astype(np.float64)
-    x = _grid_points(n, resolution)
-    perm = _permutation(a_int, resolution)
-    if mode == "cycle":
-        plan = _cycle_plan(perm)
-    else:
-        plan = np.empty_like(perm)          # the inverse permutation
-        plan[perm] = np.arange(perm.shape[0])
-    u = np.zeros(x.shape)
-    xu = np.empty(x.shape)          # x + u, then the next iterate
+        drive = buf[side.start * m:side.stop * m].reshape(m, -1)
+        sides.append((stable, kappa, to_drive, w_mat[side], back, drive))
+
+    def write_drive(rows, p_val, image):
+        for stable, kappa, to_drive, w_rows, _, drive in sides:
+            d = p_val @ to_drive.T
+            if mode == "cycle":
+                np.put(_as_rows(drive), inverse[rows], _as_rows(d))
+            elif stable:
+                # w(Ax) = lam w(x) + q(x)
+                d += (u[rows] @ w_rows.T) * kappa
+                np.put(_as_rows(drive), perm[rows], _as_rows(d))
+            else:
+                # w(x) = (w(Ax) - q(x)) / lam
+                d += (image @ w_rows.T) * kappa
+                drive[rows] = d
+
     history = []
     iterations = 0
     for it in range(1, max_iter + 1):
         iterations = it
-        p_val = pert.p_eval(gen, np.add(x, u, out=xu))
-        residual = _defect_sup(u, p_val, a_float, perm)
+        residual = _defect_pass(u, pert, gen, perm, resolution, visit=write_drive)
         history.append(residual)
         if residual < tol:
             break
@@ -387,9 +452,21 @@ def solve_conjugacy(pert: ToralPerturbation, solving_generator: int = 0,
                     f"{tail:.3g}; increase the grid")
             raise Diverged(f"residual stopped decreasing at {residual:.3g} "
                            f"after {it} iterations")
-        _linear_step(sides, mode, plan, perm, p_val, u, out=xu)
-        u, xu = xu, u
-        del p_val      # not alive while the next p is evaluated
+        if mode == "cycle":
+            for stable, kappa, _, _, _, drive in sides:
+                for start, length, count in segments:
+                    block = drive[start:start + length * count].reshape(length, -1)
+                    _sweep(block if stable else block[::-1], np.tile(kappa, count),
+                           lagged=stable)
+        for rows in _blocks(n, resolution):
+            for i, (_, _, _, _, back, drive) in enumerate(sides):
+                w = np.take(drive, inverse[rows], axis=0) if mode == "cycle" else drive[rows]
+                if np.iscomplexobj(w):
+                    w = w.view(np.float64)
+                if i == 0:
+                    np.matmul(w, back, out=u[rows])
+                else:
+                    u[rows] += w @ back
     field_obj = ConjugacyField(
         base=base, generator=gen, resolution=resolution,
         u=u, residual=history[-1], iterations=iterations,
@@ -401,39 +478,32 @@ def solve_conjugacy(pert: ToralPerturbation, solving_generator: int = 0,
     return field_obj
 
 
-def _linear_step(sides, mode: str, plan, perm: np.ndarray, p_val: np.ndarray,
-                 u: np.ndarray, out: np.ndarray):
-    """Write into ``out`` the next iterate: u solving the linear equation
-    frozen at p_val.
-
-    ``plan`` is the cycle plan in ``cycle`` mode and the inverse
-    permutation in ``transfer`` mode.  Each side's drive and solution are
-    freed before the next side starts.
-    """
-    for i, (stable, kappa, drive, w_rows, back) in enumerate(sides):
-        if mode == "cycle":
-            w = _cycle_solve(plan, kappa, p_val @ drive.T, stable)
-        elif stable:
-            # w(x) = lam w(A^-1 x) + q(A^-1 x)
-            w = np.take(kappa * (u @ w_rows.T) + p_val @ drive.T, plan, axis=0)
-        else:
-            # w(x) = (w(Ax) - q(x)) / lam
-            w = kappa * np.take(u @ w_rows.T, perm, axis=0) + p_val @ drive.T
-        if np.iscomplexobj(w):
-            w = w.view(np.float64)
-        if i == 0:
-            np.matmul(w, back, out=out)
-        else:
-            out += w @ back
-        del w
-
-
 def _spectrum(u: np.ndarray, n: int, size: int) -> np.ndarray:
-    """Fourier coefficients of a displacement u of shape (size^n, n)."""
-    grid = u.reshape(*([size] * n), n)
-    co = np.fft.fftn(grid, axes=tuple(range(n)))
+    """Fourier coefficients of a displacement u of shape (size^n, n).
+
+    u is copied into the complex result, which is then transformed in
+    place: no whole-grid temporary besides the result.
+    """
+    co = np.empty((size,) * n + (n,), dtype=np.complex128)
+    co.real = u.reshape(co.shape)
+    co.imag = 0.0
+    np.fft.fftn(co, axes=tuple(range(n)), out=co)
     co /= size ** n
     return co
+
+
+def _magnitudes(co: np.ndarray) -> np.ndarray:
+    """sum over the components of |co|, of shape co.shape[:-1], one block
+    of ``_blocks`` at a time."""
+    n = co.shape[-1]
+    mags = np.empty(co.shape[:-1])
+    flat, rows_of = mags.reshape(-1), co.reshape(-1, n)
+    for rows in _blocks(co.ndim - 1, co.shape[0]):
+        out = flat[rows]
+        np.abs(rows_of[rows, 0], out=out)
+        for c in range(1, n):
+            out += np.abs(rows_of[rows, c])
+    return mags
 
 
 def _tail_fraction(co: np.ndarray) -> float:
@@ -441,7 +511,7 @@ def _tail_fraction(co: np.ndarray) -> float:
     (size,) * n + (n,)) beyond half the Nyquist cube."""
     n, size = co.ndim - 1, co.shape[0]
     freqs = np.fft.fftfreq(size, d=1.0 / size).astype(int)
-    mags = np.abs(co).sum(axis=-1)
+    mags = _magnitudes(co)
     total = float(mags.sum())
     if total == 0.0:
         return 0.0

@@ -176,32 +176,59 @@ def test_conjugate_grid_power_of_two():
     assert out.returncode == 1
 
 
+# Starts one Python child with the arguments in sys.argv[1:] and prints its
+# exit code, stderr, peak RSS (os.wait4) and wall time as JSON.  Children
+# are started from this small launcher, because a child forked from the
+# (large) test process would report the test process's peak RSS as its own.
+LAUNCHER = (
+    "import json, os, subprocess, sys, time\n"
+    "t0 = time.perf_counter()\n"
+    "p = subprocess.Popen([sys.executable] + sys.argv[1:],\n"
+    "                     stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)\n"
+    "err = p.stderr.read().decode()\n"
+    "_, status, usage = os.wait4(p.pid, 0)\n"
+    "p.returncode = os.waitstatus_to_exitcode(status)\n"
+    "print(json.dumps({'exit': p.returncode, 'stderr': err,\n"
+    "                  'maxrss_kb': usage.ru_maxrss,\n"
+    "                  'wall': time.perf_counter() - t0}))\n")
+
+
+def launch(args):
+    """Exit code, stderr, peak RSS (KiB) and wall time of one child
+    ``python args...``, from a small launcher."""
+    proc = subprocess.run([sys.executable, "-c", LAUNCHER] + args,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_conjugate_grid_memory_gate():
     # 4096^3 points of a T^3 field need terabytes: refused before any grid
-    # is allocated, as a parse error.  The CLI is started from a small
-    # launcher, because a child forked from this (large) test process
-    # would report the test process's peak RSS as its own.
-    launcher = (
-        "import json, os, subprocess, sys, time\n"
-        "t0 = time.perf_counter()\n"
-        "p = subprocess.Popen([sys.executable, '-m', 'anosovkit.cli', 'conjugate',\n"
-        "                      '--preset', 'psi-t3', '--grid', '4096'],\n"
-        "                     stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)\n"
-        "err = p.stderr.read().decode()\n"
-        "_, status, usage = os.wait4(p.pid, 0)\n"
-        "p.returncode = os.waitstatus_to_exitcode(status)\n"
-        "print(json.dumps({'exit': p.returncode, 'stderr': err,\n"
-        "                  'maxrss_kb': usage.ru_maxrss,\n"
-        "                  'wall': time.perf_counter() - t0}))\n")
-    proc = subprocess.run([sys.executable, "-c", launcher], capture_output=True,
-                          text=True)
-    assert proc.returncode == 0, proc.stderr
-    child = json.loads(proc.stdout)
+    # is allocated, as a parse error
+    child = launch(["-m", "anosovkit.cli", "conjugate", "--preset", "psi-t3",
+                    "--grid", "4096"])
     assert child["exit"] == 1
     assert child["stderr"].startswith("parse error: --grid 4096")
     assert "physical memory" in child["stderr"]
     assert child["maxrss_kb"] < 200 * 1024       # no field was allocated
     assert child["wall"] < 30
+
+
+@pytest.mark.parametrize("args, code", [
+    (["--preset", "t3-gen1-only", "--eps", "0.005", "--probe", "--dump-grid", "{tmp}"], 2),
+    (["--preset", "psi-t3", "--eps", "0.005"], 0),
+], ids=["t3-gen1-only-probe-dump", "psi-t3"])
+def test_conjugate_peak_memory_bounded(tmp_path, args, code):
+    # a whole 64^3 run on T^3 (solve, intertwining, probe, recovery error,
+    # dump and Fourier table) stays within 5 fields of a child that only
+    # imports; the whole-array solver peaked near 8.5
+    base = launch(["-c", "import anosovkit.cli, anosovkit.conjugacy, numpy"])
+    args = [a.replace("{tmp}", str(tmp_path / "field.bin")) for a in args]
+    child = launch(["-m", "anosovkit.cli", "conjugate", "--grid", "64", "--tol", "1e-13"]
+                   + args)
+    assert child["exit"] == code, child["stderr"]
+    field = 64 ** 3 * 3 * 8
+    assert (child["maxrss_kb"] - base["maxrss_kb"]) * 1024 < 5 * field
 
 
 def test_conjugate_salem_base_exit2(inputs):

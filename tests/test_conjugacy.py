@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from anosovkit import cli, spectra
-from anosovkit.conjugacy.perturbation import _BLOCK
+from anosovkit.conjugacy import solver
+from anosovkit.conjugacy.perturbation import _BLOCK, _grid_points
 from anosovkit.conjugacy.probes import _eigen_directions
 from anosovkit.conjugacy.solver import (
-    _DEFECT_ROWS,
-    _defect_sup,
+    _cycle_plan,
+    _defect_pass,
     _eigendata,
-    _orbit_groups,
     _permutation,
 )
 from anosovkit.conjugacy import (
@@ -158,7 +158,8 @@ def test_oversized_refused(cat_action):
 
 def test_solver_working_set_bounded():
     # psi-t3 at 64^3: the whole-grid psi inversion and the solver's stale
-    # temporaries peaked at 11x the field
+    # temporaries peaked at 11x the field, the whole-array iteration at
+    # about 7x; the blocked pass peaks at 3.1x
     pert, _ = cli._build_preset("psi-t3", 0.005)
     tracemalloc.start()
     try:
@@ -167,19 +168,56 @@ def test_solver_working_set_bounded():
     finally:
         tracemalloc.stop()
     assert field.residual < 1e-13
-    assert peak < 8 * field.u.nbytes
+    assert peak < 4 * field.u.nbytes
 
 
-def test_defect_sup_blocks_match_whole_grid():
-    # a row count that is not a multiple of the block: the max over blocks
-    # is the whole-grid max, bit for bit
-    rng = np.random.default_rng(7)
-    m = 3 * _DEFECT_ROWS + 5
-    u, p_val = rng.normal(size=(m, 3)), rng.normal(size=(m, 3))
-    a_float = rng.integers(-3, 4, size=(3, 3)).astype(np.float64)
-    perm = rng.permutation(m)
-    whole = np.max(np.abs(u @ a_float.T + p_val - u[perm]))
-    assert _defect_sup(u, p_val, a_float, perm) == whole
+def test_defect_sup_blocks_match_whole_grid(monkeypatch):
+    # a block that does not divide the grid, and is a multiple of the trig
+    # kernel's block so that p is evaluated on the same point sets: the
+    # max over the blocked pass is the whole-grid max, bit for bit
+    monkeypatch.setattr(solver, "_ROWS", 3 * _BLOCK)
+    size = 32
+    pert = three_term_pert(T3_PAIR, 1e-3)
+    u = 1e-3 * np.random.default_rng(7).normal(size=(size ** 3, 3))
+    x = _grid_points(3, size)
+    for gen in range(pert.k):
+        a_int = pert.matrix(gen)
+        perm = _permutation(a_int, size)
+        whole = np.max(np.abs(u @ a_int.T.astype(np.float64) + pert.p_eval(gen, x + u)
+                              - u[perm]))
+        assert _defect_pass(u, pert, gen, perm, size) == whole
+
+
+def test_permutation_blocks_match_whole_grid(monkeypatch):
+    # the permutation built in blocks that do not divide the grid against
+    # the whole-grid index arrays it replaced
+    monkeypatch.setattr(solver, "_ROWS", 1000)
+    for key, size in [(T3_PAIR[0], 16), (T3_PAIR[1], 16), ([[2, 1], [1, 1]], 64)]:
+        a_int = np.array(key, dtype=np.int64)
+        n = a_int.shape[0]
+        idx = np.indices((size,) * n).reshape(n, -1)
+        want = np.ravel_multi_index((a_int @ idx) % size, (size,) * n)
+        assert np.array_equal(_permutation(a_int, size), want)
+
+
+@pytest.mark.parametrize("generators, gen, size", [
+    ([X3_X_1], 0, 16),
+    ([[[2, 1], [1, 1]]], 0, 32),
+    (T3_PAIR, 1, 16),
+], ids=["x3-x-1", "cat", "t3-N"])
+def test_streamed_solve_with_ragged_blocks(monkeypatch, generators, gen, size):
+    # the blocked pass with a row block that does not divide N^n: the last
+    # block is short, in both modes, and the result is still the reference
+    # cycle solve's
+    monkeypatch.setattr(solver, "_ROWS", 1000)
+    blocks = solver._blocks(len(generators[0]), size)
+    assert len(blocks) > 1 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
+    pert = three_term_pert(generators, 1e-3)
+    want = reference_cycle_conjugacy(pert, gen, size, tol=1e-17)
+    for mode in ("cycle", "transfer"):
+        field = solve_conjugacy(pert, solving_generator=gen, resolution=size,
+                                tol=1e-17, mode=mode)
+        assert np.max(np.abs(field.u - want)) <= 1e-15, mode
 
 
 @pytest.mark.parametrize("preset, eps", [("psi-cat", 0.01), ("psi-t3", 0.005)])
@@ -399,7 +437,9 @@ def test_probe_run_transforms_the_field_once(monkeypatch, tmp_path):
 
 
 def test_probe_peak_memory_bounded():
-    # the 64^3 negative control; the shifted-field formula peaked near 14x
+    # the 64^3 negative control, the field's spectrum included; the
+    # shifted-field formula peaked near 14x, whole-grid multipliers and
+    # spectrum near 7x, and one work array per component peaks at 2.8x
     pert, _ = cli._build_preset("t3-gen1-only", 0.005)
     field = solve_conjugacy(pert, resolution=64, tol=1e-10)
     tracemalloc.start()
@@ -408,7 +448,7 @@ def test_probe_peak_memory_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * field.u.nbytes
+    assert peak < 3.5 * field.u.nbytes
 
 
 def test_probe_generic_case_holder():
@@ -454,6 +494,8 @@ def test_binary_export(tmp_path):
     assert (dim, res) == (2, 32)
     data = np.frombuffer(raw[16:], dtype="<f8").reshape(32 * 32, 2)
     assert np.allclose(data, field.u)
+    # the same bytes as the copy the dump used to write
+    assert raw[16:] == np.ascontiguousarray(field.u, "<f8").tobytes()
 
 
 def test_fourier_table_deterministic():
@@ -463,6 +505,35 @@ def test_fourier_table_deterministic():
     t2 = field.fourier_table(top=8)
     assert t1 == t2
     assert all("freq" in e and "re" in e for e in t1)
+
+
+def whole_array_fourier_table(field, top):
+    """Reference: the table with every magnitude rounded, the rule
+    ``fourier_table`` used before its raw-magnitude pre-cut."""
+    n, size = field.dim, field.resolution
+    co = field.fourier
+    freqs = np.fft.fftfreq(size, d=1.0 / size).astype(int)
+    mags = np.abs(co).sum(axis=-1).ravel()
+    keys = -solver._round_sig(mags)
+    cut = np.partition(keys, min(top, keys.size) - 1)[min(top, keys.size) - 1]
+    kept = np.flatnonzero(keys <= cut)
+    out = []
+    for flat in kept[np.argsort(keys[kept], kind="stable")][:top]:
+        if mags[flat] < 1e-15:
+            break
+        idx = np.unravel_index(flat, (size,) * n)
+        out.append({"freq": [int(freqs[i]) for i in idx],
+                    "re": [float(x) for x in co[idx].real],
+                    "im": [float(x) for x in co[idx].imag]})
+    return out
+
+
+def test_fourier_table_matches_whole_array_rule():
+    # control-t3-64's field (the grid workload's t3-gen1-only --probe op)
+    pert, _ = cli._build_preset("t3-gen1-only", 0.005)
+    field = solve_conjugacy(pert, resolution=64, tol=1e-13)
+    for top in (1, 16, 64, 500):
+        assert field.fourier_table(top=top) == whole_array_fourier_table(field, top)
 
 
 def test_fourier_table_order_stable_under_roundoff():
@@ -533,8 +604,41 @@ def test_trig_evaluate_matches_per_term_loop(terms, fmax, dim, const, dyadic):
                                for w, (f, _, _) in zip(weight, tp.terms))
 
 
+def two_half_evaluate(tp, points):
+    """Reference: the phase-matrix kernel with both halves, one cos and one
+    sin per term, before zero halves were skipped."""
+    t = len(tp.terms)
+    freqs = np.array([list(f) + [0] * (tp.dim - len(f)) for f, _, _ in tp.terms],
+                     dtype=np.float64)
+    coeffs = np.array([c for _, c, _ in tp.terms] + [s for _, _, s in tp.terms])
+    out = np.empty((points.shape[0], tp.dim))
+    for lo in range(0, points.shape[0], _BLOCK):
+        ph = freqs @ points[lo:lo + _BLOCK].T
+        ph *= 2.0 * np.pi
+        trig = np.empty((2 * t, ph.shape[1]))
+        np.cos(ph, out=trig[:t])
+        np.sin(ph, out=trig[t:])
+        np.matmul(trig.T, coeffs, out=out[lo:lo + _BLOCK])
+    return out
+
+
+@pytest.mark.parametrize("terms, dim, half", [
+    ([((0, 1), (0.0, 0.0), (0.01, 0.0))], 2, np.sin),                    # cat-sin
+    ([((1, 0, 0), (0.01, 0.0, 0.0), (0.0,) * 3),
+      ((0, 1, 1), (0.0, 0.02, -0.01), (0.0,) * 3)], 3, np.cos),           # cos only
+], ids=["cat-sin", "cos-only"])
+def test_trig_zero_half_skipped(terms, dim, half):
+    # one transcendental per point and term, and the same values as both
+    # halves give
+    tp = TrigPolynomial(terms, dim)
+    assert tp._direct and tp._halves == [half]
+    points = np.random.default_rng(dim).random((2 * _BLOCK + 37, dim))
+    assert np.array_equal(tp.evaluate(points), two_half_evaluate(tp, points))
+
+
 def python_cycle_walk(matrix_key, size):
-    """Reference: the pure-Python cycle walk _orbit_groups used to run."""
+    """Reference: the pure-Python cycle walk the cycle plan used to run,
+    as (length, orbits) groups with one orbit x_0, A x_0, ... per row."""
     matrix = np.array([list(r) for r in matrix_key], dtype=np.int64)
     perm = _permutation(matrix, size)
     m = perm.shape[0]
@@ -568,9 +672,12 @@ def python_cycle_walk(matrix_key, size):
     (((0, 0, -1), (1, 0, 2), (0, 1, 1)), 64),
 ], ids=["cat-256", "cat-512", "t3M-16", "t3M-64"])
 def test_orbit_groups_match_python_walk(matrix_key, size):
-    got = _orbit_groups(_permutation(np.array(matrix_key, dtype=np.int64), size))
+    # the cycle plan holds the walk's groups: one segment per length with as
+    # many orbits, and x_t of orbit g of a group at position start + t*G + g
+    inverse, segments = _cycle_plan(_permutation(np.array(matrix_key, dtype=np.int64), size))
     want = python_cycle_walk(matrix_key, size)
-    assert [length for length, _ in got] == [length for length, _ in want]
-    for (_, a), (_, b) in zip(got, want):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert np.array_equal(a, b)
+    assert [(length, count) for _, length, count in segments] == \
+        [(length, idx.shape[0]) for length, idx in want]
+    order = np.concatenate([idx.T.ravel() for _, idx in want])
+    assert inverse.dtype == order.dtype and inverse.shape == order.shape
+    assert np.array_equal(inverse[order], np.arange(order.size))
