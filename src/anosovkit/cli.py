@@ -69,10 +69,10 @@ _EXIT = {"pass": 0, "fail": 2, "inconclusive": 3, "info": 0}
 
 # Peak RSS of a `conjugate` run, less that of a process that only imports
 # the CLI, the conjugacy package and numpy (34 MiB), over the bytes of its
-# N^dim x dim float64 displacement field: 3.8 for psi-t3 and 3.8 for
-# t3-gen1-only --probe at 128^3, 4.3 for cat-sin --probe at 1024^2 (os.wait4,
-# 2-vCPU Xeon, Python 3.11, numpy 2.4); with about 30 % headroom, 6.
-_GRID_WORKING_SET = 6
+# N^dim x dim float64 displacement field: 2.5 for psi-t3 and 2.5 for
+# t3-gen1-only --probe at 128^3, 2.8 for cat-sin --probe at 1024^2 (os.wait4,
+# 2-vCPU Xeon, Python 3.11, numpy 2.4); with about 30 % headroom, 4.
+_GRID_WORKING_SET = 4
 
 
 def cmd_analyze(args) -> int:

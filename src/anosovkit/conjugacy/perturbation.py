@@ -122,8 +122,10 @@ class TrigPolynomial:
                            "sin": list(map(float, s))}
                           for f, c, s in self.terms]}
 
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """p at each row of ``points``, in blocks of at most ``_BLOCK`` points.
+    def evaluate(self, points: np.ndarray, displacement=None) -> np.ndarray:
+        """p at each row of ``points``, in blocks of at most ``_BLOCK`` points
+        (``displacement``, the hint of ``ToralPerturbation.p_eval``, is not
+        needed).
 
         With more terms than axes in use, each term's phasor exp(2 pi i f.x)
         is a product of per-axis power tables z_d^k, k = -K_d..K_d, built
@@ -219,23 +221,24 @@ class ConjugatedPerturbation:
             raise ValueError(f"psi inversion not a contraction ({contraction:.3f})")
         self._contraction = contraction
 
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
+    def evaluate(self, points: np.ndarray, displacement=None) -> np.ndarray:
         """p_i at each row of ``points``, one ``_BLOCK`` of points at a time.
 
-        On a block y, the iteration w <- y - eps*q(w) runs until a step
-        moves no coordinate by 1e-15 or more, or for 80 steps.  At the fixed
-        point eps*q(w) = y - w, so the last step's eps*q stands in for
-        eps*q(w), and p_i(y) = eps*q(A_i w) - A_i eps*q(w) takes one more
-        evaluation of q.  That eps*q is kept rather than taking y - w, which
-        would lose its low digits to cancellation.  Only the result has the
-        size of ``points``.
+        On a block y, the iteration w <- y - eps*q(w) starts at y, or at
+        y - d for the block's rows d of ``displacement`` when given, and
+        runs until a step moves no coordinate by 1e-15 or more, or for 80
+        steps.  At the fixed point eps*q(w) = y - w, so the last step's
+        eps*q stands in for eps*q(w), and p_i(y) = eps*q(A_i w) -
+        A_i eps*q(w) takes one more evaluation of q.  That eps*q is kept
+        rather than taking y - w, which would lose its low digits to
+        cancellation.  Only the result has the size of ``points``.
         """
         points = np.asarray(points, dtype=np.float64)
         out = np.empty(points.shape)
         a_t = self.matrix.T
         for lo in range(0, points.shape[0], _BLOCK):
             y = points[lo:lo + _BLOCK]
-            w = y
+            w = y if displacement is None else y - displacement[lo:lo + _BLOCK]
             for _ in range(80):
                 eq = self.q.evaluate(w)
                 eq *= self.eps
@@ -279,8 +282,12 @@ class ToralPerturbation:
     def matrix(self, i: int) -> np.ndarray:
         return np.array(self.base.generator(i), dtype=np.int64)
 
-    def p_eval(self, i: int, points: np.ndarray) -> np.ndarray:
-        return self.perturbations[i].evaluate(points)
+    def p_eval(self, i: int, points: np.ndarray, displacement=None) -> np.ndarray:
+        """p_i at each row of ``points``.  ``displacement``, when given, has
+        rows u with points = x + u and x near psi^-1(points) for a family
+        conjugated by psi (x = psi^-1(points) when u is its conjugacy's
+        displacement at x): there the inversion of psi starts at x."""
+        return self.perturbations[i].evaluate(points, displacement)
 
     def f_eval(self, i: int, points: np.ndarray) -> np.ndarray:
         return points @ self.matrix(i).T.astype(float) + self.p_eval(i, points)
@@ -346,8 +353,10 @@ class _ShiftedPerturbation:
         # integer parts are trivial torus translations; drop them
         self.const = const - np.round(const)
 
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        return self.inner.evaluate(points + self.c[None, :]) + self.const[None, :]
+    def evaluate(self, points: np.ndarray, displacement=None) -> np.ndarray:
+        # psi^-1(y + c) = x + c when y = x + u_c(x), u_c = u(. + c)
+        return (self.inner.evaluate(points + self.c[None, :], displacement)
+                + self.const[None, :])
 
     def sup_bound(self) -> float:
         return self.inner.sup_bound() + float(np.abs(self.const).sum())

@@ -1,11 +1,20 @@
-"""Intertwining verification and directional regularity probes."""
+"""Intertwining verification and directional regularity probes.
+
+The regularity probe reads the field's half spectrum
+(``ConjugacyField.fourier``).  Besides u and that spectrum it holds one
+half-grid complex work array and temporaries of a few leading-axis slabs:
+each difference multiplier is written from per-axis half-angle phasor
+tables into the work array, times the spectrum, and inverse-transformed
+there, in place over the leading axes and then along the last axis a few
+slabs at a time into a small real buffer.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .perturbation import ToralPerturbation
-from .solver import (ConjugacyField, _blocks, _defect_pass, _eigendata, _permutation,
+from .solver import (ConjugacyField, _defect_pass, _eigendata, _permutation, _slabs,
                      _sup_abs)
 
 # A first-difference slope below this classifies a direction as Hölder, not C1.
@@ -78,13 +87,14 @@ def regularity_probe(field: ConjugacyField) -> dict:
     against log2(t) estimate the Hölder exponent.  Off-grid values come from
     the trigonometric interpolant (exact when u is a trig polynomial;
     tail-limited otherwise, reported), so each difference is a Fourier
-    multiplier on the field's spectrum: exp(i theta) - 1 and
+    multiplier on the field's half spectrum: exp(i theta) - 1 and
     2 cos(theta) - 2 with theta = 2 pi t f.v, written with sin^2(theta/2)
     to avoid cancellation at small theta.  Both differences of the real
-    field are real, so one inverse transform per scale and component
-    carries them both (``_paired_multiplier``).  That transform runs in
-    place in one work array of one component's size, into which the
-    multiplier is written afresh for each component.
+    field are real, and each takes one real inverse transform per scale
+    and component (``_difference_sups``): in place over the leading axes
+    in one half-grid work array, into which the product of the spectrum
+    and the multiplier is written afresh each time, then along the last
+    axis a few leading-axis slabs at a time into one real buffer.
     """
     n, size = field.dim, field.resolution
     # start at 1/8: coarser shifts saturate low-frequency differences
@@ -104,13 +114,12 @@ def regularity_probe(field: ConjugacyField) -> dict:
         report["min_holder_exponent"] = None
         return report
     co = field.fourier
-    freqs = np.fft.fftfreq(size, d=1.0 / size)
     work = np.empty(co.shape[:-1], dtype=np.complex128)
     min_exp = np.inf
     for d, mod, tag in directions:
         d1_list, d2_list = [], []
         for t in scales:
-            d1, d2 = _paired_sups(co, freqs, t * d, work)
+            d1, d2 = _difference_sups(co, t * d, work, size)
             d1_list.append(d1)
             d2_list.append(d2)
         slope1 = _regression_slope(scales, d1_list)
@@ -137,76 +146,103 @@ def regularity_probe(field: ConjugacyField) -> dict:
     return report
 
 
-def _paired_multiplier(freqs, shift, out):
-    """Write H(m1) + i H(m2) on the (N,) * n frequency grid into ``out``,
-    for the differences m1 = exp(i theta) - 1 and m2 = 2 cos(theta) - 2,
-    theta = 2 pi f.shift.
+def _half_angle_tables(size: int, shift) -> tuple:
+    """Per-axis phasors exp(i pi f shift_a) over the frequencies f of the
+    half grid, in fftfreq's order and sign on every axis (the last axis
+    stops at index size/2, the frequency -size/2), so that their product
+    over the axes is exp(i theta/2), theta = 2 pi f.shift.  Also the same
+    tables with the Nyquist frequency taken as +size/2, whose product is
+    exp(i theta'/2) (``_write_product``)."""
+    freqs = np.fft.fftfreq(size, d=1.0 / size)
+    tabs, alts = [], []
+    for a, s in enumerate(shift):
+        f = freqs if a < len(shift) - 1 else freqs[:size // 2 + 1]
+        tab = np.exp((1j * np.pi * s) * f)
+        alt = tab.copy()
+        alt[size // 2] = alt[size // 2].conj()
+        tabs.append(tab)
+        alts.append(alt)
+    return tabs, alts
+
+
+def _write_product(out, co_c, tabs, alts, second: bool):
+    """Write co_c H(m) over the half grid into ``out``, for m1 =
+    exp(i theta) - 1 or, when ``second``, m2 = 2 cos(theta) - 2, theta =
+    2 pi f.shift, with the tables of ``_half_angle_tables``.
 
     H(m)(f) = (m(f) + conj m(-f)) / 2, indices mod N, is Hermitian, so the
-    inverse transform of co * H(m) is real for the spectrum co of a real
-    field, and equals Re ifftn(co * m).  H changes m only where a
+    inverse transform of co H(m) is real for the spectrum co of a real
+    field, and equals Re ifftn(co m).  H changes m only where a
     coordinate of f is the Nyquist index N/2, which is its own negative:
     there conj m(-f) is m at theta', theta with every Nyquist frequency
     -N/2 taken as +N/2 instead.  Elsewhere theta' = theta, and H(m) = m.
-    The grid is written one block of ``_blocks`` (whole leading-axis
-    slabs) at a time, with theta alone, and then each axis's Nyquist plane
-    again with theta and theta'.
+    The grid is written a few leading-axis slabs (``_slabs``) at a time
+    with theta alone, and then each axis's Nyquist plane again with theta
+    and theta'.
     """
-    n, size = len(shift), freqs.shape[0]
-    per = size ** (n - 1)
-    alt = freqs.copy()
-    alt[size // 2] = -alt[size // 2]
-    phases = [freqs * s for s in shift]
-    alt_phases = [alt * s for s in shift]
+    n, size = out.ndim, tabs[0].shape[0]
     rest = (slice(None),) * (n - 1)
-    for rows in _blocks(n, size):
-        slabs = slice(rows.start // per, rows.stop // per)
-        _fill_multiplier(out, (slabs,) + rest, phases, None)
+    for slabs in _slabs(out.shape[0], out[0].size):
+        _fill_product(out, (slabs,) + rest, co_c, tabs, None, second)
     for a in range(n):
         plane = rest[:a] + (slice(size // 2, size // 2 + 1),) + rest[a:]
-        _fill_multiplier(out, plane, phases, alt_phases)
+        _fill_product(out, plane, co_c, tabs, alts, second)
 
 
-def _fill_multiplier(out, sel, phases, alt_phases):
-    """``out[sel]`` of ``_paired_multiplier``, with theta the broadcast sum
-    over the axes of the per-axis phases f * shift_a (theta' likewise from
-    ``alt_phases``; None when theta' = theta on ``sel``)."""
+def _fill_product(out, sel, co_c, tabs, alts, second: bool):
+    """``out[sel]`` of ``_write_product``, with exp(i theta/2) the broadcast
+    product over the axes of the tables' entries on ``sel`` (theta' likewise
+    from ``alts``; None when theta' = theta on ``sel``): sin(theta/2) is its
+    imaginary part and sin(theta) twice the product of its parts."""
     n = len(sel)
 
-    def theta(ph):
-        return 2.0 * np.pi * sum(ph[a][sel[a]].reshape((-1,) + (1,) * (n - 1 - a))
-                                 for a in range(n))
+    def half_angle(tables):
+        h = tables[0][sel[0]].reshape((-1,) + (1,) * (n - 1))
+        for a in range(1, n):
+            h = h * tables[a][sel[a]].reshape((-1,) + (1,) * (n - 1 - a))
+        return h
 
-    th = theta(phases)
-    if alt_phases is None:
-        half = np.sin(0.5 * th) ** 2
-        half *= -2.0                                      # Re H(m1)
-        im = np.sin(th)
+    h = half_angle(tabs)
+    if alts is None:
+        sq = np.square(h.imag)
+        sq *= -2.0                                    # Re H(m1) = H(m2) / 2
+        im = None if second else 2.0 * h.imag * h.real
     else:
-        th_alt = theta(alt_phases)
-        half = -(np.sin(0.5 * th) ** 2 + np.sin(0.5 * th_alt) ** 2)
-        im = 0.5 * (np.sin(th) + np.sin(th_alt))
-    im += 2.0 * half
+        h_alt = half_angle(alts)
+        sq = -(np.square(h.imag) + np.square(h_alt.imag))
+        im = None if second else h.imag * h.real + h_alt.imag * h_alt.real
     block = out[sel]
-    block.real = half
-    block.imag = im
+    if second:
+        sq *= 2.0
+        np.multiply(co_c[sel], sq, out=block)
+    else:
+        block.real = sq
+        block.imag = im
+        block *= co_c[sel]
 
 
-def _paired_sups(co, freqs, shift, work):
-    """(sup |ifftn(co H(m1))|, sup |ifftn(co H(m2))|) over the grid and the
-    field's components, for the multiplier H(m1) + i H(m2) of ``shift``
-    (``_paired_multiplier``): both transforms are real, so one complex
-    inverse transform per component, in place in ``work``, holds the first
-    in its real part and the second in its imaginary part."""
-    axes = tuple(range(co.ndim - 1))
-    sup1 = sup2 = 0.0
+def _difference_sups(co, shift, work, size: int):
+    """(sup |ifftn(co H(m1))|, sup |ifftn(co H(m2))|) over the size^n grid
+    and the field's components, for the half spectrum ``co`` and the
+    multipliers of ``shift`` (``_write_product``).  Each is a real inverse
+    transform: in place in the half-grid array ``work`` over the leading
+    axes, then along the last axis one group of leading-axis slabs
+    (``_slabs``) at a time into one real buffer of a group's size."""
+    n = work.ndim
+    tabs, alts = _half_angle_tables(size, shift)
+    groups = _slabs(work.shape[0], work[0].size)
+    real = np.empty((groups[0].stop,) + (size,) * (n - 1))
+    sups = [0.0, 0.0]
     for c in range(co.shape[-1]):
-        _paired_multiplier(freqs, shift, work)
-        np.multiply(co[..., c], work, out=work)
-        np.fft.ifftn(work, axes=axes, norm="forward", out=work)
-        sup1 = max(sup1, _sup_abs(work.real))
-        sup2 = max(sup2, _sup_abs(work.imag))
-    return sup1, sup2
+        for second in (False, True):
+            _write_product(work, co[..., c], tabs, alts, second)
+            for axis in range(n - 1):
+                np.fft.ifft(work, axis=axis, norm="forward", out=work)
+            for slabs in groups:
+                out = real[:slabs.stop - slabs.start]
+                np.fft.irfft(work[slabs], n=size, axis=n - 1, norm="forward", out=out)
+                sups[second] = max(sups[second], _sup_abs(out))
+    return sups[0], sups[1]
 
 
 def _regression_slope(scales, deltas):

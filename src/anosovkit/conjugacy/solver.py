@@ -38,10 +38,12 @@ frozen equation reads w_e(Ax) = lam_e w_e(x) + q_e(x) with q = V^-1 P:
   side in place.  After the pass, ``cycle`` sweeps the drive in place
   along the cycles, and both modes write u = V w back over u one block at
   a time.
-- The solve therefore holds u, the drive buffer, the permutation and (in
-  ``cycle`` mode) the inverse cycle plan: about 2.7 fields on T^3.  The
-  grid points, the values of p and every gathered row exist one block at
-  a time.
+- The solve therefore holds u, the drive buffer, and the permutation and
+  (in ``cycle`` mode) the inverse cycle plan as int32 index arrays: about
+  2.3 fields on T^3.  The grid points, the values of p and every gathered
+  row exist one block at a time.  The pass hands each block's rows of u
+  to p, whose psi inversion (``ConjugatedPerturbation``) starts there at
+  the grid point x, psi^-1(x + u) once u is the conjugacy.
 - The cycle plan puts the cycles in position-major order for each cycle
   length, so row t of a length group holds x_t of every orbit and each
   recursion step reads and writes one contiguous row of the drive.
@@ -49,6 +51,11 @@ frozen equation reads w_e(Ax) = lam_e w_e(x) + q_e(x) with q = V^-1 P:
   cos and sin take about 16 ns per element on the smooth arguments of the
   grid against about 28 ns in cycle order (64^3 grid, 2-vCPU Xeon), so
   the pass reads the grid in order and scatters the drive instead.
+
+The field's spectrum (``ConjugacyField.fourier``) is its half spectrum: u is
+real, so a real-input FFT along the last grid axis keeps the frequency
+indices 0 .. N/2 there, about half the numbers of the full complex
+spectrum, and its readers stand each interior last-axis column for f and -f.
 
 The stable/unstable splitting comes from the eigendata of the base
 matrix, not from the perturbed map; whether the base is hyperbolic and
@@ -92,12 +99,18 @@ _SMALLNESS = 0.1
 _ROWS = 1 << 14
 
 
+def _slabs(count: int, per: int) -> list:
+    """Slices of the leading axis of an array of ``count`` slabs of ``per``
+    rows each, covering it in order, each about ``_ROWS`` rows."""
+    step = max(1, _ROWS // per)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
 def _blocks(n: int, size: int) -> list:
     """Row slices that cover the size^n grid in order, each about
     ``_ROWS`` rows of whole leading-axis slabs (size^(n-1) rows each)."""
     per = size ** (n - 1)
-    step, m = max(1, _ROWS // per) * per, size * per
-    return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
+    return [slice(s.start * per, s.stop * per) for s in _slabs(size, per)]
 
 
 def _as_rows(a: np.ndarray) -> np.ndarray:
@@ -150,10 +163,17 @@ def _eigendata(matrix):
 
 def _permutation(matrix: np.ndarray, size: int) -> np.ndarray:
     """Grid index of A j mod size for every grid index j (C order), built
-    one block of ``_blocks`` at a time."""
+    one block of ``_blocks`` at a time.
+
+    The indices, and those of the cycle plan made from them, are int32: a
+    grid of 2^31 points or more is refused (at 8 bytes per coordinate its
+    field alone would take 32 GiB on T^2).
+    """
     n = matrix.shape[0]
+    if size ** n > np.iinfo(np.int32).max:
+        raise ValueError(f"a {size}^{n} grid has 2^31 points or more")
     place = size ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    perm = np.empty(size ** n, dtype=np.int64)
+    perm = np.empty(size ** n, dtype=np.int32)
     for rows in _blocks(n, size):
         img = _grid_index(n, size, rows.start, rows.stop) @ matrix.T
         img %= size
@@ -167,7 +187,8 @@ def _defect_pass(u: np.ndarray, pert: ToralPerturbation, gen: int, perm: np.ndar
     ``gen`` of ``pert``, with perm the grid permutation of its matrix A.
 
     The grid is read one block of ``_blocks`` at a time: a block's points
-    x come from its row indices, and p is evaluated at x + u there.
+    x come from its row indices, and p is evaluated at x + u there, with
+    u as the displacement hint of ``ToralPerturbation.p_eval``.
     ``visit(rows, p, image)``, when given, receives each block's row slice,
     the values of p and the gathered rows u(Ax).
     """
@@ -178,7 +199,7 @@ def _defect_pass(u: np.ndarray, pert: ToralPerturbation, gen: int, perm: np.ndar
         own = u[rows]
         xu = _grid_points(n, size, rows.start, rows.stop)
         xu += own
-        p_val = pert.p_eval(gen, xu)
+        p_val = pert.p_eval(gen, xu, own)
         image = np.take(u, perm[rows], axis=0)
         if visit is not None:
             visit(rows, p_val, image)
@@ -197,12 +218,12 @@ def _orbit_starts(perm: np.ndarray):
     r rounds label[i] is the least index among the 2^r points i, A i, ...,
     and a round that changes no label means every label is its cycle's
     minimum.  That takes log2 of the longest cycle whole-array rounds, in
-    four index arrays allocated once (``np.take`` with an ``out`` and mode
-    "raise" would buffer a copy; the indices are in range, so "wrap" does
-    not change them).
+    four index arrays of perm's dtype allocated once (``np.take`` with an
+    ``out`` and mode "raise" would buffer a copy; the indices are in range,
+    so "wrap" does not change them).
     """
     m = perm.shape[0]
-    label, new = np.arange(m, dtype=np.int64), np.empty_like(perm)
+    label, new = np.arange(m, dtype=perm.dtype), np.empty_like(perm)
     jump, nxt = perm.copy(), np.empty_like(perm)
     while True:
         np.take(label, jump, out=new, mode="wrap")
@@ -271,8 +292,8 @@ def _sweep(block: np.ndarray, kappa: np.ndarray, lagged: bool):
 class ConjugacyField:
     """Displacement u of h = id + u on a regular grid, with certificates.
 
-    ``fourier`` is the spectrum of u, computed on first use and kept: the
-    tail fraction, the Fourier table and the regularity probe all read it.
+    ``fourier`` is the half spectrum of u, computed on first use and kept:
+    the tail fraction, the Fourier table and the regularity probe read it.
     The field is frozen so that the spectrum cannot go stale.
     """
 
@@ -309,12 +330,15 @@ class ConjugacyField:
 
     @functools.cached_property
     def fourier(self) -> np.ndarray:
-        """Fourier coefficients of u, shape (N,) * n + (n,)."""
+        """Half spectrum of u (``_spectrum``): the Fourier coefficients of
+        the frequencies whose last index is 0 .. N/2, shape
+        (N,) * (n - 1) + (N/2 + 1, n).  u is real, so the coefficient at -f
+        is the conjugate of the one at f, and these give the rest."""
         return _spectrum(self.u, self.dim, self.resolution)
 
     def tail_fraction(self) -> float:
         """Sup-norm style weight of frequencies beyond half the Nyquist cube."""
-        return _tail_fraction(self.fourier)
+        return _tail_fraction(self.fourier, self.resolution)
 
     def export_binary(self, path: str):
         """Row-major IEEE-754 doubles with a fixed 16-byte header.
@@ -340,29 +364,50 @@ class ConjugacyField:
         it, so those modes all lie within 1e-11 of the top-th raw
         magnitude; only the modes above a raw cut a little below that are
         rounded.
+
+        The rule runs on the N^n spectrum, read from the half spectrum
+        ``fourier``: a mode f of the half grid stands for itself and, in an
+        interior last-axis column (``_interior``), also for -f, with the
+        flat index of -f, the same magnitude and the conjugated value.
+        The top-th raw magnitude of the N^n spectrum is among the top
+        largest of the half grid, so only the modes near it are expanded.
         """
         n, size = self.dim, self.resolution
         co = self.fourier
         freqs = np.fft.fftfreq(size, d=1.0 / size).astype(int)
-        mags = _magnitudes(co).ravel()
-        top = min(top, mags.size)
-        raw_cut = np.partition(mags, mags.size - top)[mags.size - top]
-        near = np.flatnonzero(mags >= raw_cut * (1.0 - 1e-10))
-        keys = -_round_sig(mags[near])
+        mags = _magnitudes(co)
+        flat, half = mags.reshape(-1), mags.shape[-1]
+        twice = np.zeros(half, dtype=bool)
+        twice[_interior(size)] = True
+        top = min(top, size ** n)
+        head = min(top, flat.size)
+        pick = np.argpartition(flat, flat.size - head)[flat.size - head:]
+        pick = pick[np.argsort(-flat[pick], kind="stable")]
+        raw_cut = np.repeat(flat[pick], np.where(twice[pick % half], 2, 1))[top - 1]
+        near = np.flatnonzero(flat >= raw_cut * (1.0 - 1e-10))
+        idx = np.unravel_index(near, mags.shape)
+        mirror = twice[idx[-1]]
+        grid = (size,) * n
+        where = np.concatenate([
+            np.ravel_multi_index(idx, grid),
+            np.ravel_multi_index(tuple(-j[mirror] % size for j in idx), grid)])
+        src = np.concatenate([near, near[mirror]])
+        keys = -_round_sig(flat[src])
         cut = np.partition(keys, top - 1)[top - 1]
         kept = np.flatnonzero(keys <= cut)
-        order = near[kept[np.argsort(keys[kept], kind="stable")]][:top]
+        order = kept[np.lexsort((where[kept], keys[kept]))][:top]
         out = []
-        for flat in order:
-            if mags[flat] < 1e-15:
+        for i in order:
+            if flat[src[i]] < 1e-15:
                 break
-            idx = np.unravel_index(flat, (size,) * n)
-            entry = {
-                "freq": [int(freqs[i]) for i in idx],
-                "re": [float(x) for x in co[idx].real],
-                "im": [float(x) for x in co[idx].imag],
-            }
-            out.append(entry)
+            val = co[np.unravel_index(src[i], mags.shape)]
+            if i >= near.size:
+                val = val.conj()
+            out.append({
+                "freq": [int(freqs[j]) for j in np.unravel_index(where[i], grid)],
+                "re": [float(x) for x in val.real],
+                "im": [float(x) for x in val.imag],
+            })
         return out
 
 
@@ -445,7 +490,7 @@ def solve_conjugacy(pert: ToralPerturbation, solving_generator: int = 0,
         if residual < tol:
             break
         if len(history) >= 6 and history[-1] >= history[-6] * 0.999:
-            tail = _tail_fraction(_spectrum(u, n, resolution))
+            tail = _tail_fraction(_spectrum(u, n, resolution), resolution)
             if tail > 1e-6 and residual > tol:
                 raise ResolutionInsufficient(
                     f"residual plateau at {residual:.3g} with spectral tail "
@@ -479,45 +524,56 @@ def solve_conjugacy(pert: ToralPerturbation, solving_generator: int = 0,
 
 
 def _spectrum(u: np.ndarray, n: int, size: int) -> np.ndarray:
-    """Fourier coefficients of a displacement u of shape (size^n, n).
+    """Half spectrum of a displacement u of shape (size^n, n): its Fourier
+    coefficients at the frequency indices whose last one is 0 .. size/2,
+    shape (size,) * (n - 1) + (size/2 + 1, n), in fftfreq's order on every
+    axis (the last index size/2 is the frequency -size/2).
 
-    u is copied into the complex result, which is then transformed in
-    place: no whole-grid temporary besides the result.
+    A real-input transform along the last grid axis writes the result,
+    which the transforms over the leading axes then update in place: no
+    whole-grid temporary besides the result, which holds about half the
+    numbers of the full complex spectrum.
     """
-    co = np.empty((size,) * n + (n,), dtype=np.complex128)
-    co.real = u.reshape(co.shape)
-    co.imag = 0.0
-    np.fft.fftn(co, axes=tuple(range(n)), out=co)
-    co /= size ** n
+    co = np.empty((size,) * (n - 1) + (size // 2 + 1, n), dtype=np.complex128)
+    np.fft.rfft(u.reshape((size,) * n + (n,)), axis=n - 1, norm="forward", out=co)
+    for axis in range(n - 1):
+        np.fft.fft(co, axis=axis, norm="forward", out=co)
     return co
 
 
+def _interior(size: int) -> slice:
+    """The last-axis columns k of a half spectrum whose mirror size - k is
+    not a column itself: 0 < k < size/2."""
+    return slice(1, (size + 1) // 2)
+
+
 def _magnitudes(co: np.ndarray) -> np.ndarray:
-    """sum over the components of |co|, of shape co.shape[:-1], one block
-    of ``_blocks`` at a time."""
+    """sum over the components of |co|, of shape co.shape[:-1], a few
+    leading-axis slabs (``_slabs``) at a time."""
     n = co.shape[-1]
     mags = np.empty(co.shape[:-1])
-    flat, rows_of = mags.reshape(-1), co.reshape(-1, n)
-    for rows in _blocks(co.ndim - 1, co.shape[0]):
-        out = flat[rows]
-        np.abs(rows_of[rows, 0], out=out)
+    for sl in _slabs(mags.shape[0], mags[0].size):
+        out = mags[sl]
+        np.abs(co[sl, ..., 0], out=out)
         for c in range(1, n):
-            out += np.abs(rows_of[rows, c])
+            out += np.abs(co[sl, ..., c])
     return mags
 
 
-def _tail_fraction(co: np.ndarray) -> float:
-    """Share of the Fourier weight of the coefficients ``co`` (shape
-    (size,) * n + (n,)) beyond half the Nyquist cube."""
-    n, size = co.ndim - 1, co.shape[0]
-    freqs = np.fft.fftfreq(size, d=1.0 / size).astype(int)
+def _tail_fraction(co: np.ndarray, size: int) -> float:
+    """Share of the Fourier weight of the half spectrum ``co`` of a size^n
+    grid (``_spectrum``) beyond half the Nyquist cube.  An interior
+    last-axis column counts twice: it stands for f and for -f."""
+    n = co.ndim - 1
     mags = _magnitudes(co)
+    mags[..., _interior(size)] *= 2.0
     total = float(mags.sum())
     if total == 0.0:
         return 0.0
-    mask = np.zeros((size,) * n, dtype=bool)
+    freqs = np.abs(np.fft.fftfreq(size, d=1.0 / size))
+    mask = np.zeros(mags.shape, dtype=bool)
     for axis in range(n):
         shape = [1] * n
-        shape[axis] = size
-        mask |= (np.abs(freqs).reshape(shape) > size // 4)
+        shape[axis] = mags.shape[axis]
+        mask |= (freqs[:mags.shape[axis]].reshape(shape) > size // 4)
     return float(mags[mask].sum()) / total

@@ -9,12 +9,16 @@ import pytest
 from anosovkit import cli, spectra
 from anosovkit.conjugacy import solver
 from anosovkit.conjugacy.perturbation import _BLOCK, _grid_points
-from anosovkit.conjugacy.probes import _eigen_directions
+from anosovkit.conjugacy.probes import _eigen_directions, _half_angle_tables, _write_product
 from anosovkit.conjugacy.solver import (
+    ConjugacyField,
     _cycle_plan,
     _defect_pass,
     _eigendata,
+    _orbit_starts,
     _permutation,
+    _spectrum,
+    _tail_fraction,
 )
 from anosovkit.conjugacy import (
     Diverged,
@@ -159,7 +163,8 @@ def test_oversized_refused(cat_action):
 def test_solver_working_set_bounded():
     # psi-t3 at 64^3: the whole-grid psi inversion and the solver's stale
     # temporaries peaked at 11x the field, the whole-array iteration at
-    # about 7x; the blocked pass peaks at 3.1x
+    # about 7x, the blocked pass with int64 plans at 3.1x; with int32 plans
+    # it peaks at 2.8x
     pert, _ = cli._build_preset("psi-t3", 0.005)
     tracemalloc.start()
     try:
@@ -168,7 +173,7 @@ def test_solver_working_set_bounded():
     finally:
         tracemalloc.stop()
     assert field.residual < 1e-13
-    assert peak < 4 * field.u.nbytes
+    assert peak < 3.2 * field.u.nbytes
 
 
 def test_defect_sup_blocks_match_whole_grid(monkeypatch):
@@ -222,17 +227,32 @@ def test_streamed_solve_with_ragged_blocks(monkeypatch, generators, gen, size):
 
 @pytest.mark.parametrize("preset, eps", [("psi-cat", 0.01), ("psi-t3", 0.005)])
 @pytest.mark.parametrize("count", [1000, _BLOCK, 2 * _BLOCK + 37])
-def test_conjugated_perturbation_inversion_free_oracle(preset, eps, count):
+def test_conjugated_perturbation_inversion_free_oracle(monkeypatch, preset, eps, count):
     # at y = psi(x) = x + eps q(x), f_i = psi A_i psi^-1 gives
-    # p_i(y) = eps q(A_i x) - eps A_i q(x), with no inversion of psi
+    # p_i(y) = eps q(A_i x) - eps A_i q(x), with no inversion of psi; with
+    # the displacement eps q(x) as the hint the inversion starts at x, and
+    # each block takes one step and one more evaluation of q
     pert, _ = cli._build_preset(preset, eps)
     q = pert.perturbations[0].q
     x = np.random.default_rng(count).random((count, pert.dim))
-    y = x + eps * q.evaluate(x)
+    disp = eps * q.evaluate(x)
+    y = x + disp
+    calls = []
+    evaluate = q.evaluate
+
+    def counting(points):
+        calls.append(1)
+        return evaluate(points)
+
     for i in range(pert.k):
         a_mat = pert.matrix(i).astype(np.float64)
         want = eps * q.evaluate(x @ a_mat.T) - eps * (q.evaluate(x) @ a_mat.T)
         assert np.max(np.abs(pert.p_eval(i, y) - want)) <= 1e-14
+        monkeypatch.setattr(q, "evaluate", counting)
+        assert np.max(np.abs(pert.p_eval(i, y, disp) - want)) <= 1e-14
+        monkeypatch.undo()
+        assert len(calls) == 2 * -(-count // _BLOCK)
+        calls.clear()
 
 
 def test_psi_recovery_and_uniqueness():
@@ -388,7 +408,7 @@ def two_transform_deltas(field, scales):
     inverse transform of all components per multiplier m, exp(i theta) - 1
     and 2 cos(theta) - 2 (the formula before the paired transform)."""
     n, size = field.dim, field.resolution
-    co = field.fourier
+    co = np.fft.fftn(field.u.reshape((size,) * n + (n,)), axes=tuple(range(n))) / size ** n
     freqs = np.fft.fftfreq(size, d=1.0 / size)
     out = []
     for d, _, _ in _eigen_directions(field.base, field.generator):
@@ -419,15 +439,52 @@ def test_probe_matches_two_transform_reference():
         np.testing.assert_allclose(got["delta2"], d2, rtol=1e-12, atol=0)
 
 
+def paired_multiplier(size, shift):
+    """Reference: H(m1) + i H(m2) on the full (N,) * n grid, the multiplier
+    of the probe's paired complex transform, from the definition
+    H(m)(f) = (m(f) + conj m(-f)) / 2 with fftfreq's frequencies."""
+    n = len(shift)
+    freqs = np.fft.fftfreq(size, d=1.0 / size)
+    theta = 2.0 * np.pi * sum(freqs.reshape((size,) + (1,) * (n - 1 - a)) * shift[a]
+                              for a in range(n))
+    theta = np.broadcast_to(theta, (size,) * n)
+    neg = np.ix_(*[-np.arange(size) % size] * n)
+
+    def herm(m):
+        return 0.5 * (m + np.conj(m[neg]))
+
+    return herm(np.exp(1j * theta) - 1.0) + 1j * herm(2.0 * np.cos(theta) - 2.0)
+
+
+@pytest.mark.parametrize("n, size", [(2, 2), (2, 16), (3, 2), (3, 8)])
+def test_half_grid_multiplier_matches_full_grid(n, size):
+    # the half grid's H(m1) and H(m2) are the full grid's on the frequency
+    # indices with last index 0 .. N/2, Nyquist planes and the entries with
+    # two or three Nyquist coordinates included: the last index N/2 is the
+    # frequency -N/2, as on every other axis
+    rng = np.random.default_rng(size + n)
+    ones = np.ones((size,) * (n - 1) + (size // 2 + 1,))
+    work = np.empty(ones.shape, dtype=np.complex128)
+    for _ in range(4):
+        shift = rng.uniform(-0.3, 0.3, size=n)
+        want = paired_multiplier(size, shift)[..., :size // 2 + 1]
+        tabs, alts = _half_angle_tables(size, shift)
+        _write_product(work, ones, tabs, alts, False)
+        h1 = work.copy()
+        _write_product(work, ones, tabs, alts, True)
+        assert not work.imag.any()
+        np.testing.assert_allclose(h1 + 1j * work.real, want, rtol=0, atol=1e-14)
+
+
 def test_probe_run_transforms_the_field_once(monkeypatch, tmp_path):
     calls = []
-    fftn = np.fft.fftn
+    rfft = np.fft.rfft
 
-    def counting_fftn(*args, **kwargs):
+    def counting_rfft(*args, **kwargs):
         calls.append(1)
-        return fftn(*args, **kwargs)
+        return rfft(*args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "fftn", counting_fftn)
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
     code = cli.main(["conjugate", "--preset", "t3-gen1-only", "--eps", "0.005",
                      "--grid", "32", "--probe", "--output", str(tmp_path / "report.json")])
     assert code == 2      # the negative control: generator 1 is not intertwined
@@ -439,7 +496,8 @@ def test_probe_run_transforms_the_field_once(monkeypatch, tmp_path):
 def test_probe_peak_memory_bounded():
     # the 64^3 negative control, the field's spectrum included; the
     # shifted-field formula peaked near 14x, whole-grid multipliers and
-    # spectrum near 7x, and one work array per component peaks at 2.8x
+    # spectrum near 7x, one full-grid work array per component at 2.8x,
+    # and the half spectrum with one half-grid work array peaks at 1.5x
     pert, _ = cli._build_preset("t3-gen1-only", 0.005)
     field = solve_conjugacy(pert, resolution=64, tol=1e-10)
     tracemalloc.start()
@@ -448,7 +506,7 @@ def test_probe_peak_memory_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * field.u.nbytes
+    assert peak < 1.75 * field.u.nbytes
 
 
 def test_probe_generic_case_holder():
@@ -507,11 +565,25 @@ def test_fourier_table_deterministic():
     assert all("freq" in e and "re" in e for e in t1)
 
 
-def whole_array_fourier_table(field, top):
+def full_spectrum(co, size):
+    """The N^n spectrum of a real field from its half spectrum: the
+    coefficient at -f (indices mod N) is the conjugate of the one at f."""
+    n = co.ndim - 1
+    full = np.zeros((size,) * n + (n,), dtype=np.complex128)
+    full[..., :size // 2 + 1, :] = co
+    neg = np.ix_(*[-np.arange(size) % size] * n)
+    mirrored = np.conj(full[neg])
+    full[..., size // 2 + 1:, :] = mirrored[..., size // 2 + 1:, :]
+    return full
+
+
+def whole_array_fourier_table(field, top, co=None):
     """Reference: the table with every magnitude rounded, the rule
-    ``fourier_table`` used before its raw-magnitude pre-cut."""
+    ``fourier_table`` used before its raw-magnitude pre-cut, on the N^n
+    spectrum ``co`` (default: the one of the field's half spectrum)."""
     n, size = field.dim, field.resolution
-    co = field.fourier
+    if co is None:
+        co = full_spectrum(field.fourier, size)
     freqs = np.fft.fftfreq(size, d=1.0 / size).astype(int)
     mags = np.abs(co).sum(axis=-1).ravel()
     keys = -solver._round_sig(mags)
@@ -534,6 +606,50 @@ def test_fourier_table_matches_whole_array_rule():
     field = solve_conjugacy(pert, resolution=64, tol=1e-13)
     for top in (1, 16, 64, 500):
         assert field.fourier_table(top=top) == whole_array_fourier_table(field, top)
+
+
+def tied_field(rng, n, size):
+    """A random real field on the size^n grid plus three cosine modes of
+    one amplitude: with the +-f pairs of a real field, ties of magnitude
+    that the table orders by flat index."""
+    x = _grid_points(n, size)
+    u = rng.standard_normal((size ** n, n))
+    for _ in range(3):
+        f = rng.integers(-size // 2, size // 2 + 1, size=n)
+        u += 40.0 * np.cos(2.0 * np.pi * (x @ f))[:, None]
+    return u
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("size", [1, 2, 4, 8, 64])
+def test_half_spectrum_table_and_tail_match_fftn(n, size):
+    # the Fourier table and the tail fraction read from the half spectrum
+    # against the whole-array rules on np.fft.fftn: the same modes in the
+    # same order with values and tail equal to roundoff, and exactly the
+    # whole-array rule on the N^n spectrum the half spectrum stands for
+    rng = np.random.default_rng(100 * n + size)
+    base = spectra.validate_action(T3_PAIR if n == 3 else [[[2, 1], [1, 1]]])
+    u = tied_field(rng, n, size)
+    field = ConjugacyField(base=base, generator=0, resolution=size, u=u, residual=0.0,
+                           iterations=0, residual_history=[], mode="cycle")
+    full = np.fft.fftn(u.reshape((size,) * n + (n,)), axes=tuple(range(n))) / size ** n
+    for top in (1, 7, 64):
+        got = field.fourier_table(top=top)
+        assert got == whole_array_fourier_table(field, top)
+        want = whole_array_fourier_table(field, top, co=full)
+        assert [e["freq"] for e in got] == [e["freq"] for e in want]
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g["re"] + g["im"], w["re"] + w["im"],
+                                       rtol=0, atol=1e-12)
+    mags = np.abs(full).sum(axis=-1)
+    freqs = np.abs(np.fft.fftfreq(size, d=1.0 / size))
+    tail = np.zeros(mags.shape, dtype=bool)
+    for axis in range(n):
+        tail |= np.expand_dims(freqs > size // 4, tuple(a for a in range(n) if a != axis))
+    want_tail = mags[tail].sum() / mags.sum()
+    got_tail = _tail_fraction(_spectrum(u, n, size), size)
+    assert got_tail == pytest.approx(want_tail, rel=1e-12, abs=1e-300)
+    assert field.tail_fraction() == got_tail
 
 
 def test_fourier_table_order_stable_under_roundoff():
@@ -679,5 +795,27 @@ def test_orbit_groups_match_python_walk(matrix_key, size):
     assert [(length, count) for _, length, count in segments] == \
         [(length, idx.shape[0]) for length, idx in want]
     order = np.concatenate([idx.T.ravel() for _, idx in want])
-    assert inverse.dtype == order.dtype and inverse.shape == order.shape
+    assert inverse.dtype == np.int32 and inverse.shape == order.shape
     assert np.array_equal(inverse[order], np.arange(order.size))
+
+
+@pytest.mark.parametrize("matrix_key, size", [
+    (((2, 1), (1, 1)), 256),
+    (((0, 0, -1), (1, 0, 2), (0, 1, 1)), 16),
+], ids=["cat-256", "t3M-16"])
+def test_int32_plans_match_python_walk(matrix_key, size):
+    # the int32 permutation and pointer-doubling arrays find the walk's
+    # cycles: the least index of each orbit and its length
+    perm = _permutation(np.array(matrix_key, dtype=np.int64), size)
+    assert perm.dtype == np.int32
+    starts, lengths = _orbit_starts(perm)
+    walk = sorted((int(idx[g, 0]), length)
+                  for length, idx in python_cycle_walk(matrix_key, size)
+                  for g in range(idx.shape[0]))
+    assert list(zip(starts.tolist(), lengths.tolist())) == walk
+
+
+def test_permutation_refuses_int32_overflow():
+    # 2048^3 = 2^33 points: refused before any index array is allocated
+    with pytest.raises(ValueError, match="2\\^31"):
+        _permutation(np.eye(3, dtype=np.int64), 2048)
