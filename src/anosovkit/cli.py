@@ -180,9 +180,7 @@ def cmd_resonances(args) -> int:
     if narrow:
         desc = resonance.sr_group_descriptor(bands)
         result["descriptor"] = desc.to_json()
-        from .normalform import smoothness_metadata
-
-        result["smoothness"] = smoothness_metadata(bands)
+        result["smoothness"] = resonance.smoothness_metadata(desc)
     else:
         verdict = "fail"
         result["failure_certificate"] = "NotNarrowBand"

@@ -17,6 +17,9 @@ polynomial fact the toral verdicts rest on:
 - ``has_unit_circle_root``, the exact hyperbolicity test: the reciprocal
   part gcd(p, reversed p), rewritten in t = x + 1/x, and a Sturm count of
   its real roots in (-2, 2);
+- ``roots_in_annulus``, the exact test of lo < |z| < hi for every root
+  that decides the normal form's band gate: Schur-Cohn on p(hi z) and on
+  the reversal of p(lo z), each step made primitive;
 - ``primitive`` normalization and ``factor`` over Q: Yun's squarefree
   decomposition, then Zassenhaus's method on each part (distinct- and
   equal-degree factoring mod a small prime, Hensel lifting, recombination
@@ -691,3 +694,41 @@ def has_unit_circle_root(p) -> bool:
         for i, v in enumerate(d_prev):
             d[i + 1] += v
     return _sturm_count(tuple(reversed(h)), -2, 2) > 0
+
+
+def _schur_stable(q) -> bool:
+    """True iff every root of the rational polynomial q has |z| < 1; exact.
+
+    Schur-Cohn (A. Cohn, Math. Z. 14, 1922): the roots' moduli multiply to
+    |const/lead|, so |const| < |lead| is necessary; given it, Rouche's
+    theorem on |z| = 1, where |rev(q)| = |q|, shows that q is stable iff
+    (lead q - const rev(q)) / z is, and that has degree one less.  Each step
+    is made primitive, which keeps the coefficients from doubling in size.
+    """
+    q = primitive(q)
+    while len(q) > 1:
+        lead, const = q[0], q[-1]
+        if abs(const) >= abs(lead):
+            return False
+        q = primitive([lead * a - const * b for a, b in zip(q[:-1], q[:0:-1])])
+    return True
+
+
+def roots_in_annulus(p, lo, hi) -> bool:
+    """True iff every root z of the rational polynomial p has lo < |z| < hi,
+    for rationals 0 <= lo and hi; exact.
+
+    |z| < hi for every root iff p(hi z) is Schur stable, and |z| > lo iff
+    the reversal of p(lo z), whose roots are lo / z, is (p(0) = 0 fails).
+    """
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo < 0:
+        raise ValueError(f"inner radius {lo} is negative")
+    p = primitive(p)
+    if len(p) <= 1:
+        return bool(p)       # a nonzero constant has no roots
+    n = len(p) - 1
+    if hi <= lo or p[-1] == 0:
+        return False
+    return (_schur_stable([c * hi ** (n - i) for i, c in enumerate(p)])
+            and _schur_stable([c * lo ** i for i, c in enumerate(reversed(p))]))

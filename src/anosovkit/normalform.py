@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import mat_inv, solve_sparse
-from .intpoly import charpoly, is_semisimple_matrix, squarefree_part
+from .intpoly import (charpoly, is_semisimple_matrix, roots_in_annulus,
+                      squarefree_part)
 from .resonance import (
     NotNarrowBand,
     SpectrumBands,
@@ -30,6 +31,10 @@ from .resonance import (
     enumerate_subresonance,
     is_narrow_band,
 )
+
+
+# relative inward move of the band gate's exact radii (see _check_block_moduli)
+_GATE_MARGIN = Fraction(1, 10 ** 9)
 
 
 class BandMismatch(ValueError):
@@ -359,13 +364,17 @@ def _check_block_moduli(f: BlockedPolynomialMap, lin, band_tol: float,
     Band endpoints are user-supplied decimals, so membership is tested with
     a tolerance; exact solvability of each homological equation is checked
     separately during the solve.  A zero eigenvalue is decided exactly (zero
-    constant term of the characteristic polynomial); the moduli are those of
-    the certified roots of its squarefree part.  The return map of a cycle
-    of ``period`` fibers is held to the scaled bands [p lambda_i, p mu_i] at
-    tolerance p band_tol: the cycle's own exponents must lie in the bands.
+    constant term of the characteristic polynomial).  A block passes when
+    Schur-Cohn (``intpoly.roots_in_annulus``) puts every root strictly
+    inside exp(lambda_i - tol) < |z| < exp(mu_i + tol), each radius moved
+    inward by a relative 1e-9 that covers exp's rounding and the root
+    enclosures below, so an exact pass is always a pass of the float test.
+    Only otherwise are the certified roots of the squarefree part computed,
+    and their moduli pass the block or name the eigenvalue outside the
+    band.  The return map of a cycle of ``period`` fibers is held to the
+    scaled bands [p lambda_i, p mu_i] at tolerance p band_tol: the cycle's
+    own exponents must lie in the bands.
     """
-    from .algnum import roots
-
     offset = 0
     for i, d in enumerate(f.bands.block_dims):
         block = [[Fraction(x) for x in row[offset:offset + d]]
@@ -375,6 +384,14 @@ def _check_block_moduli(f: BlockedPolynomialMap, lin, band_tol: float,
             raise SingularLinearPart("zero eigenvalue in a block")
         lam, mu = (period * float(x) for x in f.bands.intervals[i])
         tol = period * band_tol
+        offset += d
+        # exp is good to an ulp only away from underflow and overflow
+        if -700 < lam - tol and mu + tol < 700 and roots_in_annulus(
+                p, Fraction(math.exp(lam - tol)) * (1 + _GATE_MARGIN),
+                Fraction(math.exp(mu + tol)) * (1 - _GATE_MARGIN)):
+            continue
+        from .algnum import roots
+
         for root in roots(squarefree_part(p)):
             lg = math.log(math.hypot(root.disk[0], root.disk[1]))
             if not (lam - tol <= lg <= mu + tol):
@@ -382,7 +399,6 @@ def _check_block_moduli(f: BlockedPolynomialMap, lin, band_tol: float,
                 raise ValueError(
                     f"block {i + 1} eigenvalue log-modulus {round(lg, 6) + 0.0:.6f} "
                     f"outside band [{lam}, {mu}] (tol {tol})")
-        offset += d
 
 
 def _monomials_of_shape(f: BlockedPolynomialMap, s: tuple):
@@ -571,26 +587,3 @@ def normalize_periodic_orbit(maps, degree: int | None = None,
         results.append(NormalFormResult(change=hs[t], normal=ns[t], residual=res))
     return results
 
-
-def smoothness_metadata(bands: SpectrumBands) -> dict:
-    """Which finite-differentiability regime this spectrum demands.
-
-    Metadata only: strictly narrow spectra admit a C^2 linear normal form
-    for C^4 data; the two-block 2:1 resonance case needs C^6 data for a
-    C^3 sub-resonance form.
-    """
-    lam1 = bands.intervals[0][0]
-    mu_l = bands.intervals[-1][1]
-    nontrivial = [r for r in enumerate_subresonance(bands) if not r.trivial]
-    if lam1 > 2 * mu_l:
-        assert not nontrivial
-        return {"regime": "linear (no nontrivial sub-resonance relations)",
-                "finite_smoothness": "C2 normal form for C4 data"}
-    if (bands.blocks == 2
-            and all(r.exponents == (0, 2) and r.target_block == 1
-                    for r in nontrivial)):
-        return {"regime": "2:1 quadratic resonance",
-                "finite_smoothness": "C3 normal form for C6 data"}
-    return {"regime": "general narrow-band" if is_narrow_band(bands)
-            else "not narrow-band",
-            "finite_smoothness": "unspecified"}

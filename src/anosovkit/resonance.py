@@ -183,3 +183,28 @@ def sr_group_descriptor(bands: SpectrumBands) -> SRGroupDescriptor:
         relations=relations,
         monomial_count=monomial_space_dimension(bands, relations),
     )
+
+
+def smoothness_metadata(desc: SRGroupDescriptor) -> dict:
+    """Which finite-differentiability regime this spectrum demands, read
+    from the descriptor's relations.
+
+    Metadata only: strictly narrow spectra admit a C^2 linear normal form
+    for C^4 data; the two-block 2:1 resonance case needs C^6 data for a
+    C^3 sub-resonance form.
+    """
+    bands = desc.bands
+    lam1 = bands.intervals[0][0]
+    mu_l = bands.intervals[-1][1]
+    nontrivial = desc.nontrivial_relations()
+    if lam1 > 2 * mu_l:
+        assert not nontrivial
+        return {"regime": "linear (no nontrivial sub-resonance relations)",
+                "finite_smoothness": "C2 normal form for C4 data"}
+    if (bands.blocks == 2
+            and all(r.exponents == (0, 2) and r.target_block == 1
+                    for r in nontrivial)):
+        return {"regime": "2:1 quadratic resonance",
+                "finite_smoothness": "C3 normal form for C6 data"}
+    # a descriptor exists only for narrow-band data
+    return {"regime": "general narrow-band", "finite_smoothness": "unspecified"}

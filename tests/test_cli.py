@@ -60,8 +60,10 @@ def inputs(tmp_path_factory):
 
 @pytest.mark.parametrize("args, unloaded", [
     (["analyze", "--input", "cat.json"], ("sympy", "numpy")),
-    (["normalform", "--input", "cubic.json"], ("sympy", "numpy")),
-    (["resonances", "--input", "bands.json"], ("sympy", "numpy")),
+    (["normalform", "--input", "cubic.json"],
+     ("sympy", "numpy", "mpmath", "anosovkit.algnum")),
+    (["resonances", "--input", "bands.json"],
+     ("sympy", "numpy", "mpmath", "anosovkit.normalform", "anosovkit.intpoly")),
     (["rootsys", "--type", "D", "--rank", "4"], ("sympy",)),
     (["conjugate", "--preset", "psi-cat", "--grid", "16"], ("sympy",)),
 ], ids=["analyze", "normalform", "resonances", "rootsys", "conjugate"])

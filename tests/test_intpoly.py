@@ -3,9 +3,11 @@
 sympy is the independent oracle for the characteristic polynomial,
 division, powers mod f, the squarefree part, factoring and the cyclotomic
 polynomials;
-mpmath root finding at 60 digits is the oracle for the unit-circle test.
+mpmath root finding at 60 digits is the oracle for the unit-circle and
+annulus tests.
 """
 
+import time
 from fractions import Fraction
 
 import mpmath
@@ -24,6 +26,7 @@ from anosovkit.intpoly import (
     poly_divmod,
     power_mod,
     primitive,
+    roots_in_annulus,
     squarefree_part,
 )
 
@@ -244,3 +247,79 @@ def test_unit_circle_root_examples():
     pair_a = _mul((2, -4, 1), (1, -4, 2))
     pair_b = _mul((3, 2, 0, 3), (3, 0, 2, 3))
     assert not has_unit_circle_root(_mul(pair_a, pair_b))
+
+
+def _moduli(p):
+    """The root moduli of the integer polynomial p, ascending, from mpmath
+    roots at 60 digits of sympy's squarefree part."""
+    q = [int(c) for c in sympy.Poly(sympy.sqf_part(poly(p).as_expr(), X), X).all_coeffs()]
+    with mpmath.workdps(60):
+        return sorted(abs(z) for z in mpmath.polyroots(q, maxsteps=400, extraprec=400))
+
+
+def _annulus_oracle(p, lo, hi):
+    """Whether every root modulus of p lies in (lo, hi); a modulus within
+    1e-40 of a radius is on it, and one within 1e-25 but not 1e-40 would be
+    undecided, and fails the oracle itself."""
+    with mpmath.workdps(60):
+        radii = [mpmath.mpf(r.numerator) / r.denominator for r in (lo, hi)]
+        gaps = [m - r for m in _moduli(p) for r in radii]
+        assert all(abs(g) < 1e-40 or abs(g) > 1e-25 for g in gaps), gaps
+        return all(below > 1e-40 and above < -1e-40
+                   for below, above in zip(gaps[::2], gaps[1::2]))
+
+
+@st.composite
+def annulus_cases(draw):
+    """An integer polynomial of degree 1-6 with p(0) != 0, and radii near
+    its extreme root moduli: the float of the modulus moved by a relative 0,
+    1e-6, 1e-3 or 0.1, outward twice as often as inward."""
+    nonzero = st.integers(-9, 9).filter(bool)
+    n = draw(st.integers(1, 6))
+    p = (draw(nonzero),) + tuple(draw(st.lists(st.integers(-9, 9), min_size=n - 1,
+                                               max_size=n - 1))) + (draw(nonzero),)
+    moduli = _moduli(p)
+    shift = st.sampled_from((0, Fraction(1, 10 ** 6), Fraction(1, 10 ** 3), Fraction(1, 10)))
+    inward = st.sampled_from((False, False, True))
+    lo, hi = (Fraction(float(m)) * (1 + draw(shift) * (sign if draw(inward) else -sign))
+              for m, sign in ((moduli[0], 1), (moduli[-1], -1)))
+    return p, lo, hi
+
+
+@given(annulus_cases())
+def test_roots_in_annulus_against_mpmath(case):
+    assert roots_in_annulus(*case) == _annulus_oracle(*case)
+
+
+def test_roots_in_annulus_boundaries():
+    assert not roots_in_annulus((1, -2), 1, 2)                # root on the outer circle
+    assert roots_in_annulus((1, -2), 1, Fraction(201, 100))
+    assert not roots_in_annulus((1, 0, 1), 1, 2)              # +-i on the inner circle
+    assert roots_in_annulus((1, 0, 1), Fraction(99, 100), 2)
+    # roots 2 and 1/2: a reciprocal pair, one root on each radius in turn
+    assert not roots_in_annulus((2, -5, 2), Fraction(1, 2), 3)
+    assert not roots_in_annulus((2, -5, 2), Fraction(1, 3), 2)
+    assert roots_in_annulus((2, -5, 2), Fraction(1, 3), 3)
+    # roots 2 +- sqrt 3 = 3.732..., 0.2679..., a reciprocal pair
+    assert roots_in_annulus((1, -4, 1), Fraction(1, 4), 4)
+    assert not roots_in_annulus((1, -4, 1), Fraction(1, 4), Fraction(373, 100))
+    assert not roots_in_annulus((1, -4, 1), Fraction(27, 100), 4)
+    assert not roots_in_annulus((1, 0, -3), 0, 1)
+    assert not roots_in_annulus((1, 0, 0), 0, 1)              # x^2: roots at 0
+    assert roots_in_annulus((5,), 1, 2)                       # no roots at all
+    assert not roots_in_annulus((1, -2), 3, 1)                # empty annulus
+    with pytest.raises(ValueError):
+        roots_in_annulus((1, -2), -1, 3)
+
+
+def test_roots_in_annulus_degree_12_is_fast():
+    # (x - 1)(x - 2)...(x - 12) between float radii: without the primitive
+    # steps the coefficients double in length at each of the 24 Schur steps
+    p = (1,)
+    for k in range(1, 13):
+        p = _mul(p, (1, -k))
+    lo, hi = Fraction(0.999), Fraction(12.001)
+    start = time.perf_counter()
+    assert roots_in_annulus(p, lo, hi)
+    assert not roots_in_annulus(p, Fraction(1.001), hi)
+    assert time.perf_counter() - start < 0.5

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import subprocess
 import sys
@@ -7,7 +8,9 @@ from fractions import Fraction as F
 import pytest
 
 from anosovkit import normalform as nf
-from anosovkit.resonance import SpectrumBands
+from anosovkit.intpoly import charpoly, squarefree_part
+from anosovkit.resonance import (SpectrumBands, smoothness_metadata,
+                                 sr_group_descriptor)
 
 BPM = nf.BlockedPolynomialMap
 
@@ -183,6 +186,77 @@ def test_band_membership_gate():
         nf.normalize_contraction(f)
 
 
+def _roots_gate(f, lin, band_tol, period=1):
+    """The band gate on certified roots alone, with no exact pass: the
+    oracle for ``_check_block_moduli``."""
+    from anosovkit.algnum import roots
+
+    offset = 0
+    for i, d in enumerate(f.bands.block_dims):
+        block = [[F(x) for x in row[offset:offset + d]]
+                 for row in lin[offset:offset + d]]
+        p = charpoly(block)
+        if p[-1] == 0:
+            raise nf.SingularLinearPart("zero eigenvalue in a block")
+        lam, mu = (period * float(x) for x in f.bands.intervals[i])
+        tol = period * band_tol
+        for root in roots(squarefree_part(p)):
+            lg = math.log(math.hypot(root.disk[0], root.disk[1]))
+            if not (lam - tol <= lg <= mu + tol):
+                raise ValueError(
+                    f"block {i + 1} eigenvalue log-modulus {round(lg, 6) + 0.0:.6f} "
+                    f"outside band [{lam}, {mu}] (tol {tol})")
+        offset += d
+
+
+def _gate_outcome(gate, *args):
+    try:
+        gate(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_band_gate_matches_roots_oracle(monkeypatch):
+    # random integer blocks up to 3x3, scaled into contractions, with band
+    # edges 0 to 0.01 outside or inside their extreme log-moduli: the exact
+    # pass may only pass what the roots oracle passes, and every other
+    # outcome, error text included, is the oracle's
+    import mpmath
+
+    from anosovkit import algnum
+
+    calls = []
+    roots = algnum.roots
+    monkeypatch.setattr(algnum, "roots", lambda key: calls.append(key) or roots(key))
+    rng = random.Random(30)
+    exact_passes = fallbacks = 0
+    for _ in range(50):
+        d = rng.randint(1, 3)
+        m = [[rng.randint(-5, 5) for _ in range(d)] for _ in range(d)]
+        with mpmath.workdps(40):
+            moduli = [abs(z) for z in mpmath.polyroots(
+                charpoly(m), maxsteps=200, extraprec=200)]
+            scale = int(max(moduli) * mpmath.exp(0.2)) + 1
+            logs = [mpmath.log(x / scale) for x in moduli if x > 1e-30] or [-1]
+        block = [[F(x, scale) for x in row] for row in m]
+        for offset in (0, 1e-15, 1e-12, 1e-6, 0.01):
+            lo_edge = float(min(logs)) - rng.choice((1, -1)) * offset
+            hi_edge = float(max(logs)) + rng.choice((1, -1)) * offset
+            for tol, period in ((0, 1), (0.05, 1), (0, 2), (0.05, 2)):
+                lam, mu = F(lo_edge / period), F(hi_edge / period)
+                bands = SpectrumBands(intervals=((min(lam, mu), mu),), block_dims=(d,))
+                f = BPM.from_linear(bands, 1, block)
+                del calls[:]
+                got = _gate_outcome(nf._check_block_moduli, f, block, tol, period)
+                if not calls and got is None:
+                    exact_passes += 1
+                elif calls:
+                    fallbacks += 1
+                assert got == _gate_outcome(_roots_gate, f, block, tol, period)
+    assert exact_passes > 200 and fallbacks > 200, (exact_passes, fallbacks)
+
+
 def test_resonant_denominator_defect():
     from anosovkit.resonance import enumerate_subresonance
 
@@ -349,9 +423,10 @@ def test_periodic_orbit_gated_by_its_own_exponents(first):
 
 
 def test_smoothness_metadata():
-    assert nf.smoothness_metadata(bands_21())["regime"] == "2:1 quadratic resonance"
+    assert smoothness_metadata(sr_group_descriptor(bands_21()))["regime"] == \
+        "2:1 quadratic resonance"
     strict = SpectrumBands.make([["-0.8", "-0.75"], ["-0.5", "-0.45"]], [1, 1])
-    assert "no nontrivial" in nf.smoothness_metadata(strict)["regime"]
+    assert "no nontrivial" in smoothness_metadata(sr_group_descriptor(strict))["regime"]
 
 
 def test_map_json_roundtrip():
