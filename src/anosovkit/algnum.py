@@ -13,10 +13,12 @@ carries an exact handle:
 - ``LogValue``: log|q(tau)| for a root tau of an irreducible f and q in
   Q[x]/(f), the log-modulus of an eigenvalue on one block.  Integer
   combinations are products of powers mod f.  Signs, equality and rational
-  proportionality are decided exactly on |q(tau)|^2, identified on first
-  use as a real ``Root`` of its minimal polynomial: equal values are equal
-  (key, idx).  Enclosures are exact dyadic ``RInt``s from directed
-  rounding, refined along the one ``_EPS_SCHEDULE``.
+  proportionality are decided exactly on v = |q(tau)|^2, from one
+  squarefree integer polynomial P with the root v and one enclosure of v
+  that holds no other root of P (a Sturm count): v = 1 iff P(1) = 0 and 1
+  lies in it, and two values are equal iff the gcd of their P has a root
+  in both enclosures.  Enclosures are exact dyadic ``RInt``s from directed
+  rounding of the box of tau, refined along the one ``_EPS_SCHEDULE``.
 
 Roots are found with mpmath ``polyroots``, started from double-precision
 Durand-Kerner approximations, and certified with inclusion disks (Rump, J. Comput. Appl. Math. 156, 2003): for any z, some root of a
@@ -26,9 +28,8 @@ evaluated exactly at a dyadic z.  When the n disks of an irreducible p
 root.  Refinement is Newton's method at doubling precision.
 
 Values under a polynomial map, their squares and pairwise products come
-from the ``intpoly`` power-sum constructions; ``identify_root`` then pins a
-value down among the roots of their irreducible factors.  No sympy is used
-here.
+from the ``intpoly`` power-sum constructions; nothing here factors them or
+finds their roots.  No sympy is used here.
 """
 
 from __future__ import annotations
@@ -73,20 +74,29 @@ class CBox:
     def modsq(self) -> RInt:
         return self.re.square() + self.im.square()
 
-    @staticmethod
-    def point(re, im=Fraction(0)) -> "CBox":
-        return CBox(RInt.point(re), RInt.point(im))
-
 
 _REAL = RInt.point(0)   # the imaginary part of a real value
 
 
 def eval_poly_box(coeffs, box: CBox) -> CBox:
-    """Evaluate a rational-coefficient polynomial (descending) on a box."""
-    acc = CBox.point(Fraction(0))
+    """Evaluate a rational-coefficient polynomial (descending) on a box.
+
+    Horner's rule runs in integers: for d and m the common denominators of
+    the box's ends and of the coefficients, m d^deg p(z) is an integer
+    polynomial in the integer box d z, and interval arithmetic commutes with
+    the positive scaling.
+    """
+    ends = (box.re.lo, box.re.hi, box.im.lo, box.im.hi)
+    d = math.lcm(*(x.denominator for x in ends))
+    m = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    re_lo, re_hi, im_lo, im_hi = (x.numerator * (d // x.denominator) for x in ends)
+    z, zero = CBox(RInt(re_lo, re_hi), RInt(im_lo, im_hi)), RInt(0, 0)
+    acc, dk = CBox(zero, zero), 1
     for c in coeffs:
-        acc = acc * box + CBox.point(Fraction(c))
-    return acc
+        k = int(c * m) * dk
+        acc, dk = acc * z + CBox(RInt(k, k), zero), dk * d
+    s = m * dk // d
+    return CBox(*(RInt(Fraction(x.lo, s), Fraction(x.hi, s)) for x in (acc.re, acc.im)))
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +238,17 @@ def _isolate(key: tuple, prec: int) -> tuple:
 
 
 class Root:
-    """Root ``idx`` of ``roots(key)``, held by a certified disk (re, im, r).
+    """A root of ``key``, held by a certified disk (re, im, r).
 
     The isolating disk ``iso`` holds no other root of ``key``.  Refinement
     accepts only disks inside it, so every later ``disk`` encloses the same
     root.  A rational root (degree-1 key) is an exact point of radius 0.
     """
 
-    __slots__ = ("key", "idx", "is_real", "iso", "disk", "_next", "_bits")
+    __slots__ = ("key", "is_real", "iso", "disk", "_next", "_bits")
 
-    def __init__(self, key: tuple, idx: int, disk: tuple, nxt, bits: int):
-        self.key, self.idx = key, idx
+    def __init__(self, key: tuple, disk: tuple, nxt, bits: int):
+        self.key = key
         self.is_real = disk[1] == 0
         self.iso = self.disk = disk
         self._next, self._bits = nxt, bits
@@ -265,9 +275,9 @@ def roots(key: tuple) -> tuple:
     (re, im)."""
     if len(key) == 2:
         point = (Fraction(-key[1], key[0]), Fraction(0), Fraction(0))
-        return (Root(key, 0, point, None, 0),)
+        return (Root(key, point, None, 0),)
     prec, found = _isolate(key, 64)
-    return tuple(Root(key, i, disk, nxt, 2 * prec) for i, (disk, nxt) in enumerate(found))
+    return tuple(Root(key, disk, nxt, 2 * prec) for disk, nxt in found)
 
 
 def _outward(c: Fraction, r: Fraction, k: int) -> RInt:
@@ -285,37 +295,14 @@ def root_box(root: Root, eps: Fraction) -> CBox:
         root.refine()
     re, im, r = root.disk
     if not r:
-        return CBox.point(re, im)
+        return CBox(RInt.point(re), RInt.point(im))
     k = math.ceil(4 / eps).bit_length()     # 2^-k <= eps/4
     return CBox(_outward(re, r, k), _REAL if root.is_real else _outward(im, r, k))
-
-
-def identify_root(poly_key: tuple, refiner) -> Root:
-    """The real root, of an irreducible factor of ``poly_key``, that a real
-    value is.
-
-    ``refiner(eps) -> RInt`` must return rigorous enclosures of the value
-    of width <= 2*eps; the value must be a root of ``poly_key``.  The
-    candidates are narrowed by joint refinement, which terminates because
-    the value is exactly one root of exactly one irreducible factor.
-    """
-    candidates = [root for fkey in sorted(key for key, _ in intpoly.factor(poly_key))
-                  for root in roots(fkey) if root.is_real]
-    for eps in _EPS_SCHEDULE:
-        box = refiner(eps)
-        candidates = [root for root in candidates if root_box(root, eps).re.intersects(box)]
-        if len(candidates) == 1:
-            return candidates[0]
-        if not candidates:
-            raise ValueError("value is not a root of the given polynomial")
-    raise EnclosureTooWide("could not isolate the value among the roots")
 
 
 # ---------------------------------------------------------------------------
 # LogValue
 # ---------------------------------------------------------------------------
-
-_ONE_KEY = (1, -1)
 
 
 def _log_half(box: RInt, prec: int):
@@ -336,49 +323,47 @@ class LogValue:
     q_n(tau) with q_n = prod_g q_g^(n_g) mod f, so integer combinations
     (``combine``, ``scaled``) are products in Q[x]/(f).
     ``sign``/``equals``/``is_zero``/``verify_ratio`` are exact decisions on
-    ``modsq`` = |q(tau)|^2, ``interval`` returns rigorous dyadic enclosures
-    of requested width and ``mid`` the double nearest the exact value.
+    v = |q(tau)|^2 (``_isolated``), ``interval`` returns rigorous dyadic
+    enclosures of requested width and ``mid`` the double nearest the exact
+    value.
     """
 
-    __slots__ = ("f", "root", "q", "_modsq", "_sq", "_box", "_mid")
+    __slots__ = ("f", "root", "q", "_iso", "_sq", "_delta", "_box", "_mid")
 
     def __init__(self, f, root: Root, q):
         self.f, self.root, self.q = tuple(f), root, tuple(q)
-        self._modsq = self._sq = self._box = self._mid = None
+        self._iso = self._sq = self._box = self._mid = None
 
-    @property
-    def modsq(self) -> Root:
-        """|q(tau)|^2 as the real ``Root`` of its minimal polynomial that it
-        is, identified on first use.  Two log-moduli are equal iff their
-        ``modsq`` have the same (key, idx).
+    def _modsq_box(self, width: Fraction) -> RInt:
+        """An enclosure of v = |q(tau)|^2 of width <= ``width``, kept until a
+        narrower one is asked for: |q|^2 on the box of tau at the widths
+        delta of ``_EPS_SCHEDULE``, and past it, each the square of the
+        last, from where the kept one stopped."""
+        while self._sq is None or self._sq.width > width:
+            self._delta = (_EPS_SCHEDULE[0] if self._sq is None
+                           else self._delta ** 2)
+            self._sq = eval_poly_box(self.q, root_box(self.root, self._delta)).modsq()
+        return self._sq
+
+    def _isolated(self):
+        """(P, I): P a squarefree integer polynomial with the root v, I the
+        first enclosure of v on the schedule that holds no other root of P,
+        its ends included.
 
         The values q(tau_j) over the roots of f are the roots of
-        values_poly(f, q).  For a real tau, |q(tau)|^2 is a root of their
-        squares; otherwise it is q(tau) * q(conj tau), a root of their
-        pairwise products.  ``identify_root`` then picks it out.
+        values_poly(f, q).  For a real tau, v = q(tau)^2 is a root of their
+        squares; otherwise v = q(tau) q(conj tau), a root of their products
+        over pairs.
         """
-        if self._modsq is None:
+        if self._iso is None:
             values = intpoly.values_poly(self.f, self.q)
-            vanishing = (intpoly.power_poly(values, 2) if self.root.is_real
-                         else intpoly.composed_product_pair(values, values))
-            q = [Fraction(c) for c in self.q]
-
-            def refiner(eps):
-                for delta in _EPS_SCHEDULE:
-                    sq = eval_poly_box(q, root_box(self.root, delta)).modsq()
-                    if sq.width <= eps:
-                        return sq
-                raise EnclosureTooWide("value refinement failed")
-
-            self._modsq = identify_root(vanishing, refiner)
-        return self._modsq
-
-    def _modsq_box(self, eps: Fraction) -> RInt:
-        """An enclosure of |q(tau)|^2 of width <= 2*eps, kept until a
-        narrower one is asked for."""
-        if self._sq is None or self._sq.width > 2 * eps:
-            self._sq = root_box(self.modsq, eps).re
-        return self._sq
+            p = intpoly.squarefree_part(intpoly.power_poly(values, 2) if self.root.is_real
+                                        else intpoly.pair_products(values))
+            eps = _EPS_SCHEDULE[0]
+            while intpoly._sturm_count(p, (box := self._modsq_box(eps)).lo, box.hi) != 1:
+                eps *= eps      # the schedule, and past it: v is a simple root of P
+            self._iso = p, box
+        return self._iso
 
     @staticmethod
     def combine(lvs, a) -> "LogValue":
@@ -403,10 +388,16 @@ class LogValue:
         raise EnclosureTooWide("|q(tau)|^2 did not separate from 1")
 
     def is_zero(self) -> bool:
-        return self.modsq.key == _ONE_KEY
+        p, box = self._isolated()
+        return box.lo <= 1 <= box.hi and intpoly._horner(p, 1) == 0
 
     def equals(self, other: "LogValue") -> bool:
-        return (self.modsq.key, self.modsq.idx) == (other.modsq.key, other.modsq.idx)
+        """Each P has one root in its own I, its value, so the values are
+        equal iff the gcd of the two P has a root in both I; it divides each
+        P, so it has at most one there."""
+        (p, a), (r, b) = self._isolated(), other._isolated()
+        return a.intersects(b) and intpoly._sturm_count(
+            intpoly._gcd(p, r), max(a.lo, b.lo), min(a.hi, b.hi)) > 0
 
     def interval(self, eps: Fraction) -> RInt:
         """Rigorous enclosure of width <= eps with dyadic ends, refined on
@@ -420,7 +411,7 @@ class LogValue:
         if self._box is None or self._box.width > eps:
             sq = next(box for e in _EPS_SCHEDULE if (box := self._modsq_box(e)).lo > 0)
             e = min(eps, 1)
-            sq = self._modsq_box(e * sq.lo / 4)
+            sq = self._modsq_box(e * sq.lo / 2)
             prec = e.denominator.bit_length() - e.numerator.bit_length() + 24
             while True:
                 box = RInt(*(_dyadic(x) for x in _log_half(sq, prec)))
@@ -441,7 +432,7 @@ class LogValue:
             for eps in _EPS_SCHEDULE:
                 box = self.interval(eps)
                 if float(box.lo) == float(box.hi):
-                    self._mid = float(box.lo)
+                    self._mid = float(box.lo) or 0.0   # not the -0.0 of a zero in [-w, w]
                     break
             else:
                 raise EnclosureTooWide("no enclosure fixed the nearest double")

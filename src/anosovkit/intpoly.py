@@ -8,8 +8,10 @@ polynomial fact the toral verdicts rest on:
 
 - ``charpoly`` (closed forms up to 3x3, Faddeev-LeVerrier above) and
   ``poly_of_matrix`` (Horner);
-- ``poly_divmod``, the one division, behind ``divides``, the cyclotomic
-  polynomials and ``squarefree_part``;
+- ``poly_divmod``, the one division over Q, behind ``divides``, the
+  cyclotomic polynomials and ``squarefree_part``, and its remainder in
+  integers up to a positive factor, ``_prem``, behind ``_gcd`` and the
+  Sturm sequences;
 - ``is_semisimple_matrix``: the squarefree part of the characteristic
   polynomial annihilates the matrix iff the minimal polynomial is
   squarefree;
@@ -24,13 +26,15 @@ polynomial fact the toral verdicts rest on:
   decomposition, then Zassenhaus's method on each part (distinct- and
   equal-degree factoring mod a small prime, Hensel lifting, recombination
   by exact trial division);
-- the constructions that exact identification of eigenvalue moduli needs,
+- the constructions whose roots are eigenvalues and their squared moduli,
   from power sums of roots (Newton's identities both ways; Bostan,
   Flajolet, Salvy and Schost, J. Symbolic Comput. 41, 2006):
   ``values_poly`` (the values q(tau) over the roots tau of f),
-  ``power_poly`` (the k-th powers) and ``composed_product_pair`` (the
-  pairwise products).  Each equals the classical resultant after
-  ``primitive``, up to sign;
+  ``power_poly`` (the k-th powers) and ``pair_products`` (the products
+  alpha_i alpha_j over pairs i < j, of degree n(n - 1)/2);
+- ``_sturm_count``, the number of real roots in a closed interval: with
+  it and ``_gcd`` a squared modulus is decided from one polynomial that
+  vanishes at it and one interval that holds no other of its roots;
 - arithmetic in Q[x]/(f): ``mul_mod``, ``power_mod`` and
   ``power_product``, the products of powers that write an action element,
   or an integer combination of log-moduli, as one polynomial.
@@ -163,12 +167,22 @@ def _derivative(p) -> list:
     return _strip([c * (n - i) for i, c in enumerate(p[:-1])])
 
 
+def _prem(a, b) -> list:
+    """A positive multiple of the remainder of a by b, for integer a and b,
+    in integers: each step scales the running remainder by |lc(b)|."""
+    c, b = abs(b[0]), b if b[0] > 0 else [-x for x in b]
+    r = list(a)
+    while len(r) >= len(b):
+        r = _strip([c * x - r[0] * y for x, y in itertools.zip_longest(r, b, fillvalue=0)])
+    return r
+
+
 def _gcd(a, b) -> tuple:
     """Primitive gcd over Q by Euclid, each remainder made primitive, which
     keeps the coefficients small."""
     a, b = primitive(a), primitive(b)
     while b:
-        a, b = b, primitive(poly_divmod(a, b)[1])
+        a, b = b, primitive(_prem(a, b))
     return a
 
 
@@ -286,25 +300,15 @@ def power_poly(m, k: int) -> tuple:
     return from_power_sums(power_sums(m, n * k)[k - 1::k])
 
 
-def _squarefree_nonzero(p) -> tuple:
-    """Squarefree part of p with the root 0 removed."""
-    p = tuple(p)
-    while p[-1] == 0:
-        p = p[:-1]
-    return squarefree_part(p)
-
-
-def composed_product_pair(a, b) -> tuple:
-    """Primitive polynomial whose roots are the products alpha*beta over the
-    roots alpha of a and beta of b: s_k(alpha*beta) = s_k(alpha) s_k(beta).
-
-    Zero roots are stripped and the squarefree parts are used first (once
-    when a and b are the same polynomial).
-    """
-    sa = _squarefree_nonzero(a)
-    sb = sa if tuple(b) == tuple(a) else _squarefree_nonzero(b)
-    n = (len(sa) - 1) * (len(sb) - 1)
-    return from_power_sums([x * y for x, y in zip(power_sums(sa, n), power_sums(sb, n))])
+def pair_products(m) -> tuple:
+    """Primitive polynomial whose roots are the products alpha_i alpha_j,
+    i < j, over the roots alpha_1, ..., alpha_n of m counted with
+    multiplicity, of degree n(n - 1)/2: its power sums are
+    s_k = (S_k^2 - S_2k)/2, with S the power sums of m."""
+    n = len(m) - 1
+    sums = power_sums(m, n * (n - 1))
+    return from_power_sums([_quo(sums[k - 1] ** 2 - sums[2 * k - 1], 2)
+                            for k in range(1, n * (n - 1) // 2 + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -631,33 +635,40 @@ def has_root_of_unity(p) -> bool:
     return bool(cyclotomic_divisors(p))
 
 
-def _horner(p, x):
-    acc = 0
+def _horner(p, x, s=1):
+    """s^deg(p) * p(x/s), in integers for integer p, x and s; for s > 0 it
+    has the sign of p(x/s)."""
+    acc, sk = 0, 1
     for c in p:
-        acc = acc * x + c
+        acc = acc * x + c * sk
+        sk *= s
     return acc
 
 
 def _sign_changes(seq, x) -> int:
-    signs = [v > 0 for v in (_horner(p, x) for p in seq) if v]
+    x = Fraction(x)
+    signs = [v > 0 for v in (_horner(p, x.numerator, x.denominator) for p in seq) if v]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _sturm_count(h, a, b) -> int:
-    """Distinct real roots of h in (a, b], by Sturm's theorem over Q.
+    """Distinct real roots of h in the closed interval [a, b], by Sturm's
+    theorem over Q.
 
-    Each remainder is scaled by a positive constant to integer content 1,
-    which keeps every sign of the sequence.  h need not be squarefree.
+    Each remainder, a positive multiple from ``_prem``, is divided by its
+    (positive) content, which keeps every sign of the sequence.  h need not
+    be squarefree, but an end must not be a multiple root.
     """
     seq = [primitive(h)]
     r = primitive(_derivative(h))
     while r:
         seq.append(r)
-        rem = poly_divmod(seq[-2], seq[-1])[1]
-        r = primitive(rem)
-        if rem and (rem[0] > 0) == (r[0] > 0):
-            r = tuple(-c for c in r)     # the Sturm step takes -rem
-    return _sign_changes(seq, a) - _sign_changes(seq, b)
+        rem = _prem(seq[-2], seq[-1])
+        g = gcd(*rem)
+        r = tuple(-c // g for c in rem)     # the Sturm step takes -rem
+    a = Fraction(a)
+    return (_sign_changes(seq, a) - _sign_changes(seq, b)
+            + (_horner(seq[0], a.numerator, a.denominator) == 0))
 
 
 def has_unit_circle_root(p) -> bool:

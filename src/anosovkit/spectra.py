@@ -21,9 +21,9 @@ On the block of f an action element sigma(n) is q_n(T), q_n = prod_g
 q_g^(n_g) in Q[x]/(f) (H. Cohen, GTM 138, ch. 4), so its Anosov and
 root-of-unity tests read values_poly(f, q_n); no matrix power is formed.
 The same arithmetic gives the log-moduli: chi(n) on the class of a root tau
-of f is the LogValue log|q_n(tau)|.  Classes merge into functionals by the
-identified roots |q_g(tau)|^2, and a class's minimal polynomial is the one
-irreducible factor of values_poly(f, q_1).
+of f is the LogValue log|q_n(tau)|.  Classes merge into functionals where
+``LogValue.equals`` proves every log-modulus equal, and a class's minimal
+polynomial is the squarefree part of values_poly(f, q_1).
 
 The rigidity check decides its two searches with finite bounds: an Anosov
 element lies in the box of radius ceil(m/2) for m nonzero functionals, and
@@ -32,8 +32,8 @@ block, whose rank a nonzero interval minor of the block's log-modulus
 matrix certifies (Kronecker and Dirichlet).
 
 All yes/no answers are exact.  Enclosures only ever *separate* values;
-equality and zero decisions are algebraic (factorization, power-sum
-constructions, cyclotomic divisibility).
+equality and zero decisions are algebraic (power-sum constructions, gcds
+and Sturm counts, cyclotomic divisibility).
 """
 
 from __future__ import annotations
@@ -222,14 +222,13 @@ class _Analysis:
             return self._classes
         # the values q_1(tau_j) over the roots of the irreducible f_b are
         # conjugates, so values_poly is a power of their minimal polynomial
-        minpolys = [intpoly.factor(values_poly(block.fT_key, block.qs[0]))[0][0]
+        minpolys = [intpoly.squarefree_part(values_poly(block.fT_key, block.qs[0]))
                     for block in self.blocks]
         entries = []
         for b, block in enumerate(self.blocks):
             for j, root in enumerate(block.croots):
                 lvs = tuple(LogValue(block.fT_key, root, q) for q in block.qs)
-                sort_key = (tuple(lv.interval(_EPS_SCHEDULE[0]).lo for lv in lvs),
-                            minpolys[b], j, b)
+                sort_key = (tuple(lv.mid() for lv in lvs), minpolys[b], j, b)
                 entries.append((sort_key, b, lvs, block.class_dim, minpolys[b]))
         entries.sort(key=lambda e: e[0])
         classes = []
@@ -247,11 +246,13 @@ class _Analysis:
         """Classes merged by proven-equal log-modulus vectors, sorted lex."""
         if self._functionals is not None:
             return self._functionals
-        # equal log-moduli are equal identified roots |q_g(tau)|^2
+        # each class joins the first representative whose log-moduli all equal
+        # its own, or represents a new functional
         groups = {}
         for cls in self.classes():
-            key = tuple((lv.modsq.key, lv.modsq.idx) for lv in cls.moduli_log)
-            groups.setdefault(key, []).append(cls)
+            rep = next((r for r in groups
+                        if all(map(LogValue.equals, r.moduli_log, cls.moduli_log))), cls)
+            groups.setdefault(rep, []).append(cls)
         funcs = [LyapunovFunctional(coeffs=grp[0].moduli_log,
                                     multiplicity=sum(c.dimension for c in grp),
                                     classes=tuple(sorted(c.index for c in grp)))

@@ -10,6 +10,7 @@ split against an exact Sturm count.
 """
 
 import ast
+import itertools
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,10 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anosovkit.algnum import LogValue, root_box, roots
-from anosovkit.exact import _EPS_SCHEDULE, validate_action
+from anosovkit.exact import _EPS_SCHEDULE, mat_mul, validate_action
 from anosovkit.intpoly import (
     _sturm_count,
-    composed_product_pair,
+    pair_products,
     power_poly,
     squarefree_part,
     values_poly,
@@ -72,12 +73,17 @@ def mp_value(q, z):
 
 
 @settings(max_examples=30)
-@given(polys(3), polys(3))
-def test_composed_product_vanishes_at_products(a, b):
-    c = composed_product_pair(tuple(a), tuple(b))
+@given(polys(5).map(squarefree_part).filter(lambda p: len(p) > 2))
+def test_pair_products_vanish_at_pair_products(m):
+    # m is squarefree, so its roots are simple and the products over pairs
+    # i < j are those of distinct roots
+    p = pair_products(m)
+    n = len(m) - 1
+    assert len(p) - 1 == n * (n - 1) // 2
     with mpmath.workdps(DPS):
-        products = [x * y for x in mp_roots(a) for y in mp_roots(b)]
-    assert_roots_of(products, c)
+        alphas = mp_roots(m)
+        products = [alphas[i] * alphas[j] for i in range(n) for j in range(i + 1, n)]
+    assert_roots_of(products, p)
 
 
 @given(polys(5), st.integers(1, 4))
@@ -99,12 +105,12 @@ def test_values_poly_vanishes_at_values(f, q):
     assert_roots_of(values, p)
 
 
-def test_composed_product_of_non_real_roots():
+def test_pair_products_of_non_real_roots():
     # x^3 - x - 1 has a non-real pair off the unit circle; |alpha|^2 is a
-    # product of conjugates, a root of the composed product with itself
+    # product of conjugates, a root of the pair products of degree 3
     a = (1, 0, -1, -1)
-    c = composed_product_pair(a, a)
-    assert len(c) == 10
+    c = pair_products(a)
+    assert len(c) == 4
     with mpmath.workdps(DPS):
         z = next(r for r in mp_roots(a) if mpmath.im(r) > 0)
         assert_roots_of([z * mpmath.conj(z)], c)
@@ -155,6 +161,98 @@ def test_log_enclosures_reach_every_width(f, exact):
             assert box.width <= eps
             assert mp_of(box.lo) - slack <= value <= mp_of(box.hi) + slack
         assert lv.mid() == mpmath.libmp.to_float(value._mpf_, rnd="n")
+
+
+# ---------------------------------------------------------------------------
+# Exact decisions: equals and is_zero
+# ---------------------------------------------------------------------------
+
+T3_M = [[0, 0, -1], [1, 0, 2], [0, 1, 1]]
+T3_N = [[x - 2 * (i == j) for j, x in enumerate(row)]
+        for i, row in enumerate(mat_mul(T3_M, T3_M))]
+
+
+def direct_sum(a, b):
+    return [row + [0] * len(b) for row in a] + [[0] * len(a) + row for row in b]
+
+
+def mp_log(lv):
+    return mp_of(lv.interval(Fraction(1, 10**50)).lo)
+
+
+def test_equal_log_moduli_from_different_blocks():
+    # blockdiag-t6, (M + M, N + M): the first generator is M on both blocks
+    # of T, so each of its log-moduli appears once per block, as
+    # log|q(tau)| for different f, q and tau
+    an = analyze(validate_action([direct_sum(T3_M, T3_M), direct_sum(T3_N, T3_M)]))
+    classes = an.classes()
+    block = {c: b for b, members in enumerate(an.block_classes) for c in members}
+    across = 0
+    with mpmath.workdps(DPS):
+        for a, b in itertools.combinations(classes, 2):
+            x, y = a.moduli_log[0], b.moduli_log[0]
+            equal = abs(mp_log(x) - mp_log(y)) < CLOSE
+            assert x.equals(y) == y.equals(x) == equal, (a.index, b.index)
+            across += equal and block[a.index] != block[b.index]
+    assert across == 3
+
+
+def test_conjugate_pair_and_its_real_partner():
+    # x^3 - x - 1: rho |tau|^2 = 1 for the non-real pair tau, conj tau
+    f = (1, 0, -1, -1)
+    rho, tau, tau_bar = (LogValue(f, root, (1, 0)) for root in roots.__wrapped__(f))
+    assert tau.equals(tau_bar) and tau_bar.equals(tau)
+    assert not tau.equals(rho) and not tau.is_zero() and not rho.is_zero()
+    assert tau.scaled(2).equals(rho.scaled(-1))
+    assert not tau.scaled(2).equals(rho)
+    assert (tau.sign(), rho.sign()) == (-1, 1)
+
+
+def test_irrational_unit_modulus_is_zero():
+    # the Salem polynomial x^4 - x^3 - x^2 - x + 1: two real roots 1/lambda
+    # and lambda, and an irrational pair on the unit circle
+    f = (1, -1, -1, -1, 1)
+    small, big, z, z_bar = (LogValue(f, root, (1, 0)) for root in roots.__wrapped__(f))
+    assert z.is_zero() and z_bar.is_zero() and z.equals(z_bar)
+    assert (z.sign(), small.sign(), big.sign()) == (0, -1, 1)
+    assert not small.is_zero() and not big.is_zero()
+    assert small.scaled(-1).equals(big) and not small.equals(big)
+    # q = x^2 + 1 has |q(z)|^2 = |z|^2 |z + 1/z|^2 = (2 cos theta)^2 != 1
+    assert not LogValue(f, z.root, (1, 0, 1)).is_zero()
+
+
+def test_distinct_values_closer_than_the_first_width():
+    # phi^2 against (F_66 / F_65)^2: a Fibonacci ratio is within 1/F_65^2
+    # of phi, so the two differ by about 1e-27, far inside the first
+    # enclosures; the gcd of x^2 - 3x + 1 and a linear polynomial decides
+    fib = [1, 1]
+    while len(fib) < 66:
+        fib.append(fib[-1] + fib[-2])
+    phi = LogValue((1, -1, -1), roots.__wrapped__((1, -1, -1))[1], (1, 0))
+    ratio = LogValue((1, -1), roots.__wrapped__((1, -1))[0], (Fraction(fib[-1], fib[-2]),))
+    first = _EPS_SCHEDULE[0]
+    assert phi.interval(first).intersects(ratio.interval(first))
+    assert not phi.equals(ratio) and not ratio.equals(phi)
+    with mpmath.workdps(DPS):
+        above = mp_of(ratio.interval(Fraction(1, 10**40)).lo) > mpmath.log(mpmath.phi)
+    assert ratio.cmp(phi) == (1 if above else -1) == -phi.cmp(ratio)
+
+
+def test_value_within_the_first_width_of_one_is_not_zero():
+    # q = F_149 x - F_150 + 1 has q(phi) = 1 - (-1/phi)^149, within 1e-31
+    # of 1: its enclosures at the first width, the isolating one included,
+    # hold 1, and P(1) != 0 decides
+    fib = [1, 1]
+    while len(fib) < 151:
+        fib.append(fib[-1] + fib[-2])
+    near = LogValue((1, -1, -1), roots.__wrapped__((1, -1, -1))[1],
+                    (fib[-2], 1 - fib[-1]))
+    box = near.interval(_EPS_SCHEDULE[0])
+    assert box.lo <= 0 <= box.hi
+    assert not near.is_zero()
+    with mpmath.workdps(DPS):
+        value = fib[-2] * mpmath.phi - fib[-1] + 1
+    assert near.sign() == (1 if value > 1 else -1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import runpy
 import subprocess
 import sys
@@ -682,6 +683,59 @@ def test_spectral_corpus_reports_are_unchanged(tmp_path):
                           .read_text())
     assert sorted(got) == sorted(expected)
     assert [op for op in got if got[op] != expected[op]] == []
+
+
+def invariant_summary(code, report):
+    """What a change of generators of the same Z^k action keeps: the verdict
+    and exit code, the wall, chamber and coarse-space counts, the neutral
+    dimension, the kernel and torsion ranks as multisets, whether an Anosov
+    element was found, and the kind of an undecided step."""
+    res = report["result"]
+    rig = res.get("rigidity_hypotheses")
+    rig = rig if isinstance(rig, dict) else {}
+    rou = rig.get("roots_of_unity", {})
+    chambers = res.get("chambers") or {}
+    return {"exit": code, "verdict": report["verdict"],
+            "undecided": res.get("error", {}).get("kind"),
+            "walls": chambers.get("walls"), "chambers": chambers.get("count"),
+            "coarse_spaces": len(res.get("coarse_spaces", [])),
+            "neutral_dimension": res.get("neutral_dimension"),
+            "kernel_ranks": sorted(f["kernel_rank"] for f in rou.get("per_functional", [])),
+            "torsion_ranks": sorted(b["torsion_rank"] for b in rou.get("per_block", [])),
+            "anosov_found": rig.get("anosov_element", {}).get("found")}
+
+
+def test_reports_are_invariant_under_a_change_of_basis(tmp_path):
+    # every seed-1 analyze op, conjugated by one P in GL(n, Z): the same
+    # report but for the input hash; its generators recombined by an element
+    # of GL(k, Z): the same invariant summary
+    def transvection(n, i, j, s):
+        return [[int(r == c) + s * (r == i and c == j) for c in range(n)] for r in range(n)]
+
+    for op in spectral_corpus():
+        if op.command != "analyze":
+            continue
+        gens = op.data["generators"]
+        n, k = len(gens[0]), len(gens)
+        rng = random.Random(f"invariance:{op.id}")
+        i, j = rng.sample(range(n), 2)
+        s = rng.choice((1, -1))
+        p, p_inv = transvection(n, i, j, s), transvection(n, i, j, -s)
+        conjugated = [mat_mul(mat_mul(p, g), p_inv) for g in gens]
+        if k == 1:
+            recombined = [[[int(x) for x in row] for row in mat_inv(gens[0])]]
+        else:
+            g, h = rng.sample(range(k), 2)
+            power = gens[h] if rng.random() < 0.5 else [
+                [int(x) for x in row] for row in mat_inv(gens[h])]
+            recombined = [mat_mul(a, power) if m == g else a for m, a in enumerate(gens)][::-1]
+        rc, base = analyze_report(tmp_path, gens, op.id)
+        rc_p, conj = analyze_report(tmp_path, conjugated, op.id + ".conj")
+        rc_u, rec = analyze_report(tmp_path, recombined, op.id + ".rec")
+        assert rc_p == rc, op.id
+        assert (stable_dumps({**conj, "input_sha256": None})
+                == stable_dumps({**base, "input_sha256": None})), op.id
+        assert invariant_summary(rc_u, rec) == invariant_summary(rc, base), op.id
 
 
 @pytest.mark.parametrize("exponents, count", [

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -171,20 +172,47 @@ def test_undecided_sign_is_one_class():
     assert spectra.UndecidedSign is chambers.UndecidedSign is algnum.UndecidedSign
 
 
+def unimodular_draws(rng, n, count):
+    """``count`` random n x n integer matrices with entries in [-2, 2] and
+    determinant +-1."""
+    out = []
+    while len(out) < count:
+        m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if intpoly.charpoly(m)[-1] in (1, -1):
+            out.append(m)
+    return out
+
+
+def sympy_semisimple(m):
+    """Whether sympy's squarefree part of charpoly(M), evaluated at M by
+    sympy's matrix arithmetic, is zero: the minimal polynomial is then
+    squarefree."""
+    x, a = sympy.Symbol("x"), sympy.Matrix(m)
+    acc = sympy.zeros(len(m))
+    for c in sympy.Poly(a.charpoly(x).as_expr(), x).sqf_part().all_coeffs():
+        acc = acc * a + c * sympy.eye(len(m))
+    return acc.is_zero_matrix
+
+
 def test_semisimple_against_sympy_oracle():
+    # sympy's is_diagonalizable, the fully independent check, on the first
+    # five draws (about a second each), one of them not diagonalizable
     rng = random.Random(11)
-    count = 0
-    while count < 25:
-        m = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
-        p = intpoly.charpoly(m)
-        det = (-1) ** 3 * p[-1]
-        if det not in (1, -1):
-            continue
-        count += 1
-        action = spectra.validate_action([m])
-        mine = spectra.is_semisimple(action)["overall"]
-        oracle = sympy.Matrix(m).is_diagonalizable()
-        assert mine == oracle, m
+    verdicts = []
+    for m in unimodular_draws(rng, 3, 5):
+        mine = spectra.is_semisimple(spectra.validate_action([m]))["overall"]
+        assert mine == sympy.Matrix(m).is_diagonalizable(), m
+        verdicts.append(mine)
+    assert set(verdicts) == {True, False}
+    # many more draws, 4 x 4 included, against sympy's annihilating
+    # squarefree part
+    for n, count in ((3, 300), (4, 200)):
+        verdicts = []
+        for m in unimodular_draws(rng, n, count):
+            mine = spectra.is_semisimple(spectra.validate_action([m]))["overall"]
+            assert mine == sympy_semisimple(m), m
+            verdicts.append(mine)
+        assert set(verdicts) == {True, False}, n
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +277,37 @@ def test_minimal_polynomials_on_unit_sums(gens):
             logs = [mpmath.log(abs(z)) for z in mpmath.polyroots(poly, maxsteps=200,
                                                                   extraprec=100)]
         assert min(abs(v - cls.moduli_log[0].mid()) for v in logs) < 1e-9, poly
+
+
+def test_analyze_factors_and_isolates_nothing_above_dim(tmp_path, monkeypatch):
+    # log-moduli are decided without factoring, or finding the roots of, a
+    # polynomial of the |q(tau)|^2 (their pair products have degree up to
+    # dim^2): in a full analyze of the companion pair C, C - I of
+    # x^10 - x - 1, every such argument is a factor of a charpoly(T)
+    from anosovkit import algnum
+    from anosovkit.cli import main
+
+    degrees = []
+
+    def spy(fn):
+        def wrapped(p, *rest):
+            degrees.append(len(p) - 1)
+            return fn(p, *rest)
+        return wrapped
+
+    for module, name in ((intpoly, "factor"), (algnum, "roots"), (spectra, "roots"),
+                         (algnum, "_isolate")):
+        monkeypatch.setattr(module, name, spy(getattr(module, name)))
+    n = 10
+    c = [[int(i == j + 1) for j in range(n)] for i in range(n)]
+    c[0][n - 1], c[1][n - 1] = 1, 1
+    gens = [c, [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(c)]]
+    (tmp_path / "in.json").write_text(json.dumps(
+        {"dim": n, "generators": [[x for row in g for x in row] for g in gens]}))
+    rc = main(["analyze", "--input", str(tmp_path / "in.json"),
+               "--output", str(tmp_path / "out.json")])
+    assert rc == 0 and degrees
+    assert max(degrees) <= n
 
 
 # ---------------------------------------------------------------------------
