@@ -8,9 +8,12 @@ intertwining and regularity reports), ``rootsys`` (type/rank -> smoothness
 class).
 
 Exit codes: 0 pass, 1 parse/validation error (argparse usage errors and
-out-of-range option values included), 2 fail, 3 inconclusive: undecided, or
-an error that no stage claims, reported as ``{"error": {"kind", "stage",
-"detail"}}`` in place of a traceback.
+out-of-range option values included; no report), 2 fail, 3 inconclusive:
+undecided, or an error that no stage claims.  A command returns its result
+and verdict to ``main``, which alone writes the report and picks the exit
+code.  An exception that the current stage names as certifying a fail
+(exit 2), and any other exception (exit 3), is reported as ``{"error":
+{"kind", "stage", "detail"}}`` in place of a traceback.
 Reports are byte-stable for fixed inputs and seed: keys are sorted, no
 timestamps or timings are embedded, and the input hash is recorded.
 
@@ -25,7 +28,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .jsonio import envelope, sha256_hex, stable_dumps
 
@@ -45,27 +47,27 @@ def _apply_thread_cap():
             os.environ.setdefault(var, cap)
 
 
-def _read_input(path: str):
+class _ParseError(Exception):
+    """An input or option value that cannot be read or parsed: exit 1, with
+    no report."""
+
+
+def _parsed(build, *args):
+    """``build(*args)``, with any failure to read or parse it a _ParseError."""
+    try:
+        return build(*args)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise _ParseError(exc) from exc
+
+
+def _read_input(path: str, parse):
+    """The JSON file at ``path`` through ``parse``, and the file's SHA-256."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    return json.loads(raw.decode("utf-8")), sha256_hex(raw)
+    return parse(json.loads(raw.decode("utf-8"))), sha256_hex(raw)
 
 
-def _emit(args, report: dict, text_lines=None) -> None:
-    if args.format == "json":
-        payload = stable_dumps(report) + "\n"
-    else:
-        lines = text_lines or []
-        lines.append(f"verdict: {report['verdict']}")
-        payload = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-
-
-_EXIT = {"pass": 0, "fail": 2, "inconclusive": 3, "info": 0}
+_EXIT = {"pass": 0, "fail": 2, "inconclusive": 3}
 
 # Peak RSS of a `conjugate` run, less that of a process that only imports
 # the CLI, the conjugacy package and numpy (34 MiB), over the bytes of its
@@ -75,17 +77,11 @@ _EXIT = {"pass": 0, "fail": 2, "inconclusive": 3, "info": 0}
 _GRID_WORKING_SET = 4
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args):
     from . import chambers, spectra
 
-    try:
-        obj, digest = _read_input(args.input)
-        action = spectra.ActionSpec.from_json(obj)
-    except (OSError, ValueError, KeyError, TypeError,
-            spectra.ActionValidationError) as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return 1
-    args.digest, args.config = digest, {"tol": args.tol}
+    action, args.digest = _parsed(_read_input, args.input, spectra.ActionSpec.from_json)
+    args.config = {"tol": args.tol}
     args.stage = "joint_spectrum"
     analysis = spectra.analyze(action)
     classes = analysis.classes()
@@ -153,27 +149,13 @@ def cmd_analyze(args) -> int:
         verdict = "pass" if anosov else "fail"
         if not anosov:
             result["failure_certificate"] = "NotAnosov: generator has a unit-modulus eigenvalue"
-    report = envelope("analyze", digest, result, verdict, seed=args.seed,
-                      config=args.config)
-    coarse = result["coarse_spaces"]
-    text = [f"dim {action.dim}, rank {action.k}",
-            f"functionals: {len(functionals)}",
-            f"coarse spaces: {coarse['error'] if isinstance(coarse, dict) else len(coarse)}"
-            f" (+ neutral dim {result['neutral_dimension']})"]
-    _emit(args, report, text)
-    return _EXIT[verdict]
+    return result, verdict
 
 
-def cmd_resonances(args) -> int:
+def cmd_resonances(args):
     from . import resonance
 
-    try:
-        obj, digest = _read_input(args.input)
-        bands = resonance.SpectrumBands.from_json(obj)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return 1
-    args.digest = digest
+    bands, args.digest = _parsed(_read_input, args.input, resonance.SpectrumBands.from_json)
     narrow = resonance.is_narrow_band(bands)
     result = {"narrow_band": narrow}
     verdict = "pass"
@@ -184,38 +166,27 @@ def cmd_resonances(args) -> int:
     else:
         verdict = "fail"
         result["failure_certificate"] = "NotNarrowBand"
-    report = envelope("resonances", digest, result, verdict, seed=args.seed)
-    _emit(args, report, [f"narrow band: {narrow}"])
-    return _EXIT[verdict]
+    return result, verdict
 
 
-def cmd_normalform(args) -> int:
+def cmd_normalform(args):
     from . import normalform
 
-    try:
-        obj, digest = _read_input(args.input)
-        fmap = normalform.BlockedPolynomialMap.from_json(obj)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return 1
-    args.digest, args.config = digest, {"degree": args.degree, "tol": args.tol}
-    try:
-        res = normalform.normalize_contraction(fmap, degree=args.degree)
-    except (normalform.ResonantDenominator, ValueError) as exc:
-        report = envelope("normalform", digest,
-                          {"error": str(exc)}, "fail", seed=args.seed)
-        _emit(args, report, [f"error: {exc}"])
-        return 2
+    fmap, args.digest = _parsed(_read_input, args.input,
+                                normalform.BlockedPolynomialMap.from_json)
+    args.config = {"degree": args.degree, "tol": args.tol}
+    # a resonant denominator, or a linear part that is not semisimple within
+    # a block, certifies that the map has no normal form here: exit 2
+    args.certifies = (normalform.ResonantDenominator, ValueError)
+    res = normalform.normalize_contraction(fmap, degree=args.degree)
+    args.certifies = ()
     ok, violators = normalform.is_subresonance_type(res.normal)
     result = res.to_json()
     result["normal_is_subresonance_type"] = ok
     result["violators"] = [list(map(list, violators))] if violators else []
     verdict = "pass" if ok and (res.residual == 0 or float(res.residual) < args.tol) \
         else "fail"
-    report = envelope("normalform", digest, result, verdict, seed=args.seed,
-                      config=args.config)
-    _emit(args, report, [f"residual: {res.residual}"])
-    return _EXIT[verdict]
+    return result, verdict
 
 
 def _build_preset(name: str, eps: float):
@@ -246,56 +217,38 @@ def _build_preset(name: str, eps: float):
     raise ValueError(f"unknown preset {name!r}; choose from {sorted(_PRESETS)}")
 
 
-def cmd_conjugate(args) -> int:
+def cmd_conjugate(args):
     from . import conjugacy
 
     ground_truth = None
     if args.preset:
-        try:
-            pert, ground_truth = _build_preset(args.preset, args.eps)
-        except ValueError as exc:
-            sys.stderr.write(f"parse error: {exc}\n")
-            return 1
-        digest = sha256_hex(stable_dumps(
+        pert, ground_truth = _parsed(_build_preset, args.preset, args.eps)
+        args.digest = sha256_hex(stable_dumps(
             {"preset": args.preset, "eps": args.eps}).encode())
     else:
-        try:
-            obj, digest = _read_input(args.input)
-            pert = conjugacy.ToralPerturbation.from_json(obj)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            sys.stderr.write(f"parse error: {exc}\n")
-            return 1
+        pert, args.digest = _parsed(_read_input, args.input,
+                                    conjugacy.ToralPerturbation.from_json)
     if args.grid & (args.grid - 1):
-        sys.stderr.write("parse error: --grid must be a power of two\n")
-        return 1
+        raise _ParseError("--grid must be a power of two")
     if not 0 <= args.generator < pert.k:
-        sys.stderr.write(f"parse error: --generator {args.generator} is not one of "
-                         f"the {pert.k} generators (0 to {pert.k - 1})\n")
-        return 1
+        raise _ParseError(f"--generator {args.generator} is not one of "
+                          f"the {pert.k} generators (0 to {pert.k - 1})")
     need = args.grid ** pert.dim * pert.dim * 8 * _GRID_WORKING_SET
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        sys.stderr.write(f"parse error: --grid {args.grid} on T^{pert.dim} needs about "
-                         f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB "
-                         "of physical memory\n")
-        return 1
-    config = {"grid": args.grid, "tol": args.tol, "generator": args.generator,
-              "mode": args.mode, "eps": args.eps if args.preset else None,
-              "preset": args.preset}
-    args.digest, args.config = digest, config
-    # NotAnosov is an exact certificate; a refusal (Diverged,
-    # ResolutionInsufficient) is none and reaches main's boundary: exit 3
-    args.stage = "solve"
-    try:
-        field = conjugacy.solve_conjugacy(
-            pert, solving_generator=args.generator, resolution=args.grid,
-            tol=args.tol, max_iter=args.max_iter, mode=args.mode)
-    except conjugacy.NotAnosov as exc:
-        report = envelope("conjugate", digest,
-                          {"error": type(exc).__name__, "detail": str(exc)},
-                          "fail", seed=args.seed, config=config)
-        _emit(args, report, [f"error: {exc}"])
-        return 2
+        raise _ParseError(f"--grid {args.grid} on T^{pert.dim} needs about "
+                          f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB "
+                          "of physical memory")
+    args.config = {"grid": args.grid, "tol": args.tol, "generator": args.generator,
+                   "mode": args.mode, "eps": args.eps if args.preset else None,
+                   "preset": args.preset}
+    # NotAnosov is an exact certificate: exit 2; a refusal (Diverged,
+    # ResolutionInsufficient) is none: exit 3
+    args.stage, args.certifies = "solve", (conjugacy.NotAnosov,)
+    field = conjugacy.solve_conjugacy(
+        pert, solving_generator=args.generator, resolution=args.grid,
+        tol=args.tol, max_iter=args.max_iter, mode=args.mode)
+    args.certifies = ()
     result = {
         "resolution": field.resolution,
         "iterations": field.iterations,
@@ -322,37 +275,22 @@ def cmd_conjugate(args) -> int:
     budget = intertwining["interpolation_budget"]
     verdict = "pass" if intertwining["max_residual"] <= args.tol * 10 + budget \
         else "fail"
-    report = envelope("conjugate", digest, result, verdict, seed=args.seed,
-                      config=config)
-    _emit(args, report, [
-        f"residual {field.residual:.3e} in {field.iterations} iterations",
-        f"intertwining residuals: {intertwining['residuals']}"])
-    return _EXIT[verdict]
+    return result, verdict
 
 
-def cmd_rootsys(args) -> int:
+def cmd_rootsys(args):
     from . import rootsys
 
-    try:
-        mult = json.loads(args.multiplicities) if args.multiplicities else None
-        system = rootsys.build_root_system(args.type, args.rank, mult)
-    except (rootsys.InvalidType, ValueError) as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return 1
-    digest = sha256_hex(stable_dumps(
+    mult = _parsed(json.loads, args.multiplicities) if args.multiplicities else None
+    system = _parsed(rootsys.build_root_system, args.type, args.rank, mult)
+    args.digest = sha256_hex(stable_dumps(
         {"type": args.type, "rank": args.rank,
          "multiplicities": args.multiplicities}).encode())
-    args.digest = digest
     flow, _spaces = rootsys.weyl_flow_lyapunov_data(system)
     smooth = rootsys.smoothness_class_report(system)
     result = {"system": system.to_json(), "weyl_flow": flow,
               "smoothness": smooth}
-    verdict = "pass"
-    report = envelope("rootsys", digest, result, verdict, seed=args.seed)
-    _emit(args, report, [f"type {args.type}_{args.rank}: {smooth['class']}"
-                         + (" (rank-1 warning: rigidity needs rank >= 2)"
-                            if smooth["rank_warning"] else "")])
-    return _EXIT[verdict]
+    return result, "pass"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -386,9 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("--input", required=False, help="input JSON path")
         p.add_argument("--output", help="write the report here (default stdout)")
-        p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--seed", type=int, default=0,
-                       help="recorded in the report; fixes randomized sub-runs")
+                       help="recorded in the report only; no result depends on it")
         if tol:
             p.add_argument("--tol", type=_positive(float), default=1e-10)
 
@@ -438,25 +375,37 @@ def main(argv=None) -> int:
         parser.error(f"{args.command} requires --input")
     if args.command == "conjugate" and not args.preset and not args.input:
         parser.error("conjugate requires --input or --preset")
-    # the command records its stage, input hash and config here as it goes,
-    # for the error report below
-    args.stage, args.digest, args.config = args.command, None, None
+    # the command records here as it goes its stage, the exceptions that
+    # certify a fail in that stage, its input hash and its config, for the
+    # report below
+    args.stage, args.certifies, args.digest, args.config = args.command, (), None, None
     try:
-        return args.func(args)
+        result, verdict = args.func(args)
+    except _ParseError as exc:
+        sys.stderr.write(f"parse error: {exc}\n")
+        return 1
     except Exception as exc:
-        # the one boundary for errors that no stage claims: exit 3 with a
-        # structured error in the report, and the raising line on stderr
-        # in place of a traceback
-        import traceback
+        # the one boundary for errors: a certified fail (exit 2), or else an
+        # undecided step or an error that no stage claims (exit 3) with the
+        # raising line on stderr in place of a traceback; both report the
+        # error in one structured shape
+        verdict = "fail" if isinstance(exc, args.certifies) else "inconclusive"
+        if verdict == "inconclusive":
+            import traceback
 
-        frame = traceback.extract_tb(exc.__traceback__)[-1]
-        sys.stderr.write(f"error in stage {args.stage} at {frame.filename}:"
-                         f"{frame.lineno}: {type(exc).__name__}: {exc}\n")
-        error = {"kind": type(exc).__name__, "stage": args.stage, "detail": str(exc)}
-        report = envelope(args.command, args.digest, {"error": error}, "inconclusive",
-                          seed=args.seed, config=args.config)
-        _emit(args, report, [f"error: {exc}"])
-        return _EXIT["inconclusive"]
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            sys.stderr.write(f"error in stage {args.stage} at {frame.filename}:"
+                             f"{frame.lineno}: {type(exc).__name__}: {exc}\n")
+        result = {"error": {"kind": type(exc).__name__, "stage": args.stage,
+                            "detail": str(exc)}}
+    report = stable_dumps(envelope(args.command, args.digest, result, verdict,
+                                   seed=args.seed, config=args.config)) + "\n"
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(report)
+    else:
+        sys.stdout.write(report)
+    return _EXIT[verdict]
 
 
 if __name__ == "__main__":

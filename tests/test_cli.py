@@ -241,8 +241,11 @@ def test_conjugate_salem_base_exit2(inputs):
     assert out.returncode == 2
     rep = json.loads(out.stdout)
     assert rep["verdict"] == "fail"
-    assert rep["result"]["error"] == "NotAnosov"
-    assert rep["result"]["detail"] == "generator 0 is not Anosov for the base action"
+    assert rep["result"] == {"error": {
+        "kind": "NotAnosov", "stage": "solve",
+        "detail": "generator 0 is not Anosov for the base action"}}
+    assert rep["config"]["grid"] == 8
+    assert out.stderr == ""
 
 
 def test_rootsys_reports():
@@ -507,6 +510,7 @@ def contract_inputs(inputs):
     (["conjugate", "--preset", "cat-sin", "--grid", "16", "--fourier-top", "-3"], 1),
     (["resonances", "--input", "bands.json", "--tol", "1e-3"], 1),   # removed option
     (["rootsys", "--type", "A", "--rank", "2", "--tol", "1e-3"], 1),  # removed option
+    (["analyze", "--input", "t3.json", "--format", "text"], 1),   # removed option
 ])
 def test_exit_code_matrix(contract_inputs, tmp_path, capsys, argv, code):
     argv = [str(contract_inputs / a) if a.endswith(".json") else a for a in argv]
@@ -571,16 +575,35 @@ def test_three_block_action_fails_fast(tmp_path):
     assert [-3, 1, 0] in elements and [7, 0, 1] in elements
 
 
-def spectral_corpus(seed=1):
-    """The ``spectral`` benchmark ops, from ``bench/corpus.py``."""
+def bench_corpus(workload, seed=1):
+    """The ops of a benchmark workload, from ``bench/corpus.py``."""
     corpus = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "corpus.py"),
                             run_name="bench_corpus")
-    return corpus["build"]("spectral", seed)
+    return corpus["build"](workload, seed)
+
+
+def run_corpus(tmp_path, workload, seed):
+    """Each op of a benchmark workload run in-process as the benchmark runs
+    it: (op id, exit code, the report's bytes)."""
+    for op in bench_corpus(workload, seed):
+        for name, obj in op.files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        out = tmp_path / f"{op.id}.out.json"
+        args = [a.replace("{dir}", str(tmp_path)) for a in op.args]
+        if op.dump:
+            args += ["--dump-grid", str(tmp_path / f"{op.id}.bin")]
+        code = main([op.command, *args, "--seed", str(seed), "--output", str(out)])
+        yield op.id, code, out.read_bytes()
+
+
+def corpus_digests(tmp_path, workload, seed):
+    return {op_id: {"exit": code, "sha256": hashlib.sha256(report).hexdigest()}
+            for op_id, code, report in run_corpus(tmp_path, workload, seed)}
 
 
 def bench_spectral_op(op_id, seed=1):
     """The input of a ``spectral`` benchmark op."""
-    return next(op for op in spectral_corpus(seed) if op.id == op_id).files[op_id]
+    return next(op for op in bench_corpus("spectral", seed) if op.id == op_id).files[op_id]
 
 
 def assert_witnesses_in_their_chambers(result, obj):
@@ -667,22 +690,36 @@ def test_analyze_leaves_no_state_behind(tmp_path):
             == (tmp_path / "again.out.json").read_bytes())
 
 
+DIGESTS = Path(__file__).with_name("spectral_corpus_digests.json")
+NF_DIGESTS = Path(__file__).with_name("normal_forms_corpus_digests.json")
+
+
 def test_spectral_corpus_reports_are_unchanged(tmp_path):
-    # the corpus reports are the contract: a change that alters their bytes
-    # updates spectral_corpus_digests.json and says why
-    got = {}
-    for op in spectral_corpus():
-        for name, obj in op.files.items():
-            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
-        out = tmp_path / f"{op.id}.out.json"
-        args = [a.replace("{dir}", str(tmp_path)) for a in op.args]
-        code = main([op.command, *args, "--seed", "1", "--output", str(out)])
-        result = stable_dumps(json.loads(out.read_text())["result"])
-        got[op.id] = {"exit": code, "sha256": hashlib.sha256(result.encode()).hexdigest()}
-    expected = json.loads(Path(__file__).with_name("spectral_corpus_digests.json")
-                          .read_text())
+    # the corpus reports are the contract: a change that alters their bytes,
+    # envelope included, updates spectral_corpus_digests.json and says why
+    got = corpus_digests(tmp_path, "spectral", 1)
+    expected = json.loads(DIGESTS.read_text())
     assert sorted(got) == sorted(expected)
     assert [op for op in got if got[op] != expected[op]] == []
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_normal_forms_corpus_reports_are_unchanged(tmp_path, seed):
+    # exact Fractions throughout, so the whole reports are portable bytes
+    got = corpus_digests(tmp_path, "normal-forms", seed)
+    expected = json.loads(NF_DIGESTS.read_text())[str(seed)]
+    assert sorted(got) == sorted(expected)
+    assert [op for op in got if got[op] != expected[op]] == []
+
+
+def test_grid_corpus_verdicts_are_unchanged(tmp_path):
+    # floats depend on the host, so only the verdicts and exit codes are
+    # pinned: the control perturbs one generator only and fails, exit 2
+    got = {op_id: (json.loads(report)["verdict"], code)
+           for op_id, code, report in run_corpus(tmp_path, "grid", 1)}
+    assert got == {"psi-t3-64": ("pass", 0), "control-t3-64": ("fail", 2),
+                   "psi-cat-256": ("pass", 0), "cat-sin-512-probe": ("pass", 0),
+                   "cat-sin-512-transfer": ("pass", 0), "json-t3-64": ("pass", 0)}
 
 
 def invariant_summary(code, report):
@@ -712,7 +749,7 @@ def test_reports_are_invariant_under_a_change_of_basis(tmp_path):
     def transvection(n, i, j, s):
         return [[int(r == c) + s * (r == i and c == j) for c in range(n)] for r in range(n)]
 
-    for op in spectral_corpus():
+    for op in bench_corpus("spectral"):
         if op.command != "analyze":
             continue
         gens = op.data["generators"]

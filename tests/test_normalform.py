@@ -297,8 +297,10 @@ def test_jordan_block_in_one_band_rejected(tmp_path):
     assert proc.returncode == 2
     report = json.loads(proc.stdout)
     assert report["verdict"] == "fail"
-    assert report["result"] == {
-        "error": "linear part must be semisimple within each block"}
+    assert report["result"] == {"error": {
+        "kind": "ValueError", "stage": "normalform",
+        "detail": "linear part must be semisimple within each block"}}
+    assert report["config"] == {"degree": None, "tol": 1e-10}
 
 
 def test_scaling_covariance():
