@@ -21,8 +21,9 @@ carries an exact handle:
   rounding of the box of tau, refined along the one ``_EPS_SCHEDULE``.
 
 Roots are found with mpmath ``polyroots``, started from double-precision
-Durand-Kerner approximations, and certified with inclusion disks (Rump, J. Comput. Appl. Math. 156, 2003): for any z, some root of a
-degree-n polynomial p lies within n*|p(z)/p'(z)| of z, with p and p'
+Durand-Kerner approximations (``intpoly.root_seeds``), and certified with
+inclusion disks (Rump, J. Comput. Appl. Math. 156, 2003): for any z, some
+root of a degree-n polynomial p lies within n*|p(z)/p'(z)| of z, with p and p'
 evaluated exactly at a dyadic z.  When the n disks of an irreducible p
 (whose roots are simple) are pairwise disjoint, each holds exactly one
 root.  Refinement is Newton's method at doubling precision.
@@ -34,7 +35,6 @@ finds their roots.  No sympy is used here.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,15 +104,6 @@ def eval_poly_box(coeffs, box: CBox) -> CBox:
 # ---------------------------------------------------------------------------
 
 
-def _horner(p, x: int, y: int, s: int):
-    """s^deg(p) * p((x + iy)/s) as an integer pair (re, im)."""
-    re, im, sk = p[0], 0, 1
-    for c in p[1:]:
-        sk *= s
-        re, im = re * x - im * y + c * sk, re * y + im * x
-    return re, im
-
-
 def _sqrt_up(num: int, den: int) -> Fraction:
     """A dyadic upper bound of sqrt(num/den), with about 32 significant bits
     below 2^32; exactly 0 for num = 0."""
@@ -137,8 +128,8 @@ def _newton(p, re: Fraction, im: Fraction, bits: int):
     n = len(p) - 1
     s = math.lcm(re.denominator, im.denominator)
     x, y = re.numerator * (s // re.denominator), im.numerator * (s // im.denominator)
-    pr, pi = _horner(p, x, y, s)
-    qr, qi = _horner([c * (n - i) for i, c in enumerate(p[:-1])], x, y, s)
+    pr, pi = intpoly._gauss_horner(p, x, y, s)
+    qr, qi = intpoly._gauss_horner([c * (n - i) for i, c in enumerate(p[:-1])], x, y, s)
     q2 = qr * qr + qi * qi
     if not q2:
         return None
@@ -171,33 +162,6 @@ def _dyadic(x) -> Fraction:
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
-def _seeds(key: tuple):
-    """Durand-Kerner approximations of the roots in double precision, the
-    starting points of ``polyroots`` (which polishes them in a few steps
-    instead of the many from its generic start); None when they are not
-    finite."""
-    n = len(key) - 1
-    try:
-        c = [x / key[0] for x in key[1:]]
-    except OverflowError:
-        return None
-    z = [(0.4 + 0.9j) ** i for i in range(n)]
-    for _ in range(50 + 4 * n):
-        step = 0.0
-        for i, p in enumerate(z):
-            v = 1
-            for ck in c:
-                v = v * p + ck
-            for j, q in enumerate(z):
-                if j != i and q != p:
-                    v /= p - q
-            z[i] = p - v
-            step = max(step, abs(v))
-        if step <= 1e-12 * max(map(abs, z)):
-            break
-    return z if all(cmath.isfinite(x) for x in z) else None
-
-
 def _isolate(key: tuple, prec: int) -> tuple:
     """(prec', [(disk, next)]) for every root of the irreducible ``key`` of
     degree >= 2, from ``polyroots`` at prec' >= ``prec`` bits: real roots
@@ -211,7 +175,7 @@ def _isolate(key: tuple, prec: int) -> tuple:
     pairwise disjoint.
     """
     n = len(key) - 1
-    init = _seeds(key)
+    init = intpoly.root_seeds(key)
     while True:
         with mpmath.workprec(prec):
             try:
@@ -313,6 +277,16 @@ def _log_half(box: RInt, prec: int):
             libmp.mpf_shift(libmp.mpf_log(rhi, prec, libmp.round_ceiling), -1))
 
 
+@lru_cache(maxsize=1024)
+def _modsq_poly(f: tuple, q: tuple, real: bool) -> tuple:
+    """The squarefree integer polynomial P of ``LogValue._isolated`` for the
+    roots tau of f that are real (``real``) or not: one P serves every such
+    root, and its integer-tuple key names it whole."""
+    values = intpoly.values_poly(f, q)
+    return intpoly.squarefree_part(intpoly.power_poly(values, 2) if real
+                                   else intpoly.pair_products(values))
+
+
 class LogValue:
     """log|q(tau)| for tau = ``root``, a root of the irreducible integer
     polynomial ``f``, and q a unit of Q[x]/(f) (rational coefficients,
@@ -356,9 +330,7 @@ class LogValue:
         over pairs.
         """
         if self._iso is None:
-            values = intpoly.values_poly(self.f, self.q)
-            p = intpoly.squarefree_part(intpoly.power_poly(values, 2) if self.root.is_real
-                                        else intpoly.pair_products(values))
+            p = _modsq_poly(self.f, self.q, self.root.is_real)
             eps = _EPS_SCHEDULE[0]
             while intpoly._sturm_count(p, (box := self._modsq_box(eps)).lo, box.hi) != 1:
                 eps *= eps      # the schedule, and past it: v is a simple root of P

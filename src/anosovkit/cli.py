@@ -60,6 +60,18 @@ def _parsed(build, *args):
         raise _ParseError(exc) from exc
 
 
+def _check_output(path: str):
+    """A _ParseError unless the report can be written at ``path``: checked
+    before any stage runs, so that an unwritable path costs no computation."""
+    if os.path.exists(path):
+        writable = not os.path.isdir(path) and os.access(path, os.W_OK)
+    else:
+        parent = os.path.dirname(path) or "."
+        writable = os.path.isdir(parent) and os.access(parent, os.W_OK)
+    if not writable:
+        raise _ParseError(f"cannot write the report to --output {path}")
+
+
 def _read_input(path: str, parse):
     """The JSON file at ``path`` through ``parse``, and the file's SHA-256."""
     with open(path, "rb") as fh:
@@ -380,6 +392,8 @@ def main(argv=None) -> int:
     # report below
     args.stage, args.certifies, args.digest, args.config = args.command, (), None, None
     try:
+        if args.output:
+            _check_output(args.output)
         result, verdict = args.func(args)
     except _ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")

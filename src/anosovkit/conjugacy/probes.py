@@ -246,6 +246,8 @@ def _difference_sups(co, shift, work, size: int):
 
 
 def _regression_slope(scales, deltas):
+    """Least-squares slope of log2(delta) against log2(t) over the deltas
+    above 1e-14, in closed form; None with fewer than two of them."""
     xs, ys = [], []
     for t, dv in zip(scales, deltas):
         if dv > 1e-14:
@@ -254,4 +256,5 @@ def _regression_slope(scales, deltas):
     if len(xs) < 2:
         return None
     xs, ys = np.array(xs), np.array(ys)
-    return float(np.polyfit(xs, ys, 1)[0])
+    xs -= xs.mean()
+    return float(xs @ (ys - ys.mean()) / (xs @ xs))

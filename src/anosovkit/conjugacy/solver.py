@@ -134,31 +134,99 @@ def _sup_abs(x: np.ndarray) -> float:
 
 
 def _eigendata(matrix):
-    """Eigendecomposition (lam, V, V^-1) of a semisimple integer matrix.
+    """Eigendecomposition (lam, V, V^-1) of a semisimple integer matrix A,
+    with no LAPACK call.
 
-    Semisimplicity is decided exactly (``intpoly.is_semisimple_matrix``);
-    the eigenpairs come from ``numpy.linalg.eig``.  Eigenvalues are in
+    Semisimplicity is decided exactly (``intpoly.is_semisimple_matrix``).
+    The squarefree decomposition of the characteristic polynomial gives
+    each distinct eigenvalue with its multiplicity r: the roots of its
+    part of multiplicity r (``intpoly.double_roots``), real ones exactly
+    real and the others in exactly conjugate pairs.  Eigenvalues are in
     ascending (|lam|, arg lam) order, with arg in (-pi, pi] and the moduli
     compared at 12 significant digits so that roundoff cannot reorder equal
-    moduli.  Each eigenvector is scaled so that its last nonzero coordinate
-    is 1, the convention of an exact nullspace basis, which fixes the signs
-    of the real eigen-directions.
+    moduli, each repeated r times.
+
+    The eigenvectors of lam are a basis of the null space of A - lam I, of
+    dimension r (``_null_basis``), and a conjugate eigenvalue takes the
+    conjugates of its partner's.  Each eigenvector is scaled so that its
+    last nonzero coordinate is 1, the convention of an exact nullspace
+    basis, which fixes the signs of the real eigen-directions.  V^-1 is
+    inverted in Python arithmetic (``_inverse``).
     """
     rows = [list(r) for r in matrix]
     if not intpoly.is_semisimple_matrix(rows):
         raise ValueError("solver requires a semisimple (diagonalizable) base")
-    vals, vecs = np.linalg.eig(np.array(rows, dtype=np.float64))
-    vals = vals.astype(np.complex128)
+    found = [(z, r) for part, r in intpoly._squarefree_decomposition(list(intpoly.charpoly(rows)))
+             for z in intpoly.double_roots(part)]
+    vals = np.array([z for z, _ in found])
     mods = _round_sig(np.abs(vals))
     args = np.arctan2(vals.imag + 0.0, vals.real)    # + 0.0 turns -0.0 into 0.0
-    order = np.lexsort((args, mods))
-    lam = vals[order]
-    v_mat = vecs.astype(np.complex128)[:, order]
-    for e in range(v_mat.shape[1]):
-        mag = np.abs(v_mat[:, e])
-        last = np.flatnonzero(mag > 1e-10 * mag.max())[-1]
-        v_mat[:, e] /= v_mat[last, e]
-    return lam, v_mat, np.linalg.inv(v_mat)
+    n, lam, cols, bases = len(rows), [], [], {}
+    for k in np.lexsort((args, mods)):
+        z, r = found[k]
+        if z.conjugate() in bases:
+            basis = [[x.conjugate() for x in v] for v in bases[z.conjugate()]]
+        else:
+            basis = _null_basis([[x - z * (i == j) for j, x in enumerate(row)]
+                                 for i, row in enumerate(rows)], n - r)
+            for v in basis:
+                tiny = max(abs(x) for x in v) * 1e-10
+                last = v[max(i for i, x in enumerate(v) if abs(x) > tiny)]
+                v[:] = [x / last for x in v]
+        bases[z] = basis
+        cols += basis
+        lam += [z] * r
+    v_mat = np.array(cols, dtype=np.complex128).T
+    return (np.array(lam, dtype=np.complex128), v_mat,
+            np.array(_inverse(v_mat.tolist()), dtype=np.complex128))
+
+
+def _null_basis(m: list, rank: int) -> list:
+    """A basis of the null space of the square matrix m (nested lists) of
+    the given rank, one list per vector, by Gaussian elimination with
+    complete pivoting for ``rank`` steps: each column left without a pivot
+    gives the vector with a 1 there, 0 at the other such columns, and the
+    pivot coordinates by back-substitution."""
+    n = len(m)
+    work = [list(row) for row in m]
+    free_rows, free_cols, pivots = list(range(n)), list(range(n)), []
+    for _ in range(rank):
+        i, j = max(((i, j) for i in free_rows for j in free_cols),
+                   key=lambda ij: abs(work[ij[0]][ij[1]]))
+        free_rows.remove(i)
+        free_cols.remove(j)
+        pivots.append((i, j))
+        for k in free_rows:
+            f = work[k][j] / work[i][j]
+            work[k] = [x - f * y for x, y in zip(work[k], work[i])]
+            work[k][j] = 0
+    basis = []
+    for f in free_cols:
+        x = [0] * n
+        x[f] = 1
+        for i, j in reversed(pivots):
+            x[j] = -sum(w * y for w, y in zip(work[i], x)) / work[i][j]
+        basis.append(x)
+    return basis
+
+
+def _inverse(m: list) -> list:
+    """The inverse of a small invertible square matrix (nested lists), by
+    Gauss-Jordan elimination with partial pivoting in Python arithmetic."""
+    n = len(m)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    for k in range(n):
+        piv = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        rows[k], rows[piv] = rows[piv], rows[k]
+        for i in range(k + 1, n):
+            f = rows[i][k] / rows[k][k]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    for k in reversed(range(n)):
+        rows[k] = [x / rows[k][k] for x in rows[k]]
+        for i in range(k):
+            f = rows[i][k]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    return [row[n:] for row in rows]
 
 
 def _permutation(matrix: np.ndarray, size: int) -> np.ndarray:
@@ -210,6 +278,15 @@ def _defect_pass(u: np.ndarray, pert: ToralPerturbation, gen: int, perm: np.ndar
     return worst
 
 
+def _take_into(a: np.ndarray, idx: np.ndarray, out: np.ndarray):
+    """out[...] = a[idx] for 1-d arrays, ``_ROWS`` indices at a time:
+    ``np.take`` casts int32 indices to intp, a copy of twice their bytes,
+    and with an ``out`` and mode "raise" it would buffer one more (the
+    indices are in range, so "wrap" does not change them)."""
+    for lo in range(0, idx.shape[0], _ROWS):
+        np.take(a, idx[lo:lo + _ROWS], out=out[lo:lo + _ROWS], mode="wrap")
+
+
 def _orbit_starts(perm: np.ndarray):
     """The cycles of the grid permutation ``perm``: (starts, lengths), the
     least index of each cycle, in increasing order, and its length.
@@ -218,25 +295,35 @@ def _orbit_starts(perm: np.ndarray):
     r rounds label[i] is the least index among the 2^r points i, A i, ...,
     and a round that changes no label means every label is its cycle's
     minimum.  That takes log2 of the longest cycle whole-array rounds, in
-    four index arrays of perm's dtype allocated once (``np.take`` with an
-    ``out`` and mode "raise" would buffer a copy; the indices are in range,
-    so "wrap" does not change them).
+    four index arrays of perm's dtype allocated once (``_take_into``).  A
+    cycle's least index is the one
+    whose label is itself, and the lengths, int32 like perm, come from a
+    walk of all cycles at once from there.
     """
     m = perm.shape[0]
     label, new = np.arange(m, dtype=perm.dtype), np.empty_like(perm)
     jump, nxt = perm.copy(), np.empty_like(perm)
     while True:
-        np.take(label, jump, out=new, mode="wrap")
+        _take_into(label, jump, new)
         np.minimum(new, label, out=new)
         if np.array_equal(new, label):
             break
         label, new = new, label
-        np.take(jump, jump, out=nxt, mode="wrap")
+        _take_into(jump, jump, nxt)
         jump, nxt = nxt, jump
     del new, jump, nxt
-    counts = np.bincount(label, minlength=m)     # a cycle's length at its least index
-    starts = np.flatnonzero(counts)
-    return starts, counts[starts]
+    starts = np.flatnonzero(label == np.arange(m, dtype=label.dtype))
+    del label
+    # walk every cycle at once from its least index, retiring each when it
+    # returns there: steps of all cycles together, no array of the grid's size
+    lengths = np.empty(starts.shape[0], dtype=np.int32)
+    live, cur, step = np.arange(starts.shape[0]), perm[starts], 1
+    while live.size:
+        back = cur == starts[live]
+        lengths[live[back]] = step
+        live, cur = live[~back], perm[cur[~back]]
+        step += 1
+    return starts, lengths
 
 
 def _cycle_plan(perm: np.ndarray):
@@ -249,8 +336,8 @@ def _cycle_plan(perm: np.ndarray):
     holds x_t = A^t x_0 of every orbit, so a recursion along the cycles
     reads and writes one contiguous row per step.
     """
-    inverse = np.empty_like(perm)
     starts, lengths = _orbit_starts(perm)
+    inverse = np.empty_like(perm)
     segments, start = [], 0
     # sorted(set(...)), not np.unique, which imports numpy.ma (about 12 ms)
     for length in sorted(set(lengths.tolist())):

@@ -32,9 +32,15 @@ polynomial fact the toral verdicts rest on:
   ``values_poly`` (the values q(tau) over the roots tau of f),
   ``power_poly`` (the k-th powers) and ``pair_products`` (the products
   alpha_i alpha_j over pairs i < j, of degree n(n - 1)/2);
-- ``_sturm_count``, the number of real roots in a closed interval: with
-  it and ``_gcd`` a squared modulus is decided from one polynomial that
-  vanishes at it and one interval that holds no other of its roots;
+- ``_sturm_count``, the number of real roots in a closed interval, from
+  a Sturm sequence built once per polynomial: with it and ``_gcd`` a
+  squared modulus is decided from one polynomial that vanishes at it and
+  one interval that holds no other of its roots;
+- ``double_roots``, the roots of a squarefree integer polynomial in
+  double precision, from the Durand-Kerner seeds (``root_seeds``, which
+  also start ``algnum``'s certified roots) by Newton steps with exact
+  residuals, the real ones counted exactly: the conjugacy solver's
+  eigenvalues;
 - arithmetic in Q[x]/(f): ``mul_mod``, ``power_mod`` and
   ``power_product``, the products of powers that write an action element,
   or an integer combination of log-moduli, as one polynomial.
@@ -48,7 +54,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isfinite, isqrt, lcm
 
 from .exact import mat_mul
 
@@ -651,13 +657,14 @@ def _sign_changes(seq, x) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _sturm_count(h, a, b) -> int:
-    """Distinct real roots of h in the closed interval [a, b], by Sturm's
-    theorem over Q.
+@lru_cache(maxsize=1024)
+def _sturm_sequence(h: tuple) -> tuple:
+    """The Sturm sequence of h over Q: h, h', then the negated remainders.
 
     Each remainder, a positive multiple from ``_prem``, is divided by its
-    (positive) content, which keeps every sign of the sequence.  h need not
-    be squarefree, but an end must not be a multiple root.
+    (positive) content, which keeps every sign of the sequence.  Kept per
+    h, whose integer coefficients are the whole key: the enclosures that
+    ``algnum`` narrows around one value count the roots of one h many times.
     """
     seq = [primitive(h)]
     r = primitive(_derivative(h))
@@ -666,9 +673,104 @@ def _sturm_count(h, a, b) -> int:
         rem = _prem(seq[-2], seq[-1])
         g = gcd(*rem)
         r = tuple(-c // g for c in rem)     # the Sturm step takes -rem
+    return tuple(seq)
+
+
+def _sturm_count(h, a, b) -> int:
+    """Distinct real roots of h in the closed interval [a, b], by Sturm's
+    theorem over Q: the sign changes of ``_sturm_sequence`` at a less those
+    at b.  h need not be squarefree, but an end must not be a multiple root.
+    """
+    seq = _sturm_sequence(tuple(h))
     a = Fraction(a)
     return (_sign_changes(seq, a) - _sign_changes(seq, b)
             + (_horner(seq[0], a.numerator, a.denominator) == 0))
+
+
+def root_seeds(p):
+    """Durand-Kerner approximations of the roots of p in double precision,
+    the starting points of ``double_roots`` and of ``algnum``'s certified
+    roots; None when they are not finite."""
+    n = len(p) - 1
+    try:
+        c = [x / p[0] for x in p[1:]]
+    except OverflowError:
+        return None
+    z = [(0.4 + 0.9j) ** i for i in range(n)]
+    for _ in range(50 + 4 * n):
+        step = 0.0
+        for i, w in enumerate(z):
+            v = 1
+            for ck in c:
+                v = v * w + ck
+            for j, q in enumerate(z):
+                if j != i and q != w:
+                    v /= w - q
+            z[i] = w - v
+            step = max(step, abs(v))
+        if step <= 1e-12 * max(map(abs, z)):
+            break
+    return z if all(isfinite(x.real) and isfinite(x.imag) for x in z) else None
+
+
+def _gauss_horner(p, x: int, y: int, s: int) -> tuple:
+    """s^deg(p) * p((x + iy)/s) as an integer pair (re, im), for integer p."""
+    re, im, sk = p[0], 0, 1
+    for c in p[1:]:
+        sk *= s
+        re, im = re * x - im * y + c * sk, re * y + im * x
+    return re, im
+
+
+def _value_at(p, z: complex) -> complex:
+    """p(z) for integer p at a complex double z, evaluated exactly and
+    rounded once."""
+    (xn, xd), (yn, yd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    s = max(xd, yd)         # both are powers of two
+    re, im = _gauss_horner(p, xn * (s // xd), yn * (s // yd), s)
+    sn = s ** (len(p) - 1)
+    return complex(re / sn, im / sn)
+
+
+def _newton(p, dp, z: complex) -> complex:
+    """z polished by Newton steps for the integer polynomial p with
+    derivative dp, each residual p(z) exact (``_value_at``), until a step
+    falls below the rounding of z."""
+    for _ in range(8):
+        slope = 0j
+        for c in dp:
+            slope = slope * z + c
+        step = _value_at(p, z) / slope
+        z -= step
+        if abs(step) <= 2.0 ** -53 * abs(z):
+            break
+    return z
+
+
+def double_roots(p) -> list:
+    """The roots of a squarefree integer polynomial p of positive degree in
+    double precision: each real root with imaginary part exactly 0.0, the
+    others in exactly conjugate pairs.
+
+    The number of real roots is decided exactly, by a Sturm count inside
+    the Cauchy bound 1 + max |p_i / p_0|, and that many seeds
+    (``root_seeds``) nearest the axis are taken as the real roots; of the
+    others, the half with the larger imaginary parts as one of each pair.
+    Each is polished by ``_newton``, so a simple root is found to about the
+    rounding of its double.
+    """
+    n = len(p) - 1
+    seeds = root_seeds(p)
+    if seeds is None:
+        raise ArithmeticError(f"no finite root approximations of {tuple(p)}")
+    bound = 1 + Fraction(max(abs(c) for c in p[1:]), abs(p[0]))
+    count = _sturm_count(p, -bound, bound)
+    seeds.sort(key=lambda z: abs(z.imag))
+    dp = _derivative(p)
+    real = [_newton(p, dp, complex(z.real, 0.0)).real for z in seeds[:count]]
+    upper = [_newton(p, dp, z) for z in sorted(seeds[count:], key=lambda z: z.imag)
+             [(n - count) // 2:]]
+    return [complex(x, 0.0) for x in real] + [w for z in upper for w in (z, z.conjugate())]
 
 
 def has_unit_circle_root(p) -> bool:

@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
+
+# CPython's built-in SHA-256, which hashlib itself falls back to: importing
+# hashlib loads OpenSSL's libcrypto (about 3.7 MB of resident memory) for
+# this one digest.  The digests are the same.
+try:
+    from _sha2 import sha256 as _sha256          # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256    # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 SCHEMA_VERSION = "1"
 
@@ -50,7 +60,7 @@ def stable_dumps(obj) -> str:
 
 
 def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+    return _sha256(data).hexdigest()
 
 
 def envelope(command: str, input_hash: str, result, verdict: str,

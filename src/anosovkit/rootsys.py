@@ -71,6 +71,9 @@ def build_root_system(type_label: str, rank: int,
     min_rank = {"A": 1, "B": 2, "C": 2, "D": 3, "BC": 1}[type_label]
     if rank < min_rank:
         raise InvalidType(f"type {type_label} needs rank >= {min_rank}")
+    if multiplicities is not None and not isinstance(multiplicities, dict):
+        raise InvalidType("multiplicities must be a map from root class label to "
+                          f"multiplicity, got {type(multiplicities).__name__}")
     n = rank
     roots = []
 

@@ -165,6 +165,25 @@ def near_root_of_unity(z, dim):
     return any(abs(z ** q - 1) < 1e-30 for q in range(1, 2 * dim * dim + 1))
 
 
+def lapack_eigendata(matrix):
+    """(lam, V, V^-1) of a semisimple integer matrix by LAPACK
+    (``numpy.linalg.eig`` and ``inv``), in the solver's order and scaling:
+    ascending (|lam| at 12 significant digits, arg lam), each eigenvector's
+    last coordinate above 1e-10 of its largest made 1."""
+    import numpy as np
+
+    vals, vecs = np.linalg.eig(np.array(matrix, dtype=np.float64))
+    vals = vals.astype(np.complex128)
+    mods = np.abs(vals)
+    mods = np.array([float(f"{x:.11e}") for x in mods])
+    order = np.lexsort((np.arctan2(vals.imag + 0.0, vals.real), mods))
+    v_mat = vecs.astype(np.complex128)[:, order]
+    for e in range(v_mat.shape[1]):
+        mag = np.abs(v_mat[:, e])
+        v_mat[:, e] /= v_mat[np.flatnonzero(mag > 1e-10 * mag.max())[-1], e]
+    return vals[order], v_mat, np.linalg.inv(v_mat)
+
+
 def reference_cycle_conjugacy(pert, generator: int, resolution: int, tol: float,
                               max_iter: int = 100):
     """Displacement u of the grid conjugacy by the complex per-eigencomponent

@@ -1,5 +1,6 @@
 """Hypothesis strategies for the actions that several test modules draw."""
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
 # the fields of the unit-sum fuzz: x^2 - 3x + 1, x^2 - x - 1, x^3 - x - 1 (a
@@ -94,3 +95,35 @@ def cat_power_sums(draw):
     k = draw(st.sampled_from([2, 3]))
     blocks = draw(st.integers(2, 3))
     return [tuple(draw(st.integers(-3, 3)) for _ in range(k)) for _ in range(blocks)]
+
+
+@st.composite
+def semisimple_matrices(draw, max_dim=5, max_entry=64):
+    """Integer matrices of dimension 2..max_dim with entries of size at most
+    max_entry that are diagonalizable over C: a direct sum of 1 x 1 blocks
+    and 2 x 2 blocks with distinct eigenvalues (complex pairs included), one
+    of them possibly repeated (repeated eigenvalues), conjugated by 0-4
+    integer transvections."""
+    entry = st.integers(-4, 4)
+    two = st.lists(st.lists(entry, min_size=2, max_size=2), min_size=2, max_size=2).filter(
+        lambda m: (m[0][0] - m[1][1]) ** 2 + 4 * m[0][1] * m[1][0] != 0)
+    blocks = draw(st.lists(st.one_of(entry.map(lambda x: [[x]]), two), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        blocks.append(draw(st.sampled_from(blocks)))
+    dim = sum(len(b) for b in blocks)
+    assume(2 <= dim <= max_dim)
+    a = [[0] * dim for _ in range(dim)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            a[at + i][at:at + len(b)] = row
+        at += len(b)
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True))
+        s = draw(st.sampled_from([1, -1]))
+        # a -> E a E^-1 for E = I + s e_ij: row i += s row j, then column j -= s column i
+        a[i] = [x + s * y for x, y in zip(a[i], a[j])]
+        for row in a:
+            row[j] -= s * row[i]
+    assume(max(abs(x) for row in a for x in row) <= max_entry)
+    return a

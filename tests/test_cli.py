@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from anosovkit import spectra
 from anosovkit.cli import main
 from anosovkit.exact import mat_inv, mat_mul
-from anosovkit.jsonio import stable_dumps
+from anosovkit.jsonio import sha256_hex, stable_dumps
 from oracles import (mp_eigenvalues, near_root_of_unity, report_region_count,
                      root_of_unity_elements, sigma_matrix)
 from strategies import cat_power_blocks, cat_power_sums, unit_sums
@@ -511,6 +511,7 @@ def contract_inputs(inputs):
     (["resonances", "--input", "bands.json", "--tol", "1e-3"], 1),   # removed option
     (["rootsys", "--type", "A", "--rank", "2", "--tol", "1e-3"], 1),  # removed option
     (["analyze", "--input", "t3.json", "--format", "text"], 1),   # removed option
+    (["rootsys", "--type", "A", "--rank", "2", "--multiplicities", "[1]"], 1),  # not a map
 ])
 def test_exit_code_matrix(contract_inputs, tmp_path, capsys, argv, code):
     argv = [str(contract_inputs / a) if a.endswith(".json") else a for a in argv]
@@ -519,6 +520,46 @@ def test_exit_code_matrix(contract_inputs, tmp_path, capsys, argv, code):
     if code != 1:
         rep = json.loads((tmp_path / "out.json").read_text())
         assert rep["verdict"] == {2: "fail", 3: "inconclusive"}[code]
+
+
+@pytest.mark.parametrize("where", ["missing/out.json", "."], ids=["no-dir", "a-dir"])
+def test_unwritable_output_is_a_parse_error(tmp_path, monkeypatch, capsys, where):
+    # refused before any stage runs: the stage below would exit 3
+    def broken(*args, **kwargs):
+        raise RuntimeError("a stage ran")
+
+    from anosovkit import rootsys
+
+    monkeypatch.setattr(rootsys, "build_root_system", broken)
+    out = tmp_path / where
+    assert exit_code(["rootsys", "--type", "A", "--rank", "2", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
+def test_sha256_hex_matches_hashlib():
+    rng = random.Random(5)
+    for data in [b"", b"abc", bytes(1 << 20)] + [rng.randbytes(rng.randrange(1, 5000))
+                                                 for _ in range(20)]:
+        assert sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+
+def test_no_subcommand_loads_openssl(inputs, tmp_path):
+    # one op of each subcommand in a fresh interpreter: the input digest
+    # uses CPython's built-in SHA-256, and nothing loads OpenSSL's _hashlib
+    runs = [["analyze", "--input", str(inputs / "t3.json")],
+            ["resonances", "--input", str(inputs / "bands.json")],
+            ["normalform", "--input", str(inputs / "cubic.json")],
+            ["conjugate", "--preset", "psi-cat", "--grid", "16", "--probe"],
+            ["rootsys", "--type", "A", "--rank", "2"]]
+    code = ("import json, sys\n"
+            "from anosovkit.cli import main\n"
+            f"codes = [main(a + ['--output', {str(tmp_path / 'o.json')!r}]) for a in {runs!r}]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules if 'hashlib' in m)]))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [[0, 0, 0, 0, 0], []]
 
 
 @pytest.mark.parametrize("argv, module, name, stage", [

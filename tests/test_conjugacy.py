@@ -5,11 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from anosovkit import cli, spectra
+from anosovkit import cli, intpoly, spectra
 from anosovkit.conjugacy import solver
 from anosovkit.conjugacy.perturbation import _BLOCK, _grid_points
-from anosovkit.conjugacy.probes import _eigen_directions, _half_angle_tables, _write_product
+from anosovkit.conjugacy.probes import (_eigen_directions, _half_angle_tables,
+                                        _regression_slope, _write_product)
 from anosovkit.conjugacy.solver import (
     ConjugacyField,
     _cycle_plan,
@@ -31,7 +33,9 @@ from anosovkit.conjugacy import (
     solve_conjugacy,
     verify_intertwining,
 )
-from oracles import reference_cycle_conjugacy
+from oracles import lapack_eigendata, reference_cycle_conjugacy
+from strategies import semisimple_matrices
+from test_cli import bench_corpus
 
 
 def small_cat_pert(eps=0.01):
@@ -151,6 +155,87 @@ def test_eigendata_order_and_scaling(t3_action):
         for e in range(len(lam)):
             nonzero = np.flatnonzero(np.abs(v_mat[:, e]) > 1e-12)
             assert abs(v_mat[nonzero[-1], e] - 1.0) < 1e-15
+
+
+def _decomposition_errors(matrix, lam, v_mat, w_mat):
+    """(max |V Lam W - A| / max |A|, max |W V - I|)."""
+    a = np.array(matrix, dtype=float)
+    return (np.abs((v_mat * lam) @ w_mat - a).max() / max(1.0, np.abs(a).max()),
+            np.abs(w_mat @ v_mat - np.eye(len(lam))).max())
+
+
+def test_eigendata_accurate_on_presets_and_corpus_bases(t3_action):
+    # every semisimple generator of the preset bases and of the spectral
+    # benchmark corpus, up to dimension 6 with real and complex spectra
+    bases = [((2, 1), (1, 1))] + list(t3_action.generators)
+    for op in bench_corpus("spectral"):
+        for obj in op.files.values():
+            d = obj["dim"]
+            bases += [[g[i * d:(i + 1) * d] for i in range(d)] for g in obj["generators"]]
+    checked = 0
+    for key in bases:
+        if not intpoly.is_semisimple_matrix(key):
+            continue
+        recon, inverse = _decomposition_errors(key, *_eigendata(key))
+        assert recon <= 1e-14 and inverse <= 1e-14, (key, recon, inverse)
+        checked += 1
+    assert checked > 40
+
+
+@settings(max_examples=80)
+@given(semisimple_matrices())
+def test_eigendata_matches_lapack(matrix):
+    # complex pairs and repeated eigenvalues: the same order, signs and
+    # scaling as LAPACK's eigendata; a repeated eigenvalue's eigenvectors
+    # are a basis of its eigenspace, so there its spectral projector V W is
+    # compared instead
+    lam, v_mat, w_mat = _eigendata(matrix)
+    ref_lam, ref_v, ref_w = lapack_eigendata(matrix)
+    recon, inverse = _decomposition_errors(matrix, lam, v_mat, w_mat)
+    assert recon <= 1e-10 and inverse <= 1e-10
+    assert np.abs(lam - ref_lam).max() <= 1e-8 * max(1.0, np.abs(ref_lam).max())
+    n, start = len(lam), 0
+    while start < n:
+        stop = start + 1
+        while stop < n and lam[stop] == lam[start]:
+            stop += 1
+        if stop - start == 1:
+            assert np.abs(v_mat[:, start] - ref_v[:, start]).max() <= \
+                1e-8 * max(1.0, np.abs(ref_v[:, start]).max())
+        proj = v_mat[:, start:stop] @ w_mat[start:stop]
+        ref = ref_v[:, start:stop] @ ref_w[start:stop]
+        assert np.abs(proj - ref).max() <= 1e-8 * max(1.0, np.abs(ref).max())
+        start = stop
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--preset", "psi-cat", "--grid", "64"], 0),
+    (["--preset", "t3-gen1-only", "--grid", "32", "--eps", "0.005"], 2),
+], ids=["psi-cat", "t3-gen1-only"])
+def test_conjugate_calls_no_lapack(monkeypatch, tmp_path, argv, code):
+    # the solve, the intertwining check and the probe, with its eigen
+    # directions and slopes, run with numpy's LAPACK entry points raising
+    def lapack(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    for name in ("eig", "eigvals", "inv", "solve", "lstsq", "svd"):
+        monkeypatch.setattr(np.linalg, name, lapack)
+    monkeypatch.setattr(np, "polyfit", lapack)
+    out = tmp_path / "out.json"
+    assert cli.main(["conjugate", *argv, "--probe", "--tol", "1e-13",
+                     "--output", str(out)]) == code
+    result = json.loads(out.read_text())["result"]
+    assert "error" not in result and result["regularity"]["directions"]
+
+
+def test_regression_slope_matches_polyfit():
+    rng = np.random.default_rng(3)
+    scales = [2.0 ** -j for j in range(3, 9)]
+    for _ in range(20):
+        deltas = list(rng.uniform(0.1, 1.0, len(scales)) * np.array(scales) ** rng.uniform(0, 2))
+        want = np.polyfit(np.log2(scales), np.log2(deltas), 1)[0]
+        assert abs(_regression_slope(scales, deltas) - want) <= 1e-12
+    assert _regression_slope(scales, [1.0] + [0.0] * 5) is None
 
 
 def test_oversized_refused(cat_action):
@@ -813,6 +898,20 @@ def test_int32_plans_match_python_walk(matrix_key, size):
                   for length, idx in python_cycle_walk(matrix_key, size)
                   for g in range(idx.shape[0]))
     assert list(zip(starts.tolist(), lengths.tolist())) == walk
+
+
+def test_cycle_plan_working_set_bounded():
+    # the pointer doubling holds four int32 index arrays; np.take's intp
+    # copy of the indices and np.bincount's int64 labels and counts made the
+    # plan peak at 7x the permutation's bytes (56 MiB at 128^3)
+    perm = _permutation(np.array(((0, 0, -1), (1, 0, 2), (0, 1, 1)), dtype=np.int64), 64)
+    tracemalloc.start()
+    try:
+        _cycle_plan(perm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * perm.nbytes
 
 
 def test_permutation_refuses_int32_overflow():

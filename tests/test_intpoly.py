@@ -17,8 +17,11 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from anosovkit.intpoly import (
+    _sturm_count,
+    _sturm_sequence,
     charpoly,
     cyclotomic_poly,
+    double_roots,
     factor,
     from_power_sums,
     has_unit_circle_root,
@@ -124,6 +127,35 @@ def test_power_mod_against_sympy(f, q, e):
 @given(products())
 def test_squarefree_part_against_sympy(p):
     assert squarefree_part(p) == normalized(sympy.sqf_part(poly(p).as_expr(), X))
+
+
+@given(products())
+def test_double_roots_against_mpmath(p):
+    # the squarefree part's roots, by mpmath at 60 digits: each within 1e-9
+    # of one double root, the real ones exactly real, the others in exactly
+    # conjugate pairs
+    q = squarefree_part(p)
+    assume(len(q) > 1)
+    got = double_roots(q)
+    with mpmath.workdps(60):
+        want = [complex(z) for z in mpmath.polyroots(q, maxsteps=400, extraprec=400)]
+    assert len(got) == len(want)
+    assert sum(z.imag == 0.0 for z in got) == sum(abs(z.imag) < 1e-30 for z in want)
+    assert sorted((z.real, abs(z.imag)) for z in got if z.imag > 0) == \
+        sorted((z.real, abs(z.imag)) for z in got if z.imag < 0)
+    for z in want:
+        assert min(abs(z - g) for g in got) <= 1e-9 * max(1.0, abs(z))
+
+
+def test_sturm_sequence_built_once():
+    # x^12 - x - 1: counted on many intervals, its sequence is built once
+    h = (1,) + (0,) * 10 + (-1, -1)
+    _sturm_count(h, -2, 2)
+    before = _sturm_sequence.cache_info()
+    counts = [_sturm_count(list(h), Fraction(-k, 3), Fraction(k, 3)) for k in range(1, 7)]
+    after = _sturm_sequence.cache_info()
+    assert counts == [0, 0, 1, 2, 2, 2]
+    assert after.misses == before.misses and after.hits == before.hits + 6
 
 
 @given(polys(rationals))
